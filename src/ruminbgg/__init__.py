@@ -11,7 +11,9 @@ and a quasi-conformality decision procedure.
 
 __version__ = "0.1.0"
 
-from ._kernel import BACKEND as KERNEL_BACKEND
+# The one rank kernel is pure Python; benchmark results record this name.
+KERNEL_BACKEND = "python"
+
 from .algebra import (
     BUILTIN_MODELS,
     Dilation,

@@ -1,4 +1,4 @@
-"""Sparse exact rank over the integers, pure-Python kernel.
+"""Sparse exact rank over the integers: the library's one rank kernel.
 
 Gaussian elimination on dict rows with Markowitz-style pivoting; every
 updated row is divided by its content gcd so entries stay small.  Input

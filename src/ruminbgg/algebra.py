@@ -364,14 +364,17 @@ def algebra_from_json(data):
     for item in data.get("brackets", []):
         try:
             a, b = int(item["a"]), int(item["b"])
-            terms = item["terms"]
+            terms = list(item["terms"])
         except (KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"malformed bracket entry {item!r}") from exc
         if not (1 <= a <= dim and 1 <= b <= dim):
             raise StructureError(f"bracket indices out of range: ({a},{b})")
         parsed = {}
         for term in terms:
-            k = int(term["k"])
+            try:
+                k = int(term["k"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise StructureError(f"malformed bracket term {term!r}") from exc
             if not (1 <= k <= dim):
                 raise StructureError(f"bracket target index out of range: {k}")
             try:

@@ -12,7 +12,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import StructureError
-from .linalg import ColumnEliminator, SparseMatrix
+from .linalg import ColumnEliminator, SparseMatrix, accumulate, axpy
+from .scalars import ZERO
 
 
 def sort_with_sign(indices):
@@ -62,11 +63,7 @@ class FiberForm:
     def __add__(self, other):
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
+            accumulate(out, mono, c)
         return FiberForm(self.algebra, out)
 
     def __sub__(self, other):
@@ -83,11 +80,7 @@ class FiberForm:
                 mono, sign = sort_with_sign(m1 + m2)
                 if mono is None:
                     continue
-                s = out.get(mono, Fraction(0)) + sign * c1 * c2
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
+                accumulate(out, mono, sign * c1 * c2)
         return FiberForm(self.algebra, out)
 
     def degrees(self):
@@ -114,12 +107,7 @@ class FilteredOperator:
     def apply(self, form):
         out = {}
         for mono, c in form.terms.items():
-            for dst, v in self.mapping.get(mono, {}).items():
-                s = out.get(dst, Fraction(0)) + c * v
-                if s:
-                    out[dst] = s
-                elif dst in out:
-                    del out[dst]
+            axpy(out, self.mapping.get(mono, {}), c)
         return FiberForm(form.algebra, out)
 
     def check_filtration(self):
@@ -237,11 +225,7 @@ class FiberContext:
                 merged, sign = sort_with_sign((a, b) + rest)
                 if merged is None:
                     continue
-                s = out.get(merged, Fraction(0)) + base * sign * c
-                if s:
-                    out[merged] = s
-                elif merged in out:
-                    del out[merged]
+                accumulate(out, merged, base * sign * c)
         return out
 
     def d0_map(self):
@@ -283,7 +267,7 @@ class FiberContext:
                 x = elim.solve(ident.column(j))
                 if x is None:
                     raise StructureError("inner product is singular")
-                inv.append([x.get(i, Fraction(0)) for i in range(n)])
+                inv.append([x.get(i, ZERO) for i in range(n)])
             # column j of inverse solved above gives row-major transpose;
             # the matrix is symmetric so orientation does not matter
             self._gram_inv = inv
@@ -500,7 +484,7 @@ def fiber_inner(context, alpha, beta):
     if alg.inner_product_is_standard():
         total = Fraction(0)
         for mono, c in alpha.terms.items():
-            total += c * beta.terms.get(mono, Fraction(0))
+            total += c * beta.terms.get(mono, ZERO)
         return total
     total = Fraction(0)
     by_block = {}
@@ -515,5 +499,5 @@ def fiber_inner(context, alpha, beta):
         gv = gram.apply(avec)
         for mono, c in beta.terms.items():
             if len(mono) == k and monomial_weight(alg, mono) == w:
-                total += c * gv.get(index[mono], Fraction(0))
+                total += c * gv.get(index[mono], ZERO)
     return total

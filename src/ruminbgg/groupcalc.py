@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, IdentityError, UnsupportedStepError
 from .fiber import FiberContext, monomial_weight, sort_with_sign
+from .linalg import accumulate, axpy
 
 HALF = Fraction(1, 2)
 
@@ -64,11 +65,7 @@ class PolyForm:
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            accumulate(out, key, c)
         return PolyForm(self.algebra, out)
 
     def __sub__(self, other):
@@ -138,12 +135,7 @@ class LeftInvariantField:
                         coeff = -HALF * c * e[k]
                         e[k] -= 1
                         e[b] += 1
-                        key = tuple(e)
-                        s = out.get(key, Fraction(0)) + coeff
-                        if s:
-                            out[key] = s
-                        elif key in out:
-                            del out[key]
+                        accumulate(out, tuple(e), coeff)
         return out
 
     def apply_function(self, form):
@@ -151,12 +143,7 @@ class LeftInvariantField:
         out = {}
         for (exps, mono), c in form.terms.items():
             for e2, dc in self.derive_exponents(exps).items():
-                key = (e2, mono)
-                s = out.get(key, Fraction(0)) + c * dc
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                accumulate(out, (e2, mono), c * dc)
         return PolyForm(form.algebra, out)
 
     def __repr__(self):
@@ -179,13 +166,6 @@ class GroupContext:
 
     # -- single-term operator actions (dicts keyed by (exps, mono)) --------
 
-    def _add(self, acc, key, c):
-        s = acc.get(key, Fraction(0)) + c
-        if s:
-            acc[key] = s
-        elif key in acc:
-            del acc[key]
-
     def d_term(self, exps, mono):
         out = {}
         # coefficient part: sum over the frame of (X_a f) theta^a ^ theta^I
@@ -197,16 +177,16 @@ class GroupContext:
                 continue
             merged, sign = sort_with_sign((a,) + mono)
             for e2, dc in derived.items():
-                self._add(out, (e2, merged), sign * dc)
+                accumulate(out, (e2, merged), sign * dc)
         # fiber part: f d0(theta^I)
         for m2, c in self.fiber.d0_of_monomial(mono).items():
-            self._add(out, (exps, m2), c)
+            accumulate(out, (exps, m2), c)
         return out
 
     def delta_term(self, exps, mono):
         out = {}
         for m2, c in self.fiber.delta_of_monomial(mono).items():
-            self._add(out, (exps, m2), c)
+            accumulate(out, (exps, m2), c)
         return out
 
     def contraction_term(self, field_index, exps, mono):
@@ -218,8 +198,7 @@ class GroupContext:
     def _linear(self, term_fn, form):
         out = {}
         for (exps, mono), c in form.terms.items():
-            for key, v in term_fn(exps, mono).items():
-                self._add(out, key, c * v)
+            axpy(out, term_fn(exps, mono), c)
         return PolyForm(form.algebra, out)
 
     # -- public operators ---------------------------------------------------
@@ -273,12 +252,7 @@ class GroupContext:
                         # reinsert at original position: sign bookkeeping via
                         # moving b to the front of rest then sorting
                         front_sign = (-1) ** pos
-                        s = out.get((exps, merged), Fraction(0)) + c * rc * sign * front_sign
-                        key = (exps, merged)
-                        if s:
-                            out[key] = s
-                        elif key in out:
-                            del out[key]
+                        accumulate(out, (exps, merged), c * rc * sign * front_sign)
         return PolyForm(form.algebra, out)
 
     # -- spanning sets and matrices -------------------------------------------

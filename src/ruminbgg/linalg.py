@@ -12,8 +12,30 @@ from fractions import Fraction
 from math import lcm
 
 from ._kernel import rank_sparse
+from .scalars import ZERO
 
-ZERO = Fraction(0)
+
+def accumulate(dst, key, c):
+    """dst[key] += c on a sparse vector; a key whose sum is zero is removed."""
+    s = dst.get(key, ZERO) + c
+    if s:
+        dst[key] = s
+    elif key in dst:
+        del dst[key]
+
+
+def axpy(dst, src, a):
+    """dst += a * src on sparse vectors; a key whose sum is zero is removed.
+
+    The same loop as `accumulate`, kept inline because it is the innermost
+    loop of every matrix-vector product.
+    """
+    for k, v in src.items():
+        s = dst.get(k, ZERO) + a * v
+        if s:
+            dst[k] = s
+        elif k in dst:
+            del dst[k]
 
 
 def _clean(col):
@@ -72,14 +94,8 @@ class SparseMatrix:
         out = {}
         for j, x in vec.items():
             col = self.cols.get(j)
-            if not col or not x:
-                continue
-            for i, v in col.items():
-                s = out.get(i, ZERO) + v * x
-                if s:
-                    out[i] = s
-                elif i in out:
-                    del out[i]
+            if col and x:
+                axpy(out, col, x)
         return out
 
     def compose(self, other):
@@ -101,11 +117,7 @@ class SparseMatrix:
         for j in set(self.cols) | set(other.cols):
             col = dict(self.cols.get(j, {}))
             for i, v in other.cols.get(j, {}).items():
-                s = col.get(i, ZERO) + v
-                if s:
-                    col[i] = s
-                elif i in col:
-                    del col[i]
+                accumulate(col, i, v)
             out.set_column(j, col)
         return out
 
@@ -192,24 +204,20 @@ class ColumnEliminator:
             else:
                 self.null_combos.append(combo)
 
-    @staticmethod
-    def _axpy(dst, src, a):
-        for k, v in src.items():
-            s = dst.get(k, ZERO) - a * v
-            if s:
-                dst[k] = s
-            elif k in dst:
-                del dst[k]
-
     def _reduce(self, col, combo):
+        """Subtract pivot columns from col until its lowest row has no pivot.
+
+        combo receives the same combination of the pivots' input-column
+        combinations, so col_in - A combo_in == col_out - A combo_out.
+        """
         while col:
             r = min(col)
             hit = self.pivots.get(r)
             if hit is None:
                 break
-            a = col[r]
-            self._axpy(col, hit[0], a)
-            self._axpy(combo, hit[1], a)
+            a = -col[r]
+            axpy(col, hit[0], a)
+            axpy(combo, hit[1], a)
         return col, combo
 
     @property
@@ -218,22 +226,9 @@ class ColumnEliminator:
 
     def solve(self, b):
         """One x with A x = b, or None if inconsistent."""
-        col = _clean(dict(b))
-        x = {}
-        while col:
-            r = min(col)
-            hit = self.pivots.get(r)
-            if hit is None:
-                return None
-            a = col[r]
-            self._axpy(col, hit[0], a)
-            for k, v in hit[1].items():
-                s = x.get(k, ZERO) + a * v
-                if s:
-                    x[k] = s
-                elif k in x:
-                    del x[k]
-        return x
+        # reducing -b to zero leaves combo = x, with -b + A x = 0
+        col, x = self._reduce({i: -v for i, v in b.items() if v}, {})
+        return None if col else x
 
     def nullspace(self):
         """Deterministic basis of {x : A x = 0} as a list of sparse vectors."""

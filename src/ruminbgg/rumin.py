@@ -22,7 +22,7 @@ from .algebra import algebra_from_json, algebra_to_json
 from .errors import IdentityError, StructureError
 from .fiber import FiberContext, monomial_weight
 from .groupcalc import GroupContext, PolyForm, format_term
-from .linalg import ColumnEliminator, SparseMatrix
+from .linalg import ColumnEliminator, SparseMatrix, accumulate, axpy
 from .scalars import fraction_from_str, fraction_to_str
 
 def default_poly_degree(algebra):
@@ -33,11 +33,7 @@ def default_poly_degree(algebra):
 def _vsub(a, b):
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, Fraction(0)) - v
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
+        accumulate(out, k, -v)
     return out
 
 
@@ -165,20 +161,10 @@ class RuminPackage:
                 out = {}
                 for m1, c1 in fib.delta_of_monomial(mono).items():
                     for m2, c2 in fib.d0_of_monomial(m1).items():
-                        key = (exps, m2)
-                        s = out.get(key, Fraction(0)) + c1 * c2
-                        if s:
-                            out[key] = s
-                        elif key in out:
-                            del out[key]
+                        accumulate(out, (exps, m2), c1 * c2)
                 for m1, c1 in fib.d0_of_monomial(mono).items():
                     for m2, c2 in fib.delta_of_monomial(m1).items():
-                        key = (exps, m2)
-                        s = out.get(key, Fraction(0)) + c1 * c2
-                        if s:
-                            out[key] = s
-                        elif key in out:
-                            del out[key]
+                        accumulate(out, (exps, m2), c1 * c2)
                 return out
 
             self._l0[k] = self._matrix_from_terms(k, k, term)
@@ -186,20 +172,30 @@ class RuminPackage:
 
     # -- the filtered inverse ---------------------------------------------------
 
-    def _l0_inverse(self, k, vec):
-        """Solve L0 u = vec inside im delta, blockwise over (exps, weight)."""
+    def _fiber_blocks(self, k, vec):
+        """Split a positional V^k vector into its fiber blocks.
+
+        Returns (exps, w, monos, v_pos) per (polynomial, fiber weight) block,
+        with v_pos positional in monos = fiber.block(k, w).
+        """
         keys = self.keys(k)
         groups = {}
         for pos, c in vec.items():
             exps, mono = keys[pos]
             w = monomial_weight(self.algebra, mono)
             groups.setdefault((exps, w), {})[mono] = c
-        out = {}
-        index = self._index[k]
+        blocks = []
         for (exps, w), fibvec in groups.items():
             monos = self.fiber.block(k, w)
             block_index = {m: i for i, m in enumerate(monos)}
-            v_pos = {block_index[m]: c for m, c in fibvec.items()}
+            blocks.append((exps, w, monos, {block_index[m]: c for m, c in fibvec.items()}))
+        return blocks
+
+    def _l0_inverse(self, k, vec):
+        """Solve L0 u = vec inside im delta, blockwise over (exps, weight)."""
+        out = {}
+        index = self._index[k]
+        for exps, w, monos, v_pos in self._fiber_blocks(k, vec):
             elim, dblock = self.fiber.imdelta_solver(k, w)
             x = elim.solve(v_pos)
             if x is None:
@@ -207,14 +203,8 @@ class RuminPackage:
                     f"graded part d0 delta0 + delta0 d0 is singular on the "
                     f"im-delta block (degree {k}, weight {w})"
                 )
-            u_pos = dblock.apply(x)
-            for i, c in u_pos.items():
-                pos = index[(exps, monos[i])]
-                s = out.get(pos, Fraction(0)) + c
-                if s:
-                    out[pos] = s
-                elif pos in out:
-                    del out[pos]
+            for i, c in dblock.apply(x).items():
+                accumulate(out, index[(exps, monos[i])], c)
         return out
 
     def inverse_apply(self, k, vec):
@@ -234,11 +224,7 @@ class RuminPackage:
                 break
             term = self._l0_inverse(k, _vneg(n_term))
             for i, c in term.items():
-                s = total.get(i, Fraction(0)) + c
-                if s:
-                    total[i] = s
-                elif i in total:
-                    del total[i]
+                accumulate(total, i, c)
             terms_used += 1
             if terms_used > limit:
                 raise IdentityError(
@@ -306,6 +292,12 @@ class RuminPackage:
             self._model_index[k] = {key: i for i, key in enumerate(keys)}
         return self._model_keys[k]
 
+    def model_dim(self, k):
+        """len(model_keys(k)), counted without building the keys."""
+        fib = self.fiber
+        harmonic = sum(len(fib.harmonic_basis(k, w)) for w in fib.blocks(k))
+        return harmonic * len(self.group.poly_basis(self.P))
+
     def lift(self, k, model_vec):
         """Model vector to positional V^k vector via harmonic representatives."""
         out = {}
@@ -315,29 +307,15 @@ class RuminPackage:
             exps, w, i = mkeys[pos]
             hvec = self.fiber.harmonic_basis(k, w)[i]
             for mono, v in hvec.items():
-                p = index[(exps, mono)]
-                s = out.get(p, Fraction(0)) + c * v
-                if s:
-                    out[p] = s
-                elif p in out:
-                    del out[p]
+                accumulate(out, index[(exps, mono)], c * v)
         return out
 
     def project(self, k, vec):
         """Fiberwise class of a pointwise-ker-delta vector in the model basis."""
-        keys = self.keys(k)
         self.model_keys(k)
         midx = self._model_index[k]
-        groups = {}
-        for pos, c in vec.items():
-            exps, mono = keys[pos]
-            w = monomial_weight(self.algebra, mono)
-            groups.setdefault((exps, w), {})[mono] = c
         out = {}
-        for (exps, w), fibvec in groups.items():
-            monos = self.fiber.block(k, w)
-            block_index = {m: i for i, m in enumerate(monos)}
-            v_pos = {block_index[m]: c for m, c in fibvec.items()}
+        for exps, w, _, v_pos in self._fiber_blocks(k, vec):
             elim, nharm = self.fiber.kerdelta_solver(k, w)
             x = elim.solve(v_pos)
             if x is None:
@@ -348,12 +326,7 @@ class RuminPackage:
                 )
             for j, c in x.items():
                 if j < nharm and c:
-                    pos = midx[(exps, w, j)]
-                    s = out.get(pos, Fraction(0)) + c
-                    if s:
-                        out[pos] = s
-                    elif pos in out:
-                        del out[pos]
+                    accumulate(out, midx[(exps, w, j)], c)
         return out
 
     def iota_inv_mat(self, k):
@@ -433,21 +406,11 @@ class RuminPackage:
         for j, h in enumerate(harm):
             dh = {}
             for mono, c in h.items():
-                for m2, v in fib.d0_of_monomial(mono).items():
-                    s = dh.get(m2, Fraction(0)) + c * v
-                    if s:
-                        dh[m2] = s
-                    elif m2 in dh:
-                        del dh[m2]
+                axpy(dh, fib.d0_of_monomial(mono), c)
             # q0 dh: solve L0 u = delta0 dh inside the (k+1, w) im-delta block
             b = {}
             for mono, c in dh.items():
-                for m2, v in fib.delta_of_monomial(mono).items():
-                    s = b.get(m2, Fraction(0)) + c * v
-                    if s:
-                        b[m2] = s
-                    elif m2 in b:
-                        del b[m2]
+                axpy(b, fib.delta_of_monomial(mono), c)
             # b lives in degree k, weight w
             if b:
                 monos_k = fib.block(k, w)
@@ -461,13 +424,7 @@ class RuminPackage:
                 u = dblock.apply(x)
                 # subtract d0(u) from dh  (D0 = proj d0 (h - q0 d0 h))
                 for i, c in u.items():
-                    mono = monos_k[i]
-                    for m2, v in fib.d0_of_monomial(mono).items():
-                        s = dh.get(m2, Fraction(0)) - c * v
-                        if s:
-                            dh[m2] = s
-                        elif m2 in dh:
-                            del dh[m2]
+                    axpy(dh, fib.d0_of_monomial(monos_k[i]), -c)
             # project dh (in ker delta, weight w) onto harmonic coordinates
             elim, nharm = fib.kerdelta_solver(k + 1, w)
             x = elim.solve({tgt_index[m]: c for m, c in dh.items()})
@@ -725,52 +682,81 @@ class RuminPackage:
 
     @classmethod
     def from_json(cls, data, budget=None):
+        """Load a package; any malformed part raises StructureError."""
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise StructureError("package must be a JSON object")
+        for key in ("algebra", "max_poly_degree", "operators"):
+            if key not in data:
+                raise StructureError(f"package is missing {key!r}")
+        P = data["max_poly_degree"]
+        if not isinstance(P, int):
+            raise StructureError(f"max_poly_degree must be an integer, got {P!r}")
         algebra = algebra_from_json(data["algebra"])
-        pkg = cls(algebra, data["max_poly_degree"], budget=budget)
-
-        def decode(blob):
-            cols = {}
-            for i, j, c in blob["entries"]:
-                cols.setdefault(j, {})[i] = fraction_from_str(c)
-            return SparseMatrix(blob["rows"], blob["cols"], cols)
+        pkg = cls(algebra, P, budget=budget)
+        dim = algebra.dim
 
         # stored harmonic bases must match the canonical recomputation;
         # instead of trusting them, install after an exact comparison
-        for key, vectors in data.get("harmonic", {}).items():
-            k, w = (int(x) for x in key.split(","))
-            stored = [
-                {tuple(m): fraction_from_str(c) for m, c in vec} for vec in vectors
-            ]
-            if stored != pkg.fiber.harmonic_basis(k, w):
+        harmonic = data.get("harmonic", {})
+        if not isinstance(harmonic, dict):
+            raise StructureError("package harmonic section must be an object")
+        for key, vectors in harmonic.items():
+            try:
+                k, w = (int(x) for x in key.split(","))
+                stored = [
+                    {tuple(m): fraction_from_str(c) for m, c in vec} for vec in vectors
+                ]
+            except (TypeError, ValueError) as exc:
+                raise StructureError(f"malformed harmonic block {key!r}: {exc}") from exc
+            if not 0 <= k <= dim or stored != pkg.fiber.harmonic_basis(k, w):
                 raise StructureError(
                     f"stored harmonic basis at block ({k}, {w}) does not match "
                     "the canonical one"
                 )
-        try:
-            ops = data["operators"]
-            for k_str, blob in ops["q"].items():
-                pkg._q[int(k_str)] = decode(blob)
-            for k_str, blob in ops["pi"].items():
-                pkg._pi[int(k_str)] = decode(blob)
-            for k_str, blob in ops["D"].items():
-                pkg._D[int(k_str)] = decode(blob)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StructureError(f"malformed operator package: {exc}") from exc
-        # shape check against the freshly enumerated bases
-        for k in range(algebra.dim + 1):
-            if k not in pkg._q or k not in pkg._pi:
-                raise StructureError(f"package is missing operators at degree {k}")
-            if pkg._q[k].shape() != (pkg.dim_v(k - 1) if k > 0 else 0, pkg.dim_v(k)):
-                raise StructureError(f"stored q at degree {k} has wrong shape")
-            if pkg._pi[k].shape() != (pkg.dim_v(k), pkg.dim_v(k)):
-                raise StructureError(f"stored pi at degree {k} has wrong shape")
-        for k in range(algebra.dim):
-            if k not in pkg._D:
-                raise StructureError(f"package is missing D at degree {k}")
+
+        ops = data["operators"]
+        for k in range(dim + 1):
+            pkg._q[k] = _decode_matrix(ops, "q", k, (pkg.dim_v(k - 1), pkg.dim_v(k)))
+            pkg._pi[k] = _decode_matrix(ops, "pi", k, (pkg.dim_v(k), pkg.dim_v(k)))
+        for k in range(dim):
+            shape = (pkg.model_dim(k + 1), pkg.model_dim(k))
+            pkg._D[k] = _decode_matrix(ops, "D", k, shape)
         pkg._built = True
         return pkg
+
+
+def _decode_matrix(ops, name, k, shape):
+    """Stored operator block ops[name][k], checked against the expected shape."""
+    what = f"{name} at degree {k}"
+    try:
+        blob = ops[name][str(k)]
+    except (KeyError, TypeError):
+        raise StructureError(f"package is missing {what}") from None
+    try:
+        declared = (blob["rows"], blob["cols"])
+        entries = iter(blob["entries"])
+    except (KeyError, TypeError) as exc:
+        raise StructureError(f"malformed stored {what}: {exc!r}") from exc
+    nrows, ncols = shape
+    if declared != shape:
+        raise StructureError(
+            f"stored {what} has shape {declared[0]}x{declared[1]}, expected {nrows}x{ncols}"
+        )
+    cols = {}
+    for entry in entries:
+        try:
+            i, j, c = entry
+            value = fraction_from_str(c)
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"malformed entry {entry!r} in stored {what}: {exc}") from exc
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < nrows and 0 <= j < ncols):
+            raise StructureError(
+                f"entry ({i!r}, {j!r}) lies outside the {nrows}x{ncols} stored {what}"
+            )
+        cols.setdefault(j, {})[i] = value
+    return SparseMatrix(nrows, ncols, cols)
 
 
 # ---------------------------------------------------------------------------

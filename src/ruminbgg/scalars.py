@@ -7,10 +7,7 @@ which round-trips exactly.
 
 from fractions import Fraction
 
-Q = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_fraction(value):
@@ -25,10 +22,16 @@ def as_fraction(value):
 
 
 def fraction_from_str(text):
+    """Parse "p/q" or "p"; anything else, a zero q included, is a ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational string: {text!r}")
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = int(num), int(den)
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 

@@ -84,6 +84,11 @@ def test_malformed_input_is_structural_not_axiom():
         algebra_from_json({"name": "x", "layers": [2, 1], "brackets": [
             {"a": 1, "b": 9, "terms": [{"k": 3, "c": "1"}]}
         ]})
+    for terms in ([{"c": "1"}], [{"k": 3, "c": "1/0"}], 5):
+        with pytest.raises(StructureError):
+            algebra_from_json({"name": "x", "layers": [2, 1], "brackets": [
+                {"a": 1, "b": 2, "terms": terms}
+            ]})
 
 
 def test_builtin_models_validate():

@@ -1,8 +1,13 @@
+import copy
 import json
 import subprocess
 import sys
 
+import pytest
+
+from ruminbgg.algebra import builtin
 from ruminbgg.cli import main
+from ruminbgg.rumin import RuminPackage
 
 GOOD_ALGEBRA = {
     "name": "h3file",
@@ -159,6 +164,56 @@ def test_rumin_verify_rejects_malformed_package(tmp_path, capsys):
                                     "max_poly_degree": 1, "operators": {"q": {}}}))
     assert main(["rumin", "verify", str(pkg_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def h2_package():
+    return RuminPackage(builtin("heisenberg", 2), 1).to_json()
+
+
+def _set_q_entry(pkg, text):
+    pkg["operators"]["q"]["2"]["entries"][0][2] = text
+
+
+def _set_harmonic_entry(pkg, text):
+    vectors = next(iter(pkg["harmonic"].values()))
+    vectors[0][0][1] = text
+
+
+def _grow_D_block(pkg):
+    pkg["operators"]["D"]["0"]["rows"] += 1
+
+
+def _far_D_row(pkg):
+    pkg["operators"]["D"]["0"]["entries"].append([10**6, 0, "1"])
+
+
+def _set_bracket_coefficient(pkg, text):
+    pkg["algebra"]["brackets"][0]["terms"][0]["c"] = text
+
+
+MALFORMED_PACKAGES = {
+    "D_block_wrong_shape": _grow_D_block,
+    "q_entry_zero_denominator": lambda pkg: _set_q_entry(pkg, "1/0"),
+    "harmonic_zero_denominator": lambda pkg: _set_harmonic_entry(pkg, "1/0"),
+    "harmonic_not_rational": lambda pkg: _set_harmonic_entry(pkg, "abc"),
+    "missing_max_poly_degree": lambda pkg: pkg.pop("max_poly_degree"),
+    "D_entry_outside_shape": _far_D_row,
+    "algebra_zero_denominator": lambda pkg: _set_bracket_coefficient(pkg, "1/0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PACKAGES))
+def test_rumin_verify_malformed_package_exit2(case, h2_package, tmp_path, capsys):
+    pkg = copy.deepcopy(h2_package)
+    MALFORMED_PACKAGES[case](pkg)
+    pkg_path = tmp_path / "pkg.json"
+    pkg_path.write_text(json.dumps(pkg))
+    assert main(["rumin", "verify", str(pkg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_truncate_json(capsys):

@@ -1,17 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
-from ruminbgg._kernel import ffelim_py
-from ruminbgg.linalg import ColumnEliminator, SparseMatrix, rank_of_columns
+import ruminbgg
+from ruminbgg import _kernel, linalg
+from ruminbgg.linalg import (
+    ColumnEliminator,
+    SparseMatrix,
+    accumulate,
+    axpy,
+    rank_of_columns,
+)
 
 from conftest import dense_rank, random_fraction, sparse_to_dense
-
-try:
-    from ruminbgg._kernel import _ffelim
-
-    KERNELS = [ffelim_py.rank_sparse, _ffelim.rank_sparse]
-except ImportError:
-    KERNELS = [ffelim_py.rank_sparse]
 
 
 def random_sparse(rng, nrows, ncols, fill=0.3):
@@ -34,15 +35,59 @@ def test_rank_kernels_match_dense_oracle():
         m = random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8), fill=0.4)
         expected = dense_rank(sparse_to_dense(m))
         assert rank_of_columns(m.cols.values()) == expected
-        # both kernel backends on integer-cleared columns
+        # the kernel itself on integer-cleared columns
         rows = []
         for col in m.cols.values():
-            mult = 1
-            for v in col.values():
-                mult = mult * v.denominator // __import__("math").gcd(mult, v.denominator)
+            mult = math.lcm(*(v.denominator for v in col.values()))
             rows.append({i: int(v * mult) for i, v in col.items()})
-        for kernel in KERNELS:
-            assert kernel([dict(r) for r in rows], m.nrows) == expected
+        assert _kernel.rank_sparse(rows, m.nrows) == expected
+
+
+def test_single_kernel_bindings():
+    # benchmark results record the backend name, and the benchmark's tracer
+    # patches rank_sparse in both modules, so linalg must bind the kernel's
+    assert ruminbgg.KERNEL_BACKEND == "python"
+    assert linalg.rank_sparse is _kernel.rank_sparse
+
+
+def _reference_axpy(dst, src, a):
+    """The accumulate loop as it was written inline before the helpers."""
+    for k, v in src.items():
+        s = dst.get(k, Fraction(0)) + a * v
+        if s:
+            dst[k] = s
+        elif k in dst:
+            del dst[k]
+
+
+def _random_vector(rng, span, fill):
+    vec = {k: random_fraction(rng, span=2, den=2) for k in rng.sample(range(span), fill)}
+    return {k: v for k, v in vec.items() if v}
+
+
+def test_accumulate_and_axpy_match_inline_loop():
+    rng = random.Random(17)
+    zero_sums = 0
+    for _ in range(300):
+        dst = _random_vector(rng, 12, rng.randint(0, 8))
+        src = _random_vector(rng, 12, rng.randint(0, 8))
+        a = rng.choice([Fraction(1), Fraction(-1), random_fraction(rng, span=2, den=2)])
+
+        want = dict(dst)
+        _reference_axpy(want, src, a)
+        got = dict(dst)
+        axpy(got, src, a)
+        assert got == want and list(got) == list(want)
+        assert all(got.values())
+
+        one_by_one = dict(dst)
+        for k, v in src.items():
+            accumulate(one_by_one, k, a * v)
+        assert one_by_one == want and list(one_by_one) == list(want)
+        zero_sums += sum(1 for k in src if k in dst and k not in want)
+    # the small value range makes cancellations common, so removal is exercised
+    assert zero_sums > 20
+
 
 
 def test_rank_rational_entries():
