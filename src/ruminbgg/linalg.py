@@ -84,6 +84,9 @@ class SparseMatrix:
     def is_zero(self):
         return not self.cols
 
+    def trace(self):
+        return sum((col.get(j, ZERO) for j, col in self.cols.items()), ZERO)
+
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented

@@ -12,7 +12,10 @@ Neumann series sum (-L0^{-1} N)^j L0^{-1}.  From the inverse:
     D  = project_harmonic . d . iota^{-1}
 
 The construction asserts every operator identity exactly and names a
-witness basis element on failure.
+witness basis element on failure.  The identity suite (`verify`) pins a
+stored pi by pi = dq + qd, then evaluates the other pi identities through
+products of the sparse d and q, and ker pi through trace(pi) and the
+iota^{-1} columns, never composing with the materialized pi.
 """
 
 import json
@@ -66,6 +69,7 @@ class RuminPackage:
         self._model_keys = {}
         self._model_index = {}
         self._D = {}
+        self._iota_inv = {}
         self._E_basis = {}
         self._built = False
 
@@ -264,17 +268,21 @@ class RuminPackage:
 
     def pi_mat(self, k):
         if k not in self._pi:
-            dim = self.algebra.dim
-            parts = []
-            if 0 < k <= dim:
-                parts.append(self.d_mat(k - 1) @ self.q_mat(k))
-            if 0 <= k < dim:
-                parts.append(self.q_mat(k + 1) @ self.d_mat(k))
-            out = parts[0]
-            for p in parts[1:]:
-                out = out + p
-            self._pi[k] = out
+            self._pi[k] = self._dq_plus_qd(k)
         return self._pi[k]
+
+    def _dq_plus_qd(self, k):
+        """d q + q d on degree k, from the q and d matrices."""
+        dim = self.algebra.dim
+        parts = []
+        if 0 < k <= dim:
+            parts.append(self.d_mat(k - 1) @ self.q_mat(k))
+        if 0 <= k < dim:
+            parts.append(self.q_mat(k + 1) @ self.d_mat(k))
+        out = parts[0]
+        for p in parts[1:]:
+            out = out + p
+        return out
 
     # -- the bigraded model and D -------------------------------------------------
 
@@ -331,19 +339,27 @@ class RuminPackage:
 
     def iota_inv_mat(self, k):
         """(1 - q d) applied to harmonic lifts: model^k -> V^k."""
-        qd = self.q_mat(k + 1) @ self.d_mat(k) if k < self.algebra.dim else None
+        below_top = k < self.algebra.dim
+        if below_top:
+            q, d = self.q_mat(k + 1), self.d_mat(k)
         cols = {}
         n = len(self.model_keys(k))
         for j in range(n):
             v = self.lift(k, {j: Fraction(1)})
-            if qd is not None:
-                v = _vsub(v, qd.apply(v))
+            if below_top:
+                v = _vsub(v, q.apply(d.apply(v)))
             cols[j] = v
         return SparseMatrix(self.dim_v(k), n, cols)
 
+    def iota_inv(self, k):
+        """iota_inv_mat(k), built once per package; D_mat and verify share it."""
+        if k not in self._iota_inv:
+            self._iota_inv[k] = self.iota_inv_mat(k)
+        return self._iota_inv[k]
+
     def D_mat(self, k):
         if k not in self._D:
-            iota_inv = self.iota_inv_mat(k)
+            iota_inv = self.iota_inv(k)
             d = self.d_mat(k)
             n_out = len(self.model_keys(k + 1))
             cols = {}
@@ -451,14 +467,25 @@ class RuminPackage:
         raise IdentityError(name, witness=self._witness(k, col))
 
     def verify(self):
-        """Run the full identity suite; returns report rows, raises never.
+        """Run the full identity suite and return its report rows.
 
-        Any failed identity is reported with its witness; callers decide
-        whether to raise.  Building the package also checks inverse
-        postconditions, so a constructed package normally verifies clean.
+        A failed identity becomes a row with its witness; callers decide
+        whether to raise.  An exhausted budget is not a row: the
+        BudgetExceededError from the checkpoint before each row propagates.
+        Building the package also checks inverse postconditions, so a
+        constructed package normally verifies clean.
+
+        pi is pinned by F(k) = d q + q d: every pi row fails, with the
+        first differing column as witness, unless the stored pi(k) equals
+        F(k) on every degree.  Given that, the rows evaluate the other pi
+        identities through products of the sparse q and d, and ker pi
+        through trace(pi) and the iota^-1 columns, instead of composing
+        with pi.  Products and verdicts shared between rows are memoized
+        for this call only.
         """
         rows = []
         dim = self.algebra.dim
+        memo = {}
 
         def record(name, fn):
             if self.budget is not None:
@@ -476,67 +503,154 @@ class RuminPackage:
                 return
             rows.append({"identity": name, "status": "ok"})
 
+        def once(key, fn):
+            # fn() at most once per call; an IdentityError it raised is raised again
+            if key not in memo:
+                try:
+                    memo[key] = (fn(), None)
+                except IdentityError as err:
+                    memo[key] = (None, err)
+            value, err = memo[key]
+            if err is not None:
+                raise err
+            return value
+
+        def model_witness(k, j):
+            exps, w, i = self.model_keys(k)[j]
+            return (
+                f"model element (deg {k}, weight {w}, #{i}) "
+                f"poly {format_term(self.algebra, exps, ())}"
+            )
+
+        def qq(k):
+            return once(("qq", k), lambda: self.q_mat(k - 1) @ self.q_mat(k))
+
+        def qdq(k):
+            q = self.q_mat(k)
+            return once(("qdq", k), lambda: q @ self.d_mat(k - 1) @ q)
+
+        def dd(k):
+            return once(("dd", k), lambda: self.d_mat(k) @ self.d_mat(k - 1))
+
+        def pinned(k):
+            # the stored pi(k) equals F(k) = d q + q d
+            def compare():
+                self._check_equal("pi_is_dq_plus_qd", k, self.pi_mat(k), self._dq_plus_qd(k))
+
+            once(("pinned", k), compare)
+
+        def pin_all():
+            for k in range(dim + 1):
+                pinned(k)
+
+        def idempotent(k):
+            # given pi = F, pi^2 - pi = d R + R d + d (qq) d + q (dd) q with
+            # R = qdq - q, which needs products of the sparse q and d only
+            def residual():
+                pinned(k)
+                n = self.dim_v(k)
+                out = SparseMatrix(n, n)
+                if k > 0:
+                    out = out + self.d_mat(k - 1) @ (qdq(k) - self.q_mat(k))
+                if k < dim:
+                    out = out + (qdq(k + 1) - self.q_mat(k + 1)) @ self.d_mat(k)
+                if 0 < k < dim:
+                    out = out + self.d_mat(k - 1) @ (qq(k + 1) @ self.d_mat(k))
+                    out = out + self.q_mat(k + 1) @ (dd(k) @ self.q_mat(k))
+                if out.cols:
+                    raise IdentityError(
+                        "pi_idempotent", witness=self._witness(k, min(out.cols))
+                    )
+
+            once(("idempotent", k), residual)
+
+        def projected(k):
+            # project of every iota^-1(k) column, shared by the rows that need it
+            def run():
+                iota_inv = self.iota_inv(k)
+                return [self.project(k, iota_inv.column(j)) for j in range(iota_inv.ncols)]
+
+            return once(("projected", k), run)
+
+        def iota_right(k):
+            for j, got in enumerate(projected(k)):
+                if got != {j: Fraction(1)}:
+                    raise IdentityError("iota_inverse_right", witness=model_witness(k, j))
+
+        def ker_pi(k):
+            # ker q cap ker qd lies in ker pi because pi = F.  The model_dim(k)
+            # iota^-1 columns, independent by iota_inverse_right, lie in
+            # ker q cap ker qd, and dim ker pi = n - trace(pi) because pi is
+            # idempotent; equal dimensions close both inclusions.
+            def run():
+                pinned(k)
+                idempotent(k)
+                iota_right(k)
+                iota_inv = self.iota_inv(k)
+                q = self.q_mat(k)
+                for j in range(iota_inv.ncols):
+                    v = iota_inv.column(j)
+                    if q.apply(v) or (
+                        k < dim and self.q_mat(k + 1).apply(self.d_mat(k).apply(v))
+                    ):
+                        raise IdentityError(
+                            "ker_pi_equals_ker_q_ker_qd", witness=model_witness(k, j)
+                        )
+                nullity_pi = self.dim_v(k) - self.pi_mat(k).trace()
+                if nullity_pi != self.model_dim(k):
+                    raise IdentityError(
+                        "ker_pi_equals_ker_q_ker_qd",
+                        witness=f"degree {k}: dim ker pi = n - trace(pi) = {nullity_pi}, "
+                        f"model dimension = {self.model_dim(k)}",
+                    )
+
+            once(("ker_pi", k), run)
+
         def check_q_squared():
             for k in range(1, dim + 1):
                 self._check_equal(
-                    "q_squared",
-                    k,
-                    self.q_mat(k - 1) @ self.q_mat(k),
-                    SparseMatrix(self.dim_v(k - 2), self.dim_v(k)),
+                    "q_squared", k, qq(k), SparseMatrix(self.dim_v(k - 2), self.dim_v(k))
                 )
 
         def check_qdq():
             for k in range(1, dim + 1):
-                self._check_equal(
-                    "q_d_q",
-                    k,
-                    self.q_mat(k) @ self.d_mat(k - 1) @ self.q_mat(k),
-                    self.q_mat(k),
-                )
+                self._check_equal("q_d_q", k, qdq(k), self.q_mat(k))
 
         def check_pi_idempotent():
+            pin_all()
             for k in range(dim + 1):
-                self._check_equal(
-                    "pi_idempotent", k, self.pi_mat(k) @ self.pi_mat(k), self.pi_mat(k)
-                )
+                idempotent(k)
 
         def check_pi_d():
+            # given pi = F, pi d - d pi = q (dd) - (dd) q
+            pin_all()
             for k in range(dim):
+                zero = SparseMatrix(self.dim_v(k + 1), self.dim_v(k))
                 self._check_equal(
                     "pi_commutes_d",
                     k,
-                    self.pi_mat(k + 1) @ self.d_mat(k),
-                    self.d_mat(k) @ self.pi_mat(k),
+                    self.q_mat(k + 2) @ dd(k + 1) if k + 1 < dim else zero,
+                    dd(k) @ self.q_mat(k) if k > 0 else zero,
                 )
 
         def check_pi_q():
+            # given pi = F, pi q = d (qq) + qdq
+            pin_all()
             for k in range(1, dim + 1):
-                self._check_equal(
-                    "pi_q", k, self.pi_mat(k - 1) @ self.q_mat(k), self.q_mat(k)
-                )
+                lhs = qdq(k) if k == 1 else self.d_mat(k - 2) @ qq(k) + qdq(k)
+                self._check_equal("pi_q", k, lhs, self.q_mat(k))
 
         def check_q_pi():
+            # given pi = F, q pi = qdq + (qq) d
+            pin_all()
             for k in range(1, dim + 1):
-                self._check_equal(
-                    "q_pi", k, self.q_mat(k) @ self.pi_mat(k), self.q_mat(k)
-                )
+                lhs = qdq(k) + qq(k + 1) @ self.d_mat(k) if k < dim else qdq(k)
+                self._check_equal("q_pi", k, lhs, self.q_mat(k))
 
         def check_homotopy():
-            # dq + qd equals the identity on every column of im pi
-            for k in range(dim + 1):
-                pi = self.pi_mat(k)
-                for j in sorted(pi.cols):
-                    col = pi.column(j)
-                    back = {}
-                    if 0 < k:
-                        back = self.d_mat(k - 1).apply(self.q_mat(k).apply(col))
-                    if k < dim:
-                        second = self.q_mat(k + 1).apply(self.d_mat(k).apply(col))
-                        back = _vsub(back, _vneg(second))
-                    if back != col:
-                        raise IdentityError(
-                            "homotopy_on_im_pi", witness=self._witness(k, j)
-                        )
+            # dq + qd is the identity on im pi: given pi = F, that is pi^2 = pi
+            # on every column, so it shares pi_idempotent's residual
+            check_pi_idempotent()
 
         def check_q_lap():
             # q (d delta + delta d) = delta on all forms
@@ -549,45 +663,24 @@ class RuminPackage:
                 )
 
         def check_ker_pi():
+            pin_all()
             for k in range(dim + 1):
-                basis = self.E_basis(k)
-                pi = self.pi_mat(k)
-                for vec in basis:
-                    img = pi.apply(vec)
-                    if img:
-                        raise IdentityError(
-                            "ker_pi_equals_ker_q_ker_qd",
-                            witness=self._witness(k, min(img)),
-                        )
-                nullity_pi = self.dim_v(k) - pi.rank()
-                if nullity_pi != len(basis):
-                    raise IdentityError(
-                        "ker_pi_equals_ker_q_ker_qd",
-                        witness=f"degree {k}: dim ker pi = {nullity_pi}, "
-                        f"dim (ker q cap ker qd) = {len(basis)}",
-                    )
+                ker_pi(k)
 
         def check_iota_right():
             # project . (1 - qd) . lift is the identity on the model
             for k in range(dim + 1):
-                iota_inv = self.iota_inv_mat(k)
-                n = iota_inv.ncols
-                for j in range(n):
-                    got = self.project(k, iota_inv.column(j))
-                    if got != {j: Fraction(1)}:
-                        exps, w, i = self.model_keys(k)[j]
-                        raise IdentityError(
-                            "iota_inverse_right",
-                            witness=f"model element (deg {k}, weight {w}, #{i}) "
-                            f"poly {format_term(self.algebra, exps, ())}",
-                        )
+                iota_right(k)
 
         def check_iota_left():
-            # (1 - qd) lift project is the identity on E = ker pi
+            # (1 - qd) lift project is the identity on E = ker pi, which the
+            # iota^-1 columns span (ker_pi_equals_ker_q_ker_qd)
             for k in range(dim + 1):
-                iota_inv = self.iota_inv_mat(k)
-                for vec in self.E_basis(k):
-                    back = iota_inv.apply(self.project(k, vec))
+                ker_pi(k)
+                iota_inv = self.iota_inv(k)
+                for j, x in enumerate(projected(k)):
+                    vec = iota_inv.column(j)
+                    back = iota_inv.apply(x)
                     if back != vec:
                         raise IdentityError(
                             "iota_inverse_left",
@@ -609,17 +702,20 @@ class RuminPackage:
             # constants go through the purely fiber-level BGG operator
             zero_exps = (0,) * self.algebra.dim
             for k in range(dim):
-                mk = self.model_keys(k)
+                # build both model bases here: an earlier row may have stopped
+                # before building them
+                self.model_keys(k)
+                self.model_keys(k + 1)
+                mk_index = self._model_index[k]
                 mk1_index = self._model_index[k + 1]
                 D = self.D_mat(k)
                 for w in sorted(self.fiber.blocks(k)):
                     harm = self.fiber.harmonic_basis(k, w)
                     if not harm:
                         continue
-                    tgt_harm = self.fiber.harmonic_basis(k + 1, w)
                     fiber_block = self._fiber_bgg_block(k, w)
                     for i in range(len(harm)):
-                        src = self._model_index[k][(zero_exps, w, i)]
+                        src = mk_index[(zero_exps, w, i)]
                         got = D.column(src)
                         want = {}
                         for t, c in fiber_block.column(i).items():

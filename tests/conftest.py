@@ -5,6 +5,23 @@ import pytest
 
 from ruminbgg.algebra import builtin
 
+# the rows of RuminPackage.verify(), in report order
+SUITE_ROWS = [
+    "q_squared",
+    "q_d_q",
+    "pi_idempotent",
+    "pi_commutes_d",
+    "pi_q",
+    "q_pi",
+    "homotopy_on_im_pi",
+    "q_laplacian_is_delta",
+    "ker_pi_equals_ker_q_ker_qd",
+    "iota_inverse_right",
+    "iota_inverse_left",
+    "D_squared",
+    "fiber_restriction",
+]
+
 
 def dense_rank(rows):
     """Independent dense Gaussian elimination over Fraction; the rank oracle.

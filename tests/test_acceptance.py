@@ -24,7 +24,7 @@ from ruminbgg.tables import (
     strip_table,
 )
 
-from conftest import dense_rank, random_fraction
+from conftest import SUITE_ROWS, dense_rank, random_fraction
 
 
 def criterion(num, description):
@@ -156,15 +156,11 @@ def _apply_map(table, terms):
 @criterion(3, "full homotopy identity suite exact on h2/h3 (P=3), quaternionic(2) (P=1), < 5 min")
 def test_criterion_3_identity_suite(packages):
     t0 = time.monotonic()
-    suite_names = {
-        "q_squared", "q_d_q", "pi_idempotent", "pi_commutes_d",
-        "pi_q", "q_pi", "iota_inverse_right", "iota_inverse_left", "D_squared",
-    }
     for key in (("heisenberg", 2), ("heisenberg", 3), ("quaternionic", 2)):
         pkg = packages[key]
         report = pkg.verify()
         by_name = {r["identity"]: r["status"] for r in report}
-        assert suite_names <= set(by_name)
+        assert [r["identity"] for r in report] == SUITE_ROWS
         failures = {n: s for n, s in by_name.items() if s != "ok"}
         assert not failures, failures
     elapsed = packages["build_seconds"] + (time.monotonic() - t0)

@@ -9,6 +9,8 @@ from ruminbgg.algebra import builtin
 from ruminbgg.cli import main
 from ruminbgg.rumin import RuminPackage
 
+from conftest import SUITE_ROWS
+
 GOOD_ALGEBRA = {
     "name": "h3file",
     "layers": [2, 1],
@@ -134,10 +136,12 @@ def test_rumin_build_verify_round_trip(tmp_path, capsys):
     build_payload = json.loads(out)
     assert build_payload["package_written"] == str(pkg_path)
     assert all(r["status"] == "ok" for r in build_payload["report"])
+    assert [r["identity"] for r in build_payload["report"]] == SUITE_ROWS
     code, out = run_cli(["rumin", "verify", str(pkg_path)], capsys)
     assert code == 0
     verify_payload = json.loads(out)
     assert all(r["status"] == "ok" for r in verify_payload["report"])
+    assert [r["identity"] for r in verify_payload["report"]] == SUITE_ROWS
 
 
 def test_rumin_verify_catches_tampering(tmp_path, capsys):

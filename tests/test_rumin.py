@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from ruminbgg.algebra import builtin
 from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError
 from ruminbgg.groupcalc import PolyForm, term_weight
+from ruminbgg.linalg import SparseMatrix, rank_of_columns
 from ruminbgg.rumin import (
     RuminPackage,
     build_iota_and_D,
@@ -14,6 +16,8 @@ from ruminbgg.rumin import (
     build_q,
     invert_on_im_delta,
 )
+
+from conftest import SUITE_ROWS
 
 
 def suite_ok(pkg):
@@ -137,6 +141,154 @@ def test_identity_suite_heisenberg2(h2):
 
 def test_identity_suite_quaternionic(q2):
     suite_ok(RuminPackage(q2, 1).build())
+
+
+@pytest.mark.parametrize("model,n,P", [("heisenberg", 2, 2), ("heisenberg", 3, 1), ("abelian", 3, 2)])
+def test_direct_forms_of_the_pi_lemmas(model, n, P):
+    # the suite checks pi through d, q, trace(pi) and the iota^-1 columns;
+    # the direct forms below, with the materialized pi, are the oracle
+    alg = builtin(model, n)
+    pkg = RuminPackage(alg, P).build()
+    suite_ok(pkg)
+    for k in range(alg.dim + 1):
+        pi = pkg.pi_mat(k)
+        assert pi @ pi == pi
+        if k < alg.dim:
+            assert pkg.pi_mat(k + 1) @ pkg.d_mat(k) == pkg.d_mat(k) @ pi
+        dim_v, model_dim = pkg.dim_v(k), pkg.model_dim(k)
+        E = pkg.E_basis(k)
+        assert dim_v - pi.rank() == dim_v - pi.trace() == model_dim == len(E)
+        iota_inv = pkg.iota_inv(k)
+        assert iota_inv.ncols == model_dim
+        assert rank_of_columns(E + list(iota_inv.cols.values())) == model_dim
+
+
+PI_ROWS = (
+    "pi_idempotent",
+    "pi_commutes_d",
+    "pi_q",
+    "q_pi",
+    "homotopy_on_im_pi",
+    "ker_pi_equals_ker_q_ker_qd",
+)
+
+
+def test_every_pi_row_fails_unless_pi_is_dq_plus_qd(h2):
+    pkg = RuminPackage(h2, 2).build()
+    pi = pkg.pi_mat(1)
+    j = min(pi.cols)
+    col = pi.column(j)
+    col[min(col)] += 1
+    pi.set_column(j, col)
+    rows = {r["identity"]: r for r in pkg.verify()}
+    for name in PI_ROWS:
+        assert rows[name] == {
+            "identity": name,
+            "status": "fail",
+            "counterexample": pkg._witness(1, j),
+        }
+
+
+def store_matching_pi(pkg):
+    """Replace every stored pi(k) by d q + q d of the package's current q."""
+    dim = pkg.algebra.dim
+    for k in range(dim + 1):
+        parts = []
+        if k > 0:
+            parts.append(pkg.d_mat(k - 1) @ pkg.q_mat(k))
+        if k < dim:
+            parts.append(pkg.q_mat(k + 1) @ pkg.d_mat(k))
+        pkg._pi[k] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+
+
+def _first_nonzero(pkg, mats):
+    for k, mat in mats:
+        if mat.cols:
+            return {"status": "fail", "counterexample": pkg._witness(k, min(mat.cols))}
+    return {"status": "ok"}
+
+
+@pytest.mark.parametrize("model,n", [("heisenberg", 2), ("heisenberg", 3)])
+def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
+    # one q entry changed and pi stored as the d q + q d it implies, so the
+    # pin holds and each row must find the fault through its own identity
+    alg = builtin(model, n)
+    blob = json.loads(json.dumps(RuminPackage(alg, 1).build().to_json()))
+    dim = alg.dim
+    for seed in range(25):
+        rng = random.Random(seed)
+        pkg = RuminPackage.from_json(blob)
+        block = pkg.q_mat(rng.randrange(1, dim + 1))
+        i, j = rng.randrange(block.nrows), rng.randrange(block.ncols)
+        col = block.column(j)
+        col[i] = col.get(i, 0) + Fraction(rng.choice([1, -1, 2]), rng.choice([1, 3]))
+        block.set_column(j, col)
+        store_matching_pi(pkg)
+        rows = {r["identity"]: r for r in pkg.verify()}
+        status = {name: r["status"] for name, r in rows.items()}
+        pi = [pkg.pi_mat(k) for k in range(dim + 1)]
+        d = [pkg.d_mat(k) for k in range(dim)]
+        idempotent = _first_nonzero(pkg, ((k, p @ p - p) for k, p in enumerate(pi)))
+        commutes = _first_nonzero(pkg, ((k, pi[k + 1] @ d[k] - d[k] @ pi[k]) for k in range(dim)))
+        q = [pkg.q_mat(k) for k in range(dim + 1)]
+        pi_q = _first_nonzero(pkg, ((k, pi[k - 1] @ q[k] - q[k]) for k in range(1, dim + 1)))
+        q_pi = _first_nonzero(pkg, ((k, q[k] @ pi[k] - q[k]) for k in range(1, dim + 1)))
+        for name, want in (
+            ("pi_idempotent", idempotent),
+            ("homotopy_on_im_pi", idempotent),
+            ("pi_commutes_d", commutes),
+            ("pi_q", pi_q),
+            ("q_pi", q_pi),
+        ):
+            assert rows[name] == {"identity": name, **want}, (seed, name)
+        # ker pi and iota_inverse_left rest on the rows before them
+        if "fail" in (status["pi_idempotent"], status["iota_inverse_right"]):
+            assert status["ker_pi_equals_ker_q_ker_qd"] == "fail", seed
+        if status["ker_pi_equals_ker_q_ker_qd"] == "fail":
+            assert status["iota_inverse_left"] == "fail", seed
+            continue
+        for k in range(dim + 1):
+            for v in pkg.iota_inv(k).cols.values():
+                assert not pkg.q_mat(k).apply(v), seed
+                if k < dim:
+                    assert not pkg.q_mat(k + 1).apply(d[k].apply(v)), seed
+            E = pkg.E_basis(k)
+            assert pkg.dim_v(k) - pi[k].rank() == len(E) == pkg.model_dim(k), seed
+            assert not any(pi[k].apply(v) for v in E), seed
+
+
+def test_verify_reports_every_row_when_an_early_row_stops(h2):
+    # a q fault stored with its matching pi stops the iota rows at degree 1;
+    # fiber_restriction must still build the model bases it reads
+    blob = json.dumps(RuminPackage(h2, 1).build().to_json())
+    pkg = RuminPackage.from_json(json.loads(blob))
+    q = pkg.q_mat(2)
+    col = q.column(0)
+    col[6] = col.get(6, 0) + 1
+    q.set_column(0, col)
+    store_matching_pi(pkg)
+    report = pkg.verify()
+    assert [r["identity"] for r in report] == SUITE_ROWS
+    assert any(r["status"] == "fail" for r in report)
+
+
+def test_ker_pi_row_counts_the_kernel_against_the_model(h2):
+    # with q = pi = 0 every premise but the count holds: pi = dq + qd, pi is
+    # idempotent and the iota^-1 columns (plain lifts) lie in ker q cap ker qd,
+    # but n - trace(pi) exceeds the model dimension
+    pkg = RuminPackage(h2, 1).build()
+    for k in range(h2.dim + 1):
+        pkg._q[k] = SparseMatrix(pkg.dim_v(k - 1), pkg.dim_v(k))
+        pkg._pi[k] = SparseMatrix(pkg.dim_v(k), pkg.dim_v(k))
+    pkg._iota_inv.clear()
+    rows = {r["identity"]: r for r in pkg.verify()}
+    assert rows["pi_idempotent"]["status"] == "ok"
+    assert rows["iota_inverse_right"]["status"] == "ok"
+    assert rows["ker_pi_equals_ker_q_ker_qd"] == {
+        "identity": "ker_pi_equals_ker_q_ker_qd",
+        "status": "fail",
+        "counterexample": "degree 1: dim ker pi = n - trace(pi) = 12, model dimension = 8",
+    }
 
 
 def test_pi_restricted_to_image_is_identity(h2):
