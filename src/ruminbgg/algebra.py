@@ -85,14 +85,6 @@ class ValidationReport:
         }
 
 
-def _bracket_table(algebra):
-    """Full antisymmetric lookup (a, b) -> {k: c} for fast triple loops."""
-    table = {}
-    for (a, b), terms in algebra.bracket.items():
-        table[(a, b)] = terms
-    return table
-
-
 def validate(candidate):
     """Check the graded-Lie-algebra axioms; returns a ValidationReport.
 
@@ -104,15 +96,13 @@ def validate(candidate):
         candidate = algebra_from_json(candidate)
     alg = candidate
     violations = []
-
-    table = _bracket_table(alg)
     dim = alg.dim
 
     def c_of(a, b):
-        return table.get((a, b), {})
+        return alg.bracket.get((a, b), {})
 
     # antisymmetry: c^k_{ab} + c^k_{ba} = 0, and [e_a, e_a] = 0
-    for (a, b), terms in sorted(table.items()):
+    for (a, b), terms in sorted(alg.bracket.items()):
         if a == b:
             for k in sorted(terms):
                 violations.append(("antisymmetry", (a + 1, b + 1, k + 1)))
@@ -123,7 +113,7 @@ def validate(candidate):
                 violations.append(("antisymmetry", (a + 1, b + 1, k + 1)))
 
     # grading: [layer i, layer j] inside layer i+j (empty when i+j > step)
-    for (a, b), terms in sorted(table.items()):
+    for (a, b), terms in sorted(alg.bracket.items()):
         target = alg.layer_of(a) + alg.layer_of(b)
         for k in sorted(terms):
             if target > alg.step or alg.layer_of(k) != target:
@@ -159,33 +149,23 @@ def validate(candidate):
 
 
 def _positive_definite(matrix):
-    """Sylvester criterion with exact leading principal minors."""
-    n = len(matrix)
+    """Sylvester criterion: every leading principal minor is positive.
+
+    Without row exchanges the k-th pivot is the ratio of the k-th and the
+    (k-1)-th leading minors, so one elimination pass decides it: every
+    pivot must be positive.
+    """
     rows = [list(r) for r in matrix]
-    for k in range(n):
-        # fraction Gaussian determinant of the leading k+1 minor
-        sub = [row[: k + 1] for row in rows[: k + 1]]
-        det = Fraction(1)
-        for col in range(k + 1):
-            piv = None
-            for r in range(col, k + 1):
-                if sub[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                return False
-            if piv != col:
-                sub[col], sub[piv] = sub[piv], sub[col]
-                det = -det
-            det *= sub[col][col]
-            inv = 1 / sub[col][col]
-            for r in range(col + 1, k + 1):
-                f = sub[r][col] * inv
-                if f:
-                    for cc in range(col, k + 1):
-                        sub[r][cc] -= f * sub[col][cc]
-        if det <= 0:
+    n = len(rows)
+    for col in range(n):
+        pivot = rows[col][col]
+        if pivot <= 0:
             return False
+        for r in range(col + 1, n):
+            f = rows[r][col] / pivot
+            if f:
+                for c in range(col, n):
+                    rows[r][c] -= f * rows[col][c]
     return True
 
 

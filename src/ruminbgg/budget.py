@@ -7,7 +7,7 @@ budget raises BudgetExceededError so the CLI can emit a partial report.
 import os
 import time
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, StructureError
 
 ENV_SECONDS = "RUMINBGG_BUDGET_SECONDS"
 ENV_MONOMIALS = "RUMINBGG_MAX_MONOMIALS"
@@ -19,11 +19,14 @@ DEFAULT_MONOMIALS = 2_000_000
 class Budget:
     def __init__(self, seconds=None, max_monomials=None):
         if seconds is None:
-            seconds = float(os.environ.get(ENV_SECONDS, DEFAULT_SECONDS))
+            seconds = _from_env(ENV_SECONDS, float, DEFAULT_SECONDS)
         if max_monomials is None:
-            max_monomials = int(os.environ.get(ENV_MONOMIALS, DEFAULT_MONOMIALS))
-        if seconds <= 0 or max_monomials <= 0:
-            raise ValueError("budget must be positive")
+            max_monomials = _from_env(ENV_MONOMIALS, int, DEFAULT_MONOMIALS)
+        # `not > 0` also refuses a NaN time budget, which would never trip
+        if not (seconds > 0 and max_monomials > 0):
+            raise StructureError(
+                f"budget must be positive, got {seconds:g} s and {max_monomials} monomials"
+            )
         self.seconds = seconds
         self.max_monomials = max_monomials
         self._start = time.monotonic()
@@ -40,3 +43,13 @@ class Budget:
                 f"monomial budget of {self.max_monomials} exhausted ({self._monomials} enumerated)"
             )
         self.check()
+
+
+def _from_env(name, kind, default):
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return kind(raw)
+    except ValueError:
+        raise StructureError(f"{name} must be a number, got {raw!r}") from None

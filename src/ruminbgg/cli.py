@@ -29,6 +29,7 @@ from .errors import BudgetExceededError, IdentityError, StructureError
 from .fiber import bgg_fiber, cohomology_ranks
 from .groupcalc import GroupContext, PolyForm, parametrix_identity_check
 from .rumin import RuminPackage
+from .scalars import fraction_to_str
 from .tables import quasiconformal_check, strip_table, truncation_ranks
 
 
@@ -64,12 +65,7 @@ def load_algebra(source, require_valid=True):
         return builtin(source, 1)
     if not os.path.exists(source):
         raise StructureError(f"no such builtin or file: {source}")
-    with open(source, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"invalid JSON in {source}: {exc}") from exc
-    alg = algebra_from_json(data)
+    alg = algebra_from_json(read_json(source))
     if require_valid:
         report = validate(alg)
         if not report.passed:
@@ -77,6 +73,15 @@ def load_algebra(source, require_valid=True):
                 f"algebra in {source} violates axioms: {report.violations[:3]}"
             )
     return alg
+
+
+def read_json(path):
+    """Parse a JSON file; invalid JSON is an input error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise StructureError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def emit(text, out_path):
@@ -105,12 +110,7 @@ def to_csv_text(rows):
 
 
 def cmd_algebra_validate(args, config):
-    with open(args.file, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"invalid JSON in {args.file}: {exc}") from exc
-    report = validate(algebra_from_json(data))
+    report = validate(algebra_from_json(read_json(args.file)))
     text = to_json_text(report.to_json())
     return (0 if report.passed else 1), text
 
@@ -202,12 +202,7 @@ def cmd_rumin_build(args, config):
 
 
 def cmd_rumin_verify(args, config):
-    with open(args.package, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"invalid JSON in {args.package}: {exc}") from exc
-    pkg = RuminPackage.from_json(data, budget=config.budget)
+    pkg = RuminPackage.from_json(read_json(args.package), budget=config.budget)
     report = pkg.verify()
     ok = all(r["status"] == "ok" for r in report)
     payload = {
@@ -245,11 +240,7 @@ def cmd_truncate(args, config):
 
 
 def cmd_qc_check(args, config):
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructureError(f"invalid JSON in {args.matrix}: {exc}") from exc
+    data = read_json(args.matrix)
     if not isinstance(data, dict) or "matrix" not in data or "algebra" not in data:
         raise StructureError("qc-check file needs {algebra, matrix}")
     source = data["algebra"]
@@ -257,8 +248,8 @@ def cmd_qc_check(args, config):
     decision = quasiconformal_check(alg, data["matrix"])
     payload = {"algebra": alg.name, "accepted": decision["accepted"]}
     if decision["accepted"]:
-        payload["t"] = _frac_str(decision["t"])
-        payload["Y"] = [_frac_str(v) for v in decision["Y"]]
+        payload["t"] = fraction_to_str(decision["t"])
+        payload["Y"] = [fraction_to_str(v) for v in decision["Y"]]
     else:
         payload["obstruction"] = decision["obstruction"]
     if config.fmt == "csv":
@@ -276,12 +267,6 @@ def _validated(data):
     if not report.passed:
         raise StructureError(f"algebra violates axioms: {report.violations[:3]}")
     return alg
-
-
-def _frac_str(v):
-    from .scalars import fraction_to_str
-
-    return fraction_to_str(v)
 
 
 # ---------------------------------------------------------------------------

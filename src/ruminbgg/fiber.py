@@ -83,9 +83,6 @@ class FiberForm:
                 accumulate(out, mono, sign * c1 * c2)
         return FiberForm(self.algebra, out)
 
-    def degrees(self):
-        return sorted({len(m) for m in self.terms})
-
     def __repr__(self):
         return f"FiberForm({self.terms})"
 
@@ -141,9 +138,6 @@ class BggTable:
 
     def degree_total(self, k):
         return sum(r for kk, _, r in self.rows if kk == k)
-
-    def weights(self):
-        return sorted({w for _, w, _ in self.rows})
 
     def to_json(self):
         return [

@@ -13,8 +13,11 @@ with the sum over the whole frame.  The layer-1 fields are
 
 which satisfy [X_a, X_b] = sum_k c^k_{ab} Z_k exactly, and Z_k = d/dz_k.
 Polynomial degree never increases under d, delta, i_X or L_X, so the
-space of forms with coefficient degree <= P is exactly invariant and all
-identities are checked on it with no truncation error.
+space of forms with coefficient degree <= P is exactly invariant.
+`operator_matrix` turns a single-term operator into a sparse matrix over
+its spanning basis (rumin builds d, delta and L0 with it), and
+`parametrix_identity_check` checks the calculus as exact matrix
+identities on that basis, with no truncation error.
 """
 
 import itertools
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceededError, IdentityError, UnsupportedStepError
 from .fiber import FiberContext, monomial_weight, sort_with_sign
-from .linalg import accumulate, axpy
+from .linalg import SparseMatrix, accumulate, axpy
 
 HALF = Fraction(1, 2)
 
@@ -74,12 +77,6 @@ class PolyForm:
     def scaled(self, a):
         a = Fraction(a)
         return PolyForm(self.algebra, {k: a * c for k, c in self.terms.items()})
-
-    def poly_degree(self):
-        return max((sum(e) for e, _ in self.terms), default=0)
-
-    def form_degrees(self):
-        return sorted({len(m) for _, m in self.terms})
 
     def __repr__(self):
         return f"PolyForm({self.terms})"
@@ -277,6 +274,24 @@ class GroupContext:
         ]
 
 
+def operator_matrix(src_keys, dst_index, term_fn, budget=None):
+    """Matrix of a term-wise operator on a basis of (exps, mono) keys.
+
+    Column j holds term_fn(*src_keys[j]) in the coordinates dst_index
+    (key -> row); the budget is checked every 64 columns.
+    """
+    cols = {}
+    for j, (exps, mono) in enumerate(src_keys):
+        if budget is not None and j % 64 == 0:
+            budget.check()
+        col = {}
+        for key, c in term_fn(exps, mono).items():
+            col[dst_index[key]] = c
+        if col:
+            cols[j] = col
+    return SparseMatrix(len(dst_index), len(src_keys), cols)
+
+
 # ---------------------------------------------------------------------------
 # module-level convenience mirroring the operator contracts
 # ---------------------------------------------------------------------------
@@ -300,17 +315,47 @@ def lie_derivative(field, form, context=None):
 def parametrix_identity_check(algebra, max_poly_degree, budget=None):
     """Exact verification of the Cartan and parametrix identities.
 
-    Checks, on every spanning element of coefficient degree <= P in every
-    form degree: the Cartan formula d i_X + i_X d = L_X against the
-    geometric Lie derivative for each frame field, commutation of L_X
-    with d, the frame bracket relations, d^2 = 0, the weight filtration
-    of d, and dA + Ad = sum L_{X_i}^2 with A = sum i_{X_i} L_{X_i} over
-    the layer-1 fields.  Returns a list of report rows.
+    Every row but frame_brackets is an exact matrix identity on the
+    spanning basis of coefficient degree <= P: d^2 = 0, the Cartan form
+    d i_X + i_X d against the geometric Lie derivative for each frame
+    field, L_X d = d L_X and the weight filtration of d, and dA + Ad =
+    sum L_{X_i}^2 with A = sum i_{X_i} L_{X_i} over the layer-1 fields.
+    A failed row's witness is the basis element of the smallest differing
+    column at the lowest degree where the two sides differ.  Returns a
+    list of report rows.
     """
     ctx = GroupContext(algebra)
     alg = algebra
     report = []
     layer1 = [f for f in ctx.fields if f.layer == 1]
+    bases = {k: ctx.spanning_basis(k, max_poly_degree) for k in range(alg.dim + 1)}
+    indexes = {k: {key: i for i, key in enumerate(b)} for k, b in bases.items()}
+    memo = {}  # the operator matrices of this call, each built once
+
+    def once(key, build):
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def matrix(k, out, term_fn):
+        """term_fn as a matrix V^k -> V^out; empty outside 0 <= k <= dim."""
+        return operator_matrix(bases.get(k, []), indexes.get(out, {}), term_fn, budget)
+
+    def d_mat(k):
+        return once(("d", k), lambda: matrix(k, k + 1, ctx.d_term))
+
+    def i_mat(f, k):
+        return once(
+            ("i", f.index, k),
+            lambda: matrix(k, k - 1, lambda e, m: ctx.contraction_term(f.index, e, m)),
+        )
+
+    def lie_mat(f, k):
+        """The Cartan form d i_X + i_X d on V^k."""
+        return once(
+            ("L", f.index, k),
+            lambda: d_mat(k - 1) @ i_mat(f, k) + i_mat(f, k + 1) @ d_mat(k),
+        )
 
     def run(name, check_fn):
         try:
@@ -333,40 +378,28 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
                 {"identity": name, "status": "fail", "counterexample": witness}
             )
 
-    def spanning(k):
-        for exps, mono in ctx.spanning_basis(k, max_poly_degree):
-            if budget is not None:
-                budget.check()
-            yield PolyForm(alg, {(exps, mono): Fraction(1)}), (exps, mono)
-
-    def check_d_squared():
+    def first_nonzero(diff):
+        """Witness of the smallest nonzero column of diff(k), lowest k first."""
         for k in range(alg.dim + 1):
-            for v, key in spanning(k):
-                if not ctx.d(ctx.d(v)).is_zero():
-                    return format_term(alg, *key)
+            cols = diff(k).cols
+            if cols:
+                return format_term(alg, *bases[k][min(cols)])
         return None
 
-    def check_cartan(field):
-        def inner():
-            for k in range(alg.dim + 1):
-                for v, key in spanning(k):
-                    if ctx.lie_derivative(field, v) != ctx.lie_derivative_direct(field, v):
-                        return format_term(alg, *key)
-            return None
+    def check_d_squared():
+        return first_nonzero(lambda k: d_mat(k + 1) @ d_mat(k))
 
-        return inner
+    def check_cartan(f):
+        def direct(exps, mono):
+            unit = PolyForm(alg, {(exps, mono): Fraction(1)})
+            return ctx.lie_derivative_direct(f, unit).terms
 
-    def check_lie_d(field):
-        def inner():
-            for k in range(alg.dim + 1):
-                for v, key in spanning(k):
-                    if ctx.lie_derivative(field, ctx.d(v)) != ctx.d(
-                        ctx.lie_derivative(field, v)
-                    ):
-                        return format_term(alg, *key)
-            return None
+        return lambda: first_nonzero(lambda k: lie_mat(f, k) - matrix(k, k, direct))
 
-        return inner
+    def check_lie_d(f):
+        return lambda: first_nonzero(
+            lambda k: lie_mat(f, k + 1) @ d_mat(k) - d_mat(k) @ lie_mat(f, k)
+        )
 
     def check_frame_brackets():
         polys = ctx.poly_basis(max_poly_degree)
@@ -388,32 +421,28 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
 
     def check_weight_filtration():
         for k in range(alg.dim + 1):
-            for v, key in spanning(k):
-                base = term_weight(alg, *key)
-                for exps, mono in ctx.d(v).terms:
-                    if term_weight(alg, exps, mono) < base:
-                        return format_term(alg, *key)
+            for j, col in d_mat(k).cols.items():
+                base = term_weight(alg, *bases[k][j])
+                if any(term_weight(alg, *bases[k + 1][i]) < base for i in col):
+                    return format_term(alg, *bases[k][j])
         return None
 
     def check_parametrix():
-        def A(form):
-            acc = PolyForm(alg)
+        def a_mat(k):  # A = sum i_X L_X, V^k -> V^(k-1)
+            out = SparseMatrix(len(bases.get(k - 1, [])), len(bases.get(k, [])))
             for f in layer1:
-                acc = acc + ctx.contraction(f, ctx.lie_derivative(f, form))
-            return acc
+                out = out + i_mat(f, k) @ lie_mat(f, k)
+            return out
 
-        def lap(form):
-            acc = PolyForm(alg)
+        A = {k: a_mat(k) for k in range(alg.dim + 2)}
+
+        def diff(k):
+            out = d_mat(k - 1) @ A[k] + A[k + 1] @ d_mat(k)
             for f in layer1:
-                acc = acc + ctx.lie_derivative(f, ctx.lie_derivative(f, form))
-            return acc
+                out = out - lie_mat(f, k) @ lie_mat(f, k)
+            return out
 
-        for k in range(alg.dim + 1):
-            for v, key in spanning(k):
-                lhs = ctx.d(A(v)) + A(ctx.d(v))
-                if lhs != lap(v):
-                    return format_term(alg, *key)
-        return None
+        return first_nonzero(diff)
 
     run("d_squared", check_d_squared)
     for f in ctx.fields:

@@ -236,11 +236,3 @@ class ColumnEliminator:
     def nullspace(self):
         """Deterministic basis of {x : A x = 0} as a list of sparse vectors."""
         return [dict(c) for c in self.null_combos]
-
-
-def nullspace(matrix):
-    return ColumnEliminator(matrix).nullspace()
-
-
-def solve(matrix, b):
-    return ColumnEliminator(matrix).solve(b)

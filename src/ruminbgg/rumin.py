@@ -24,7 +24,7 @@ from fractions import Fraction
 from .algebra import algebra_from_json, algebra_to_json
 from .errors import IdentityError, StructureError
 from .fiber import FiberContext, monomial_weight
-from .groupcalc import GroupContext, PolyForm, format_term
+from .groupcalc import GroupContext, PolyForm, format_term, operator_matrix
 from .linalg import ColumnEliminator, SparseMatrix, accumulate, axpy
 from .scalars import fraction_from_str, fraction_to_str
 
@@ -113,25 +113,14 @@ class RuminPackage:
 
     # -- operator matrices ----------------------------------------------------
 
-    def _matrix_from_terms(self, k, out_degree, term_fn):
-        src = self.keys(k)
-        self.keys(out_degree)
-        dst_index = self._index.get(out_degree, {})
-        cols = {}
-        for j, (exps, mono) in enumerate(src):
-            col = {}
-            for key, c in term_fn(exps, mono).items():
-                col[dst_index[key]] = c
-            if col:
-                cols[j] = col
-        return SparseMatrix(self.dim_v(out_degree), len(src), cols)
-
     def d_mat(self, k):
         if k not in self._d:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
             self.keys(k + 1)
-            self._d[k] = self._matrix_from_terms(k, k + 1, self.group.d_term)
+            self._d[k] = operator_matrix(
+                self.keys(k), self._index.get(k + 1, {}), self.group.d_term, self.budget
+            )
         return self._d[k]
 
     def delta_mat(self, k):
@@ -139,7 +128,9 @@ class RuminPackage:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
             self.keys(k - 1)
-            self._delta[k] = self._matrix_from_terms(k, k - 1, self.group.delta_term)
+            self._delta[k] = operator_matrix(
+                self.keys(k), self._index.get(k - 1, {}), self.group.delta_term, self.budget
+            )
         return self._delta[k]
 
     def lap_mat(self, k):
@@ -171,7 +162,7 @@ class RuminPackage:
                         accumulate(out, (exps, m2), c1 * c2)
                 return out
 
-            self._l0[k] = self._matrix_from_terms(k, k, term)
+            self._l0[k] = operator_matrix(self.keys(k), self._index[k], term, self.budget)
         return self._l0[k]
 
     # -- the filtered inverse ---------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from ruminbgg.algebra import (
     GradedNilpotentLieAlgebra,
+    _positive_definite,
     algebra_from_json,
     algebra_to_json,
     builtin,
@@ -278,3 +279,45 @@ def test_inner_product_axioms():
     indefinite = dict(base, inner_product=[["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     report = validate(algebra_from_json(indefinite))
     assert any(a == "inner_product_positive_definite" for a, _ in report.violations)
+
+
+def minor_by_minor_positive_definite(matrix):
+    """Sylvester's criterion by the determinant of every leading minor
+    (Gaussian elimination with row exchanges); the oracle."""
+    n = len(matrix)
+    for k in range(1, n + 1):
+        sub = [list(row[:k]) for row in matrix[:k]]
+        det = Fraction(1)
+        for col in range(k):
+            piv = next((r for r in range(col, k) if sub[r][col] != 0), None)
+            if piv is None:
+                return False
+            if piv != col:
+                sub[col], sub[piv] = sub[piv], sub[col]
+                det = -det
+            det *= sub[col][col]
+            for r in range(col + 1, k):
+                f = sub[r][col] / sub[col][col]
+                for c in range(col, k):
+                    sub[r][c] -= f * sub[col][c]
+        if det <= 0:
+            return False
+    return True
+
+
+def test_positive_definite_matches_minor_oracle(rng):
+    verdicts = set()
+    for trial in range(3000):
+        n = rng.randint(1, 5)
+        m = [[random_fraction(rng, span=3, den=2) for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            # symmetric, shifted towards positive definite half of the time
+            shift = rng.randint(0, 6)
+            m = [
+                [(m[i][j] + m[j][i]) / 2 + (shift if i == j else 0) for j in range(n)]
+                for i in range(n)
+            ]
+        verdict = _positive_definite(m)
+        assert verdict == minor_by_minor_positive_definite(m), m
+        verdicts.add((trial % 2, verdict))
+    assert len(verdicts) == 4

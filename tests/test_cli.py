@@ -252,6 +252,27 @@ def test_budget_exhaustion_exit3(capsys):
     assert payload["budget"]["exceeded"]
 
 
+@pytest.mark.parametrize(
+    "flags,env",
+    [
+        (["--budget-seconds", "0"], {}),
+        (["--budget-seconds", "nan"], {}),
+        (["--max-monomials", "-5"], {}),
+        ([], {"RUMINBGG_BUDGET_SECONDS": "abc"}),
+        ([], {"RUMINBGG_MAX_MONOMIALS": "1.5"}),
+    ],
+    ids=["zero-seconds", "nan-seconds", "negative-monomials", "env-seconds", "env-monomials"],
+)
+def test_invalid_budget_is_input_error(monkeypatch, capsys, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main(["bgg", "heisenberg:2", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_calculus_budget_partial_report(capsys):
     # budget exhaustion mid-verify is distinct from identity failure and
     # keeps the rows finished so far

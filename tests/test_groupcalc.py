@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from ruminbgg.algebra import GradedNilpotentLieAlgebra, builtin
+from ruminbgg.algebra import GradedNilpotentLieAlgebra, builtin, validate
 from ruminbgg.errors import UnsupportedStepError
 from ruminbgg.groupcalc import (
     GroupContext,
     PolyForm,
+    format_term,
     parametrix_identity_check,
     term_weight,
 )
@@ -194,3 +195,174 @@ def test_lie_derivative_commutes_with_d(h2, rng):
         form = random_polyform(rng, ctx, k, 2)
         for f in ctx.fields:
             assert ctx.lie_derivative(f, ctx.d(form)) == ctx.d(ctx.lie_derivative(f, form))
+
+
+# -- the per-element calculus check, kept as the oracle of the matrix one ------
+
+
+def per_element_report(alg, max_poly_degree):
+    """The per-element form of the calculus check: every operator is
+    re-derived term by term on each spanning element, and the first
+    failing element is the witness."""
+    ctx = GroupContext(alg)
+    report = []
+    layer1 = [f for f in ctx.fields if f.layer == 1]
+
+    def run(name, check_fn):
+        witness = check_fn()
+        if witness is None:
+            report.append({"identity": name, "status": "ok"})
+        else:
+            report.append({"identity": name, "status": "fail", "counterexample": witness})
+
+    def spanning(k):
+        for exps, mono in ctx.spanning_basis(k, max_poly_degree):
+            yield PolyForm(alg, {(exps, mono): Fraction(1)}), (exps, mono)
+
+    def first_failure(fails):
+        for k in range(alg.dim + 1):
+            for v, key in spanning(k):
+                if fails(v, key):
+                    return format_term(alg, *key)
+        return None
+
+    def lower_weight(v, key):
+        base = term_weight(alg, *key)
+        return any(term_weight(alg, e, m) < base for e, m in ctx.d(v).terms)
+
+    def a_op(form):
+        acc = PolyForm(alg)
+        for f in layer1:
+            acc = acc + ctx.contraction(f, ctx.lie_derivative(f, form))
+        return acc
+
+    def lap(form):
+        acc = PolyForm(alg)
+        for f in layer1:
+            acc = acc + ctx.lie_derivative(f, ctx.lie_derivative(f, form))
+        return acc
+
+    run("d_squared", lambda: first_failure(lambda v, _: not ctx.d(ctx.d(v)).is_zero()))
+    for f in ctx.fields:
+        run(
+            f"cartan[{f!r}]",
+            lambda f=f: first_failure(
+                lambda v, _: ctx.lie_derivative(f, v) != ctx.lie_derivative_direct(f, v)
+            ),
+        )
+    for f in layer1:
+        run(
+            f"lie_commutes_d[{f!r}]",
+            lambda f=f: first_failure(
+                lambda v, _: ctx.lie_derivative(f, ctx.d(v))
+                != ctx.d(ctx.lie_derivative(f, v))
+            ),
+        )
+
+    def check_frame_brackets():
+        for a in range(alg.dim):
+            for b in range(alg.dim):
+                fa, fb = ctx.fields[a], ctx.fields[b]
+                for exps in ctx.poly_basis(max_poly_degree):
+                    f = PolyForm(alg, {(exps, ()): Fraction(1)})
+                    lhs = fa.apply_function(fb.apply_function(f)) - fb.apply_function(
+                        fa.apply_function(f)
+                    )
+                    rhs = PolyForm(alg)
+                    for k, c in alg.bracket_of(a, b).items():
+                        rhs = rhs + ctx.fields[k].apply_function(f).scaled(c)
+                    if lhs != rhs:
+                        return f"[{fa},{fb}] on {format_term(alg, exps, ())}"
+        return None
+
+    run("frame_brackets", check_frame_brackets)
+    run("d_weight_filtration", lambda: first_failure(lower_weight))
+    run(
+        "parametrix",
+        lambda: first_failure(lambda v, _: ctx.d(a_op(v)) + a_op(ctx.d(v)) != lap(v)),
+    )
+    return report
+
+
+def _antisymmetric(pairs):
+    out = {}
+    for (a, b), terms in pairs.items():
+        out[(a, b)] = {k: Fraction(c) for k, c in terms.items()}
+        out[(b, a)] = {k: -Fraction(c) for k, c in terms.items()}
+    return out
+
+
+# well-formed but not Lie algebras, built without `validate`
+BROKEN = {
+    # [e1, e2] = [e2, e1] = e3
+    "symmetric": ((2, 1), {(0, 1): {2: Fraction(1)}, (1, 0): {2: Fraction(1)}}),
+    # [e1, e2] = e3, [e1, e4] = -e1: grading and Jacobi fail
+    "jacobi_22": ((2, 2), _antisymmetric({(0, 1): {2: 1}, (0, 3): {0: -1}})),
+    # [e2, e3] = e4, [e3, e4] = -e3: grading and Jacobi fail
+    "jacobi_31": ((3, 1), _antisymmetric({(1, 2): {3: 1}, (2, 3): {2: -1}})),
+}
+
+
+def test_broken_algebras_are_broken():
+    kinds = {}
+    for name, (layers, bracket) in BROKEN.items():
+        report = validate(GradedNilpotentLieAlgebra(name, layers, bracket))
+        kinds[name] = {axiom for axiom, _ in report.violations}
+    assert "antisymmetry" in kinds["symmetric"]
+    assert "jacobi" in kinds["jacobi_22"] and "jacobi" in kinds["jacobi_31"]
+
+
+@pytest.mark.parametrize(
+    "model,P",
+    [("heisenberg", 1), ("heisenberg", 3), ("quaternionic", 1), ("abelian", 2)]
+    + [(name, P) for name in BROKEN for P in (1, 2)],
+)
+def test_report_matches_per_element_oracle(model, P):
+    if model in BROKEN:
+        layers, bracket = BROKEN[model]
+        alg = GradedNilpotentLieAlgebra(model, layers, bracket)
+    else:
+        alg = builtin(model, 2)
+    assert parametrix_identity_check(alg, P) == per_element_report(alg, P)
+
+
+def test_broken_algebras_fail_rows_with_witnesses():
+    failed = set()
+    for name, (layers, bracket) in BROKEN.items():
+        alg = GradedNilpotentLieAlgebra(name, layers, bracket)
+        for row in parametrix_identity_check(alg, 1):
+            if row["status"] == "fail":
+                assert row["counterexample"]
+                failed.add(row["identity"])
+    assert {"d_squared", "parametrix"} <= failed
+
+
+def _d_term_mutants(alg, P, stride):
+    """Single-key mutants of d_term: one spanning element gets an extra
+    image term, of the same coefficient or (raise_z) one more z-power, so
+    that the weight filtration breaks too."""
+    ctx = GroupContext(alg)
+    original = GroupContext.d_term
+    for k in range(alg.dim):
+        first_mono = ctx.fiber.mons(k + 1)[0]
+        for n, (exps, mono) in enumerate(ctx.spanning_basis(k, P)[k % stride :: stride]):
+            raise_z = n % 2 == 0 and sum(exps) < P
+            extra = (exps[:-1] + (exps[-1] + 1,) if raise_z else exps, first_mono)
+
+            def mutant(self, e, m, target=(exps, mono), extra=extra):
+                out = original(self, e, m)
+                if (e, m) == target:
+                    out = dict(out)
+                    out[extra] = out.get(extra, 0) + Fraction(1, 3)
+                return out
+
+            kind = "raise_z" if raise_z else "extra"
+            yield pytest.param(mutant, id=f"{format_term(alg, exps, mono)}-{kind}")
+
+
+@pytest.mark.parametrize("mutant", list(_d_term_mutants(builtin("heisenberg", 2), 2, 9)))
+def test_report_matches_oracle_on_d_term_mutants(h2, monkeypatch, mutant):
+    monkeypatch.setattr(GroupContext, "d_term", mutant)
+    report = parametrix_identity_check(h2, 2)
+    assert any(row["status"] == "fail" for row in report)
+    assert report == per_element_report(h2, 2)
