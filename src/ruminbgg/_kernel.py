@@ -4,8 +4,18 @@ Gaussian elimination on dict rows with Markowitz-style pivoting; every
 updated row is divided by its content gcd so entries stay small.  Input
 rows must have integer entries (callers clear denominators first); rank
 over Q equals rank over Z of the cleared matrix.
+
+The pivot column is the live column with the fewest rows, ties to the
+smallest index: the Markowitz order (len, column).  It is read off a heap
+of (count, column) entries instead of a scan over all columns.  Entries
+are lazy: a pivot step changes the counts only of the pivot row's columns
+(the row leaves them, and the updates touch no other column), so it pushes
+a fresh entry for each of those and leaves the old ones in place.  A
+popped entry whose count differs from the column's current count is stale
+and is skipped; a column whose count reaches 0 is dropped.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -20,11 +30,15 @@ def rank_sparse(rows, ncols):
     for i, r in rowmap.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
+    heap = [(len(rs), j) for j, rs in cols.items()]
+    heapify(heap)
 
     rank = 0
     while rowmap:
         # cheapest column, then the shortest row with the smallest pivot
-        j = min(cols, key=lambda c: (len(cols[c]), c))
+        n, j = heappop(heap)
+        while n != len(cols.get(j, ())):
+            n, j = heappop(heap)
         i = min(cols[j], key=lambda r: (len(rowmap[r]), abs(rowmap[r][j]), r))
         piv = rowmap.pop(i)
         for jj in piv:
@@ -32,7 +46,7 @@ def rank_sparse(rows, ncols):
         p = piv[j]
         rank += 1
 
-        for r in list(cols.get(j, ())):
+        for r in list(cols[j]):
             row = rowmap[r]
             f = row[j]
             g = gcd(p, f)
@@ -46,7 +60,7 @@ def rank_sparse(rows, ncols):
                 nv = row.get(jj, 0) - b * v
                 if nv:
                     if jj not in row:
-                        cols.setdefault(jj, set()).add(r)
+                        cols[jj].add(r)
                     row[jj] = nv
                 elif jj in row:
                     del row[jj]
@@ -62,6 +76,10 @@ def rank_sparse(rows, ncols):
                         row[jj] //= g
             else:
                 del rowmap[r]
-        for c in [c for c in cols if not cols[c]]:
-            del cols[c]
+        for jj in piv:
+            n = len(cols[jj])
+            if n:
+                heappush(heap, (n, jj))
+            else:
+                del cols[jj]
     return rank

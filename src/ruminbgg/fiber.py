@@ -9,6 +9,7 @@ general layer-orthogonal inner product goes through exact Gram matrices.
 """
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import StructureError
@@ -189,13 +190,13 @@ class FiberContext:
     # -- structure maps ----------------------------------------------------
 
     def _target_pairs(self):
-        """index k -> list of ((a, b), c) with a < b and c = c^k_{ab}."""
+        """index k -> list of (a, b, c, -c) with a < b and c = c^k_{ab}."""
         if self._pairs_by_target is None:
             table = {}
             for (a, b), terms in self.algebra.bracket.items():
                 if a < b:
                     for k, c in terms.items():
-                        table.setdefault(k, []).append(((a, b), c))
+                        table.setdefault(k, []).append((a, b, c, -c))
             for k in table:
                 table[k].sort()
             self._pairs_by_target = table
@@ -206,6 +207,12 @@ class FiberContext:
 
         d0 xi^k = -sum_{a<b} c^k_{ab} xi^a xi^b extended as an odd
         derivation; the minus sign makes d0^2 = 0 equivalent to Jacobi.
+        Replacing the factor at position pos by xi^a xi^b gives the sign
+        (-1)^pos; `rest` (the monomial without that factor) is sorted and
+        a < b, so a and b insert at ia = #{r in rest: r < a} and
+        ib = #{r in rest: r < b}, which sorts xi^a xi^b rest with the sign
+        (-1)^(ia + ib).  The term is -c^k_{ab} (-1)^(pos + ia + ib), and
+        it vanishes when a or b already occurs in rest.
         """
         pairs = self._target_pairs()
         out = {}
@@ -214,12 +221,16 @@ class FiberContext:
             if not hits:
                 continue
             rest = mono[:pos] + mono[pos + 1 :]
-            base = -((-1) ** pos)  # (-1)^pos from the derivation, -1 from d0
-            for (a, b), c in hits:
-                merged, sign = sort_with_sign((a, b) + rest)
-                if merged is None:
+            n = len(rest)
+            for a, b, c, neg_c in hits:
+                ia = bisect_left(rest, a)
+                if ia < n and rest[ia] == a:
                     continue
-                accumulate(out, merged, base * sign * c)
+                ib = bisect_left(rest, b, ia)
+                if ib < n and rest[ib] == b:
+                    continue
+                merged = rest[:ia] + (a,) + rest[ia:ib] + (b,) + rest[ib:]
+                accumulate(out, merged, c if (pos + ia + ib) & 1 else neg_c)
         return out
 
     def d0_map(self):

@@ -10,9 +10,11 @@ from ruminbgg.fiber import (
     delta,
     fiber_inner,
     monomial_weight,
+    sort_with_sign,
 )
+from ruminbgg.linalg import accumulate
 
-from conftest import dense_rank, random_fraction
+from conftest import dense_rank, random_fraction, sparse_to_dense
 
 
 def random_fiber_form(rng, alg, ctx, k, nterms=4):
@@ -33,6 +35,60 @@ def test_d0_heisenberg_examples(h2):
     assert ctx.d0_of_monomial((1,)) == {}
     # d0(xi1 ^ xi3) = 0: the only candidate target has a repeated factor
     assert ctx.d0_of_monomial((0, 2)) == {}
+
+
+def _d0_bubble_oracle(alg):
+    """d0_of_monomial as it was written with the bubble sort `sort_with_sign`."""
+    pairs = {}
+    for (a, b), terms in alg.bracket.items():
+        if a < b:
+            for k, c in terms.items():
+                pairs.setdefault(k, []).append(((a, b), c))
+    for hits in pairs.values():
+        hits.sort()
+
+    def d0_of_monomial(mono):
+        out = {}
+        for pos, idx in enumerate(mono):
+            rest = mono[:pos] + mono[pos + 1 :]
+            base = -((-1) ** pos)
+            for (a, b), c in pairs.get(idx, ()):
+                merged, sign = sort_with_sign((a, b) + rest)
+                if merged is None:
+                    continue
+                accumulate(out, merged, base * sign * c)
+        return out
+
+    return d0_of_monomial
+
+
+# a 2-step algebra (so Jacobi holds) with non-integer rational structure
+# constants, given as a JSON definition with both orders of each bracket
+RATIONAL = {
+    "name": "rational-2-step",
+    "layers": [5, 3],
+    "brackets": [
+        {"a": a, "b": b, "terms": [{"k": k, "c": str(sign * Fraction(c))} for k, c in terms]}
+        for a0, b0, terms in [
+            (1, 2, [(6, "1/2")]),
+            (1, 3, [(6, "2/3"), (7, "-3/4")]),
+            (2, 4, [(7, "-5/3"), (8, "7/2")]),
+            (3, 5, [(8, "1/5")]),
+            (4, 5, [(6, "-9/4"), (8, "3/8")]),
+        ]
+        for sign, a, b in ((1, a0, b0), (-1, b0, a0))
+    ],
+}
+
+
+def test_d0_matches_bubble_sort_oracle(h3, q2, octo):
+    for alg in (h3, q2, octo, algebra_from_json(RATIONAL)):
+        ctx = FiberContext(alg)
+        oracle = _d0_bubble_oracle(alg)
+        for k in range(alg.dim + 1):
+            for m in ctx.mons(k):
+                want = list(oracle(m).items())
+                assert list(ctx.d0_of_monomial(m).items()) == want, (alg.name, m)
 
 
 def test_d0_abelian_is_zero():
@@ -140,6 +196,15 @@ def test_cohomology_heisenberg2_vs_dense_oracle(h2):
         betti_oracle.append(len(ctx.mons(k)) - ranks[k] - (ranks[k - 1] if k else 0))
     assert betti_oracle == [1, 2, 2, 1]
     assert cohomology_ranks(h2) == betti_oracle
+
+
+def test_rank_d0_block_vs_dense_oracle(q2):
+    for alg in (builtin("heisenberg", 4), q2):
+        ctx = FiberContext(alg)
+        for k in range(alg.dim + 1):
+            for w in ctx.blocks(k):
+                dense = sparse_to_dense(ctx.d0_block(k, w))
+                assert ctx.rank_d0_block(k, w) == dense_rank(dense), (alg.name, k, w)
 
 
 def test_cohomology_abelian_binomials():

@@ -43,6 +43,50 @@ def test_rank_kernels_match_dense_oracle():
         assert _kernel.rank_sparse(rows, m.nrows) == expected
 
 
+def _planted_sparse_rows(rng, nrows, ncols):
+    """Very sparse integer rows (2-4 entries) with planted dependencies.
+
+    Besides the random rows: duplicates, scalar multiples, integer
+    combinations of two or three rows (so column counts fall through
+    cancellation and rise again through fill-in, which leaves stale heap
+    entries behind), a row of explicit zeros, and an empty row.
+    """
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in rng.sample(range(ncols), rng.randint(2, 4)):
+            row[j] = rng.choice([-1, 1]) * rng.randint(1, 5)
+        rows.append(row)
+    for _ in range(nrows // 6):
+        rows.append(dict(rng.choice(rows)))
+        rows.append({j: -3 * v for j, v in rng.choice(rows).items()})
+        combo = {}
+        for src in rng.sample(rows, rng.randint(2, 3)):
+            f = rng.choice([-2, -1, 1, 2, 3])
+            for j, v in src.items():
+                combo[j] = combo.get(j, 0) + f * v
+        rows.append(combo)
+    row = rng.choice(rows)
+    rows.append({j: v - v for j, v in row.items()})
+    rows.append({})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_kernel_on_large_sparse_planted_matrices():
+    rng = random.Random(29)
+    for trial in range(16):
+        nrows, ncols = rng.randint(30, 60), rng.randint(30, 60)
+        rows = _planted_sparse_rows(rng, nrows, ncols)
+        dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+        expected = dense_rank(dense)
+        assert expected < len(rows)
+        assert _kernel.rank_sparse([dict(r) for r in rows], ncols) == expected, trial
+        # the transpose has the same rank and a different pivot history
+        cols = [{i: v for i, r in enumerate(rows) if (v := r.get(j, 0))} for j in range(ncols)]
+        assert _kernel.rank_sparse(cols, len(rows)) == expected, trial
+
+
 def test_single_kernel_bindings():
     # benchmark results record the backend name, and the benchmark's tracer
     # patches rank_sparse in both modules, so linalg must bind the kernel's
