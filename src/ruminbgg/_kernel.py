@@ -19,7 +19,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def rank_sparse(rows, ncols):
+def rank_sparse(rows):
     """Rank of the sparse matrix given as an iterable of {col: int} rows."""
     rowmap = {}
     for i, r in enumerate(rows):

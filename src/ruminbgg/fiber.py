@@ -154,6 +154,7 @@ class FiberContext:
         self.budget = budget
         self._mons = {}
         self._blocks = {}
+        self._block_index = {}
         self._d0 = None
         self._delta = None
         self._pairs_by_target = None
@@ -186,6 +187,15 @@ class FiberContext:
 
     def block(self, k, w):
         return self.blocks(k).get(w, [])
+
+    def block_index(self, k, w):
+        """{monomial: position in block(k, w)}, built once; callers must not change it."""
+        key = (k, w)
+        index = self._block_index.get(key)
+        if index is None:
+            index = {m: i for i, m in enumerate(self.block(k, w))}
+            self._block_index[key] = index
+        return index
 
     # -- structure maps ----------------------------------------------------
 
@@ -325,8 +335,7 @@ class FiberContext:
     def d0_block(self, k, w):
         """Matrix of d0 from block (k, w) to block (k+1, w)."""
         src = self.block(k, w)
-        dst = self.block(k + 1, w)
-        index = {m: i for i, m in enumerate(dst)}
+        index = self.block_index(k + 1, w)
         cols = {}
         for j, m in enumerate(src):
             col = {}
@@ -337,13 +346,12 @@ class FiberContext:
                 col[pos] = c
             if col:
                 cols[j] = col
-        return SparseMatrix(len(dst), len(src), cols)
+        return SparseMatrix(len(index), len(src), cols)
 
     def delta_block(self, k, w):
         """Matrix of delta from block (k, w) to block (k-1, w)."""
         src = self.block(k, w)
-        dst = self.block(k - 1, w)
-        index = {m: i for i, m in enumerate(dst)}
+        index = self.block_index(k - 1, w)
         cols = {}
         for j, m in enumerate(src):
             col = {}
@@ -351,7 +359,7 @@ class FiberContext:
                 col[index[out]] = c
             if col:
                 cols[j] = col
-        return SparseMatrix(len(dst), len(src), cols)
+        return SparseMatrix(len(index), len(src), cols)
 
     def rank_d0_block(self, k, w):
         key = (k, w)
@@ -398,16 +406,15 @@ class FiberContext:
         """Eliminator of [harmonic basis | delta-block] for projections."""
         key = (k, w)
         if key not in self._kerdelta_solver:
-            monos = self.block(k, w)
-            index = {m: i for i, m in enumerate(monos)}
+            index = self.block_index(k, w)
             harm = self.harmonic_basis(k, w)
             dblock = self.delta_block(k + 1, w)
             cols = {}
             for j, vec in enumerate(harm):
                 cols[j] = {index[m]: v for m, v in vec.items()}
-            for j, col in dblock.cols.items():
-                cols[len(harm) + j] = dict(col)
-            matrix = SparseMatrix(len(monos), len(harm) + dblock.ncols, cols)
+            for j in dblock.cols:
+                cols[len(harm) + j] = dblock.column(j)
+            matrix = SparseMatrix(len(index), len(harm) + dblock.ncols, cols)
             self._kerdelta_solver[key] = (ColumnEliminator(matrix), len(harm))
         return self._kerdelta_solver[key]
 
@@ -497,8 +504,7 @@ def fiber_inner(context, alpha, beta):
         key = (len(mono), monomial_weight(alg, mono))
         by_block.setdefault(key, {})[mono] = c
     for (k, w), aterms in by_block.items():
-        monos = context.block(k, w)
-        index = {m: i for i, m in enumerate(monos)}
+        index = context.block_index(k, w)
         gram = context._gram_block(k, w)
         avec = {index[m]: c for m, c in aterms.items()}
         gv = gram.apply(avec)

@@ -421,7 +421,7 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
 
     def check_weight_filtration():
         for k in range(alg.dim + 1):
-            for j, col in d_mat(k).cols.items():
+            for j, (_, col) in d_mat(k).cols.items():
                 base = term_weight(alg, *bases[k][j])
                 if any(term_weight(alg, *bases[k + 1][i]) < base for i in col):
                     return format_term(alg, *bases[k][j])

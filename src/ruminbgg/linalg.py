@@ -1,15 +1,29 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices are column-major dicts of dicts (only nonzero entries stored),
-which matches how operators get applied to sparse vectors.  Ranks go
-through the integer elimination kernel after clearing denominators;
-kernels and linear solves use a deterministic column eliminator whose
-pivot choice is the smallest row index, so all bases it produces are
-canonical for a fixed column order.
+Matrices are column-major and store only nonzero entries, which matches
+how operators get applied to sparse vectors.  A stored column is a pair
+(den, {row: int}): its entries are the integer numerators over one common
+denominator den.  Every column is written in normal form (den > 0,
+gcd(den, numerators) = 1, no zero numerator), so equal matrices store
+equal columns and `==` compares the stored dicts.  Stored columns are
+never changed in place, so matrices may share them.
+
+Products, sums, scaling, traces, ranks and eliminations run on Python
+ints.  `fractions.Fraction` remains only at the boundary: the constructor
+and `set_column` take {row: Fraction} columns, and `column`, `entry`,
+`trace`, `apply`, `solve` and `nullspace` give Fractions back.
+
+Ranks go to the integer elimination kernel with the stored numerators as
+rows.  Kernels and linear solves use a fraction-free column eliminator: a
+working column and the combination of input columns that produced it
+share one denominator, and a pivot column is stored scaled so that its
+entry at the pivot row equals its denominator.  The pivot is the smallest
+row index, so every basis it produces is canonical for a fixed column
+order and equals the one Fraction elimination with that rule gives.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._kernel import rank_sparse
 from .scalars import ZERO
@@ -28,7 +42,7 @@ def axpy(dst, src, a):
     """dst += a * src on sparse vectors; a key whose sum is zero is removed.
 
     The same loop as `accumulate`, kept inline because it is the innermost
-    loop of every matrix-vector product.
+    loop of every sparse-vector sum outside the matrix code.
     """
     for k, v in src.items():
         s = dst.get(k, ZERO) + a * v
@@ -38,54 +52,110 @@ def axpy(dst, src, a):
             del dst[k]
 
 
-def _clean(col):
-    return {i: v for i, v in col.items() if v}
+def _from_fractions(col):
+    """The stored column of a {row: Fraction or int} dict; None if it is zero.
+
+    Over the lcm of the reduced denominators the numerators are already
+    coprime to the denominator, so no gcd pass is needed.
+    """
+    live = {i: v for i, v in col.items() if v}
+    if not live:
+        return None
+    den = lcm(*{v.denominator for v in live.values()})
+    if den == 1:
+        return 1, {i: v.numerator for i, v in live.items()}
+    return den, {i: v.numerator * (den // v.denominator) for i, v in live.items()}
+
+
+def _to_fractions(den, num):
+    return {i: Fraction(v, den) for i, v in num.items()}
+
+
+def _lincomb(terms):
+    """sum of (p / q) * num over the (p, q, num) terms, q > 0.
+
+    Returns (L, acc) with the sum equal to acc / L, L = lcm of the q;
+    entries that sum to zero stay in acc.
+    """
+    L = lcm(*(q for _, q, _ in terms))
+    acc = {}
+    get = acc.get
+    for p, q, num in terms:
+        c = p * (L // q)
+        for i, v in num.items():
+            acc[i] = get(i, 0) + c * v
+    return L, acc
+
+
+def _normal(den, acc):
+    """acc / den as a stored column in normal form, or None if it is zero.
+
+    den > 0; acc holds integer numerators and may hold zeros.
+    """
+    g = gcd(den, *acc.values())
+    if g == 1:
+        num = {i: v for i, v in acc.items() if v}
+    else:
+        den //= g
+        num = {i: v // g for i, v in acc.items() if v}
+    return (den, num) if num else None
 
 
 class SparseMatrix:
-    """Shape (nrows, ncols); cols[j][i] is the entry in row i, column j."""
+    """Shape (nrows, ncols); cols[j] = (den, num) holds column j as num / den."""
 
     __slots__ = ("nrows", "ncols", "cols")
 
     def __init__(self, nrows, ncols, cols=None):
+        """cols, if given, maps a column index to a {row: Fraction} dict."""
         self.nrows = nrows
         self.ncols = ncols
         self.cols = {}
         if cols:
             for j, col in cols.items():
-                c = _clean(col)
+                c = _from_fractions(col)
                 if c:
                     self.cols[j] = c
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {j: {j: Fraction(1)} for j in range(n)})
+        out = cls(n, n)
+        out.cols = {j: (1, {j: 1}) for j in range(n)}
+        return out
 
     @classmethod
     def zero(cls, nrows, ncols):
         return cls(nrows, ncols)
 
     def entry(self, i, j):
-        return self.cols.get(j, {}).get(i, ZERO)
+        hit = self.cols.get(j)
+        if hit is None or i not in hit[1]:
+            return ZERO
+        return Fraction(hit[1][i], hit[0])
 
     def set_column(self, j, col):
-        c = _clean(col)
+        """Replace column j by the {row: Fraction} dict col."""
+        c = _from_fractions(col)
         if c:
             self.cols[j] = c
         elif j in self.cols:
             del self.cols[j]
 
     def column(self, j):
-        return dict(self.cols.get(j, {}))
+        """Column j as a fresh {row: Fraction} dict."""
+        hit = self.cols.get(j)
+        return _to_fractions(*hit) if hit else {}
 
     def nnz(self):
-        return sum(len(c) for c in self.cols.values())
+        return sum(len(num) for _, num in self.cols.values())
 
     def is_zero(self):
         return not self.cols
 
     def trace(self):
-        return sum((col.get(j, ZERO) for j, col in self.cols.items()), ZERO)
+        diag = [(num[j], den) for j, (den, num) in self.cols.items() if j in num]
+        L = lcm(*(den for _, den in diag))
+        return Fraction(sum(v * (L // den) for v, den in diag), L)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
@@ -94,20 +164,31 @@ class SparseMatrix:
 
     def apply(self, vec):
         """Matrix-vector product; vec and result are {index: Fraction}."""
-        out = {}
+        cols = self.cols
+        terms = []
         for j, x in vec.items():
-            col = self.cols.get(j)
-            if col and x:
-                axpy(out, col, x)
-        return out
+            hit = cols.get(j)
+            if hit is not None and x:
+                terms.append((x.numerator, x.denominator * hit[0], hit[1]))
+        L, acc = _lincomb(terms)
+        return {i: Fraction(v, L) for i, v in acc.items() if v}
 
     def compose(self, other):
         """self @ other (apply other first)."""
         if other.nrows != self.ncols:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
         out = SparseMatrix(self.nrows, other.ncols)
-        for j, col in other.cols.items():
-            out.set_column(j, self.apply(col))
+        cols = self.cols
+        for j, (den, num) in other.cols.items():
+            terms = []
+            for k, v in num.items():
+                hit = cols.get(k)
+                if hit is not None:
+                    terms.append((v, hit[0], hit[1]))
+            L, acc = _lincomb(terms)
+            col = _normal(den * L, acc)
+            if col:
+                out.cols[j] = col
         return out
 
     def __matmul__(self, other):
@@ -117,28 +198,37 @@ class SparseMatrix:
         if self.shape() != other.shape():
             raise ValueError("shape mismatch in add")
         out = SparseMatrix(self.nrows, self.ncols)
-        for j in set(self.cols) | set(other.cols):
-            col = dict(self.cols.get(j, {}))
-            for i, v in other.cols.get(j, {}).items():
-                accumulate(col, i, v)
-            out.set_column(j, col)
+        a, b = self.cols, other.cols
+        for j in set(a) | set(b):
+            x, y = a.get(j), b.get(j)
+            if x is None or y is None:
+                out.cols[j] = x or y
+            else:
+                col = _normal(*_lincomb([(1, *x), (1, *y)]))
+                if col:
+                    out.cols[j] = col
         return out
 
     def __sub__(self, other):
-        return self + other.scaled(Fraction(-1))
+        return self + other.scaled(-1)
 
     def scaled(self, a):
+        """a * self for an int or Fraction a."""
         out = SparseMatrix(self.nrows, self.ncols)
         if a:
-            for j, col in self.cols.items():
-                out.cols[j] = {i: a * v for i, v in col.items()}
+            p, q = a.numerator, a.denominator
+            for j, (den, num) in self.cols.items():
+                out.cols[j] = _normal(den * q, {i: p * v for i, v in num.items()})
         return out
 
     def transpose(self):
         out = SparseMatrix(self.ncols, self.nrows)
-        for j, col in self.cols.items():
-            for i, v in col.items():
-                out.cols.setdefault(i, {})[j] = v
+        rows = {}
+        for j, (den, num) in self.cols.items():
+            for i, v in num.items():
+                rows.setdefault(i, []).append((1, den, {j: v}))
+        for i, terms in rows.items():
+            out.cols[i] = _normal(*_lincomb(terms))
         return out
 
     def stack(self, other):
@@ -146,82 +236,112 @@ class SparseMatrix:
         if self.ncols != other.ncols:
             raise ValueError("stack needs equal column counts")
         out = SparseMatrix(self.nrows + other.nrows, self.ncols)
-        for j, col in self.cols.items():
-            out.cols[j] = dict(col)
-        for j, col in other.cols.items():
-            dest = out.cols.setdefault(j, {})
-            for i, v in col.items():
-                dest[i + self.nrows] = v
+        shift = self.nrows
+        for j in set(self.cols) | set(other.cols):
+            terms = []
+            if j in self.cols:
+                terms.append((1, *self.cols[j]))
+            if j in other.cols:
+                den, num = other.cols[j]
+                terms.append((1, den, {i + shift: v for i, v in num.items()}))
+            out.cols[j] = _normal(*_lincomb(terms))
         return out
 
     def shape(self):
         return (self.nrows, self.ncols)
 
     def rank(self):
-        return rank_of_columns(self.cols.values())
+        if not self.cols:
+            return 0
+        return rank_sparse([num for _, num in self.cols.values()])
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
 def rank_of_columns(columns):
-    """Exact rank; feeds columns to the kernel as rows (rank is symmetric)."""
-    rows = []
-    for col in columns:
-        col = _clean(col)
-        if not col:
-            continue
-        mult = lcm(*(v.denominator for v in col.values()))
-        rows.append({i: int(v * mult) for i, v in col.items()})
+    """Exact rank of {row: Fraction} columns, fed to the kernel as rows
+    (rank is symmetric) after clearing each column's denominators."""
+    rows = [c[1] for c in map(_from_fractions, columns) if c]
     if not rows:
         return 0
-    return rank_sparse(rows, 0)
+    return rank_sparse(rows)
 
 
 class ColumnEliminator:
     """Column-reduce a matrix once, then answer solves and kernels.
 
     Every working column is kept together with the combination of input
-    columns that produced it, so a reduction of a target vector to zero
-    yields a solution of A x = b directly.
+    columns that produced it, over one shared denominator, so a reduction
+    of a target vector to zero yields a solution of A x = b directly.
     """
 
     def __init__(self, matrix):
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
-        self.pivots = {}  # row -> (column dict, combo dict), entry at row == 1
-        self.null_combos = [
-            {j: Fraction(1)} for j in range(matrix.ncols) if j not in matrix.cols
-        ]
+        # row -> (den, column, combo) with column[row] == den
+        self.pivots = {}
+        # (den, combo) per kernel vector
+        self.null_combos = [(1, {j: 1}) for j in range(matrix.ncols) if j not in matrix.cols]
         for j in sorted(matrix.cols):
-            col = dict(matrix.cols[j])
-            combo = {j: Fraction(1)}
-            col, combo = self._reduce(col, combo)
-            if col:
-                r = min(col)
-                inv = 1 / col[r]
-                self.pivots[r] = (
-                    {i: v * inv for i, v in col.items()},
-                    {k: v * inv for k, v in combo.items()},
-                )
-            else:
-                self.null_combos.append(combo)
+            den, num = matrix.cols[j]
+            den, col, combo = self._reduce(den, dict(num), {j: den})
+            if not col:
+                self.null_combos.append((den, combo))
+                continue
+            # dividing by the pivot value col[r] / den makes col[r] the denominator
+            r = min(col)
+            if col[r] < 0:
+                col = {i: -v for i, v in col.items()}
+                combo = {k: -v for k, v in combo.items()}
+            g = gcd(*col.values(), *combo.values())
+            if g > 1:
+                col = {i: v // g for i, v in col.items()}
+                combo = {k: v // g for k, v in combo.items()}
+            self.pivots[r] = (col[r], col, combo)
 
-    def _reduce(self, col, combo):
+    def _reduce(self, den, col, combo):
         """Subtract pivot columns from col until its lowest row has no pivot.
 
-        combo receives the same combination of the pivots' input-column
-        combinations, so col_in - A combo_in == col_out - A combo_out.
+        col / den and combo / den are the working column and its combination
+        of input columns; combo receives the same combination of the pivots'
+        combinations, so col_in - A combo_in == col_out - A combo_out, each
+        over its own denominator.  Returns (den, col, combo).
         """
+        pivots = self.pivots
         while col:
             r = min(col)
-            hit = self.pivots.get(r)
+            hit = pivots.get(r)
             if hit is None:
                 break
-            a = -col[r]
-            axpy(col, hit[0], a)
-            axpy(combo, hit[1], a)
-        return col, combo
+            pden, pcol, pcombo = hit
+            # col/den - (f/den) pcol/pden == (a col - b pcol) / (a den)
+            g = gcd(pden, col[r])
+            a, b = pden // g, col[r] // g
+            if a != 1:
+                den *= a
+                col = {i: a * v for i, v in col.items()}
+                combo = {k: a * v for k, v in combo.items()}
+            # b and the pivot entries are nonzero, so a zero sum is a key of col
+            for i, v in pcol.items():
+                s = col.get(i, 0) - b * v
+                if s:
+                    col[i] = s
+                else:
+                    del col[i]
+            for k, v in pcombo.items():
+                s = combo.get(k, 0) - b * v
+                if s:
+                    combo[k] = s
+                else:
+                    del combo[k]
+            if a != 1:
+                g = gcd(den, *col.values(), *combo.values())
+                if g > 1:
+                    den //= g
+                    col = {i: v // g for i, v in col.items()}
+                    combo = {k: v // g for k, v in combo.items()}
+        return den, col, combo
 
     @property
     def rank(self):
@@ -229,10 +349,14 @@ class ColumnEliminator:
 
     def solve(self, b):
         """One x with A x = b, or None if inconsistent."""
-        # reducing -b to zero leaves combo = x, with -b + A x = 0
-        col, x = self._reduce({i: -v for i, v in b.items() if v}, {})
-        return None if col else x
+        rhs = _from_fractions(b)
+        if rhs is None:
+            return {}
+        # reducing -b to zero leaves combo / den = x, with -b + A x = 0
+        den, num = rhs
+        den, col, x = self._reduce(den, {i: -v for i, v in num.items()}, {})
+        return None if col else _to_fractions(den, x)
 
     def nullspace(self):
         """Deterministic basis of {x : A x = 0} as a list of sparse vectors."""
-        return [dict(c) for c in self.null_combos]
+        return [_to_fractions(den, combo) for den, combo in self.null_combos]

@@ -26,7 +26,7 @@ from .errors import IdentityError, StructureError
 from .fiber import FiberContext, monomial_weight
 from .groupcalc import GroupContext, PolyForm, format_term, operator_matrix
 from .linalg import ColumnEliminator, SparseMatrix, accumulate, axpy
-from .scalars import fraction_from_str, fraction_to_str
+from .scalars import fraction_from_str, fraction_to_str, ratio_to_str
 
 def default_poly_degree(algebra):
     """Spanning-set budget: 3 for dim <= 7, 1 beyond (octonionic scale)."""
@@ -63,7 +63,7 @@ class RuminPackage:
         self._d = {}
         self._delta = {}
         self._lap = {}
-        self._l0 = {}
+        self._n = {}
         self._q = {}
         self._pi = {}
         self._model_keys = {}
@@ -148,22 +148,29 @@ class RuminPackage:
         return self._lap[k]
 
     def l0_mat(self, k):
-        """Fiberwise graded part of lap_mat: acts on the coframe only."""
-        if k not in self._l0:
-            fib = self.fiber
+        """Fiberwise graded part of lap_mat: acts on the coframe only.
 
-            def term(exps, mono):
-                out = {}
-                for m1, c1 in fib.delta_of_monomial(mono).items():
-                    for m2, c2 in fib.d0_of_monomial(m1).items():
-                        accumulate(out, (exps, m2), c1 * c2)
-                for m1, c1 in fib.d0_of_monomial(mono).items():
-                    for m2, c2 in fib.delta_of_monomial(m1).items():
-                        accumulate(out, (exps, m2), c1 * c2)
-                return out
+        Not cached: only n_mat reads it, once per degree.
+        """
+        fib = self.fiber
 
-            self._l0[k] = operator_matrix(self.keys(k), self._index[k], term, self.budget)
-        return self._l0[k]
+        def term(exps, mono):
+            out = {}
+            for m1, c1 in fib.delta_of_monomial(mono).items():
+                for m2, c2 in fib.d0_of_monomial(m1).items():
+                    accumulate(out, (exps, m2), c1 * c2)
+            for m1, c1 in fib.d0_of_monomial(mono).items():
+                for m2, c2 in fib.delta_of_monomial(m1).items():
+                    accumulate(out, (exps, m2), c1 * c2)
+            return out
+
+        return operator_matrix(self.keys(k), self._index[k], term, self.budget)
+
+    def n_mat(self, k):
+        """N = lap - L0, the strictly weight-raising part of lap_mat."""
+        if k not in self._n:
+            self._n[k] = self.lap_mat(k) - self.l0_mat(k)
+        return self._n[k]
 
     # -- the filtered inverse ---------------------------------------------------
 
@@ -182,8 +189,8 @@ class RuminPackage:
         blocks = []
         for (exps, w), fibvec in groups.items():
             monos = self.fiber.block(k, w)
-            block_index = {m: i for i, m in enumerate(monos)}
-            blocks.append((exps, w, monos, {block_index[m]: c for m, c in fibvec.items()}))
+            index = self.fiber.block_index(k, w)
+            blocks.append((exps, w, monos, {index[m]: c for m, c in fibvec.items()}))
         return blocks
 
     def _l0_inverse(self, k, vec):
@@ -207,14 +214,14 @@ class RuminPackage:
         if not vec:
             return {}
         lap = self.lap_mat(k)
-        l0 = self.l0_mat(k)
+        n = self.n_mat(k)
         term = self._l0_inverse(k, vec)
         total = dict(term)
         terms_used = 1
-        # N = lap - L0 strictly raises total weight, so this terminates
+        # N strictly raises total weight, so this terminates
         limit = 2 * (sum(self.algebra.layers) + self.P) + 4
         while term:
-            n_term = _vsub(lap.apply(term), l0.apply(term))
+            n_term = n.apply(term)
             if not n_term:
                 break
             term = self._l0_inverse(k, _vneg(n_term))
@@ -366,7 +373,7 @@ class RuminPackage:
         for k in range(self.algebra.dim):
             mk = self.model_keys(k)
             mk1 = self.model_keys(k + 1)
-            for j, col in self.D_mat(k).cols.items():
+            for j, (_, col) in self.D_mat(k).cols.items():
                 _, w, _ = mk[j]
                 for i in col:
                     _, w2, _ = mk1[i]
@@ -407,8 +414,7 @@ class RuminPackage:
         fib = self.fiber
         harm = fib.harmonic_basis(k, w)
         tgt = fib.harmonic_basis(k + 1, w)
-        tgt_monos = fib.block(k + 1, w)
-        tgt_index = {m: i for i, m in enumerate(tgt_monos)}
+        tgt_index = fib.block_index(k + 1, w)
         cols = {}
         for j, h in enumerate(harm):
             dh = {}
@@ -421,7 +427,7 @@ class RuminPackage:
             # b lives in degree k, weight w
             if b:
                 monos_k = fib.block(k, w)
-                bidx = {m: i for i, m in enumerate(monos_k)}
+                bidx = fib.block_index(k, w)
                 elim, dblock = fib.imdelta_solver(k, w)
                 x = elim.solve({bidx[m]: c for m, c in b.items()})
                 if x is None:
@@ -740,9 +746,9 @@ class RuminPackage:
         def encode(matrix):
             entries = []
             for j in sorted(matrix.cols):
-                col = matrix.cols[j]
-                for i in sorted(col):
-                    entries.append([i, j, fraction_to_str(col[i])])
+                den, num = matrix.cols[j]
+                for i in sorted(num):
+                    entries.append([i, j, ratio_to_str(num[i], den)])
             return {"rows": matrix.nrows, "cols": matrix.ncols, "entries": entries}
 
         harmonic = {}

@@ -1,11 +1,15 @@
 """Exact rational scalars and their wire format.
 
-Everything in the library is a `fractions.Fraction`; floats are rejected at
-the boundary.  The serialized form is the string "p/q" (or "p" when q = 1),
-which round-trips exactly.
+Scalars that cross the library's interfaces are `fractions.Fraction`s:
+forms, vectors, tables and the public `linalg` calls take and return them,
+and floats are rejected at the boundary.  Inside `linalg`, matrix columns
+are integers over one denominator and never become Fractions.  The
+serialized form is the string "p/q" (or "p" when q = 1), which round-trips
+exactly.
 """
 
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 
@@ -36,6 +40,15 @@ def fraction_from_str(text):
 
 
 def fraction_to_str(value):
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return ratio_to_str(value.numerator, value.denominator)
+
+
+def ratio_to_str(num, den):
+    """The wire form of num / den (den > 0) in lowest terms."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    if den == 1:
+        return str(num)
+    return f"{num}/{den}"

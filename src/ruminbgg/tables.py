@@ -121,8 +121,8 @@ def truncation_ranks(algebra, budget=None, max_poly_degree=None):
     for w2 in sorted(per_weight_positions):
         offsets[w2] = n_all
         n_all += len(per_weight_positions[w2])
-    for j, col in D.cols.items():
-        for i, c in col.items():
+    for j in D.cols:
+        for i, c in D.column(j).items():
             exps, w2, t = model_keys_out[i]
             if exps != zero_exps:
                 continue

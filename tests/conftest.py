@@ -59,8 +59,8 @@ def dense_rank(rows):
 def sparse_to_dense(matrix):
     """SparseMatrix (column-major dicts) to a dense list of rows."""
     out = [[Fraction(0)] * matrix.ncols for _ in range(matrix.nrows)]
-    for j, col in matrix.cols.items():
-        for i, v in col.items():
+    for j in matrix.cols:
+        for i, v in matrix.column(j).items():
             out[i][j] = v
     return out
 

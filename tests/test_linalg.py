@@ -34,13 +34,14 @@ def test_rank_kernels_match_dense_oracle():
     for trial in range(60):
         m = random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8), fill=0.4)
         expected = dense_rank(sparse_to_dense(m))
-        assert rank_of_columns(m.cols.values()) == expected
+        columns = [m.column(j) for j in m.cols]
+        assert rank_of_columns(columns) == m.rank() == expected
         # the kernel itself on integer-cleared columns
         rows = []
-        for col in m.cols.values():
+        for col in columns:
             mult = math.lcm(*(v.denominator for v in col.values()))
             rows.append({i: int(v * mult) for i, v in col.items()})
-        assert _kernel.rank_sparse(rows, m.nrows) == expected
+        assert _kernel.rank_sparse(rows) == expected
 
 
 def _planted_sparse_rows(rng, nrows, ncols):
@@ -81,10 +82,10 @@ def test_rank_kernel_on_large_sparse_planted_matrices():
         dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
         expected = dense_rank(dense)
         assert expected < len(rows)
-        assert _kernel.rank_sparse([dict(r) for r in rows], ncols) == expected, trial
+        assert _kernel.rank_sparse([dict(r) for r in rows]) == expected, trial
         # the transpose has the same rank and a different pivot history
         cols = [{i: v for i, r in enumerate(rows) if (v := r.get(j, 0))} for j in range(ncols)]
-        assert _kernel.rank_sparse(cols, len(rows)) == expected, trial
+        assert _kernel.rank_sparse(cols) == expected, trial
 
 
 def test_single_kernel_bindings():
@@ -200,3 +201,226 @@ def test_nullspace_is_deterministic():
     first = ColumnEliminator(m).nullspace()
     second = ColumnEliminator(m).nullspace()
     assert first == second
+
+
+# -- the integer column representation against Fraction oracles ----------------
+
+
+class FractionEliminator:
+    """The column eliminator as it was written over Fraction dicts: the oracle.
+
+    Same pivot rule (smallest row index), same column order; every working
+    column and combo is a {index: Fraction} dict and a pivot is scaled to 1.
+    """
+
+    def __init__(self, matrix):
+        self.pivots = {}
+        self.negative_pivots = 0
+        self.null_combos = [
+            {j: Fraction(1)} for j in range(matrix.ncols) if j not in matrix.cols
+        ]
+        for j in sorted(matrix.cols):
+            col, combo = self._reduce(matrix.column(j), {j: Fraction(1)})
+            if col:
+                r = min(col)
+                self.negative_pivots += col[r] < 0
+                inv = 1 / col[r]
+                self.pivots[r] = (
+                    {i: v * inv for i, v in col.items()},
+                    {k: v * inv for k, v in combo.items()},
+                )
+            else:
+                self.null_combos.append(combo)
+
+    def _reduce(self, col, combo):
+        while col:
+            r = min(col)
+            hit = self.pivots.get(r)
+            if hit is None:
+                break
+            a = -col[r]
+            _reference_axpy(col, hit[0], a)
+            _reference_axpy(combo, hit[1], a)
+        return col, combo
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def solve(self, b):
+        col, x = self._reduce({i: -v for i, v in b.items() if v}, {})
+        return None if col else x
+
+    def nullspace(self):
+        return [dict(c) for c in self.null_combos]
+
+
+def _hard_value(rng):
+    """A nonzero rational: small, negative, mixed or large denominators, large numerators."""
+    kind = rng.random()
+    sign = rng.choice([-1, 1])
+    if kind < 0.4:
+        return Fraction(sign * rng.randint(1, 4))
+    if kind < 0.7:
+        return Fraction(sign * rng.randint(1, 9), rng.randint(2, 12))
+    if kind < 0.85:
+        return Fraction(sign * rng.randint(1, 10**6), rng.choice([7, 10**9 + 7, 2**40, 3**25]))
+    return Fraction(sign * rng.randint(10**12, 10**15), rng.randint(1, 30))
+
+
+def _hard_sparse(rng, nrows, ncols):
+    """Random matrix with zero, duplicate and dependent columns and explicit zeros."""
+    cols = {}
+    for j in range(ncols):
+        kind = rng.random()
+        earlier = list(cols.values())
+        if kind < 0.1:
+            cols[j] = {rng.randrange(nrows): Fraction(0)}  # a zero column, stored explicitly
+        elif kind < 0.15:
+            continue  # a zero column, absent
+        elif kind < 0.3 and earlier:
+            src = rng.choice(earlier)
+            f = rng.choice([Fraction(1), Fraction(-1), _hard_value(rng)])
+            cols[j] = {i: f * v for i, v in src.items()}  # duplicate or multiple
+        elif kind < 0.4 and len(earlier) >= 2:
+            col = {}
+            for src in rng.sample(earlier, 2):
+                _reference_axpy(col, src, _hard_value(rng))
+            cols[j] = col
+        else:
+            rows = rng.sample(range(nrows), rng.randint(1, min(nrows, 4)))
+            cols[j] = {i: _hard_value(rng) for i in rows}
+    return SparseMatrix(nrows, ncols, cols)
+
+
+def _random_rhs(rng, nrows):
+    return {i: _hard_value(rng) for i in rng.sample(range(nrows), rng.randint(0, nrows))}
+
+
+def assert_normal_form(matrix):
+    """Every stored column is (den, {row: int}) with den > 0, gcd 1, no zero."""
+    for j, (den, num) in matrix.cols.items():
+        assert 0 <= j < matrix.ncols
+        assert type(den) is int and den > 0
+        assert num and all(type(v) is int and v for v in num.values())
+        assert all(0 <= i < matrix.nrows for i in num)
+        assert math.gcd(den, *num.values()) == 1
+
+
+def test_eliminator_matches_fraction_oracle():
+    rng = random.Random(20261019)
+    inconsistent = negative = duplicates = 0
+    for trial in range(300):
+        m = _hard_sparse(rng, rng.randint(1, 9), rng.randint(1, 9))
+        assert_normal_form(m)
+        want = FractionEliminator(m)
+        got = ColumnEliminator(m)
+        assert got.rank == want.rank == m.rank() == dense_rank(sparse_to_dense(m)), trial
+        assert got.nullspace() == want.nullspace(), trial
+        # each pivot is stored in normal form with its pivot entry equal to den
+        for r, (den, col, combo) in got.pivots.items():
+            assert den > 0 and col[r] == den and min(col) == r, trial
+            assert math.gcd(den, *col.values(), *combo.values()) == 1, trial
+            assert all(col.values()) and all(combo.values()), trial
+        for _ in range(4):
+            x = {j: _hard_value(rng) for j in rng.sample(range(m.ncols), rng.randint(0, m.ncols))}
+            for b in (m.apply(x), _random_rhs(rng, m.nrows)):
+                sol = got.solve(b)
+                assert sol == want.solve(b), trial
+                if sol is None:
+                    inconsistent += 1
+                else:
+                    assert m.apply(sol) == {i: v for i, v in b.items() if v}, trial
+        negative += want.negative_pivots
+        dense = sparse_to_dense(m)
+        columns = [tuple(row[j] for row in dense) for j in range(m.ncols)]
+        duplicates += len(set(c for c in columns if any(c))) < sum(1 for c in columns if any(c))
+    assert inconsistent > 100 and negative > 100 and duplicates > 20
+
+
+def _dense_product(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def test_matrix_operations_match_dense_oracle():
+    rng = random.Random(31)
+    for trial in range(150):
+        n, k, p = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, a2 = _hard_sparse(rng, n, k), _hard_sparse(rng, n, k)
+        b = _hard_sparse(rng, k, p)
+        da, da2, db = sparse_to_dense(a), sparse_to_dense(a2), sparse_to_dense(b)
+        f = rng.choice([0, 1, -1, -3, _hard_value(rng)])
+        results = {
+            "compose": (a @ b, _dense_product(da, db)),
+            "add": (a + a2, [[x + y for x, y in zip(r, s)] for r, s in zip(da, da2)]),
+            "sub": (a - a2, [[x - y for x, y in zip(r, s)] for r, s in zip(da, da2)]),
+            "scaled": (a.scaled(f), [[f * x for x in r] for r in da]),
+            "transpose": (a.transpose(), [list(c) for c in zip(*da)]),
+            "stack": (a.stack(a2), da + da2),
+        }
+        for name, (got, want) in results.items():
+            assert_normal_form(got)
+            assert sparse_to_dense(got) == want, (trial, name)
+            # == is structural and agrees with value equality
+            assert got == SparseMatrix(got.nrows, got.ncols, {
+                j: {i: row[j] for i, row in enumerate(want)} for j in range(got.ncols)
+            }), (trial, name)
+        assert (a + a2) - a2 == a and a - a == SparseMatrix(n, k)
+        assert a + a == a.scaled(2) and a.scaled(-1) + a == SparseMatrix(n, k)
+        assert (a == a2) == (da == da2)
+        sq = a.transpose() @ a
+        assert sq.trace() == sum((sparse_to_dense(sq)[i][i] for i in range(k)), Fraction(0))
+        assert type(sq.trace()) is Fraction
+        vec = {j: _hard_value(rng) for j in rng.sample(range(k), rng.randint(0, k))}
+        want = {i: v for i, row in enumerate(da) if (v := sum(row[j] * x for j, x in vec.items()))}
+        assert a.apply(vec) == want
+
+
+def test_columns_are_written_in_normal_form():
+    half = Fraction(1, 2)
+    m = SparseMatrix(
+        3, 3, {0: {0: Fraction(2, 4), 2: Fraction(-3, 2)}, 1: {1: Fraction(0)}, 2: {0: 4, 1: 6}}
+    )
+    assert m.cols == {0: (2, {0: 1, 2: -3}), 2: (1, {0: 4, 1: 6})}
+    # a product whose numerators share a factor with the denominator
+    two = SparseMatrix(1, 1, {0: {0: Fraction(2)}})
+    assert (SparseMatrix(1, 1, {0: {0: half}}) @ two).cols == {0: (1, {0: 1})}
+    assert SparseMatrix(1, 1, {0: {0: half}}) @ two == SparseMatrix.identity(1)
+    assert m.scaled(Fraction(-2, 3)).cols[0] == (3, {0: -1, 2: 3})
+    m.set_column(1, {2: Fraction(6, 9), 0: Fraction(0)})
+    assert m.cols[1] == (3, {2: 2})
+    m.set_column(1, {2: Fraction(0)})
+    assert 1 not in m.cols
+    assert m.column(0) == {0: half, 2: Fraction(-3, 2)} and m.entry(2, 0) == Fraction(-3, 2)
+    assert m.entry(1, 0) == 0 and m.column(1) == {}
+    for out in (m, m.transpose(), m.stack(m), m + m, m - m.scaled(half), SparseMatrix.identity(4)):
+        assert_normal_form(out)
+
+
+def test_integer_paths_create_no_fraction(monkeypatch):
+    rng = random.Random(5)
+    a, a2 = _hard_sparse(rng, 7, 6), _hard_sparse(rng, 7, 6)
+    b = _hard_sparse(rng, 6, 8)
+    columns = [a.column(j) for j in a.cols]
+    f = Fraction(-2, 7)
+    created = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    a @ b, a + a2, a - a2, a.scaled(-3), a.scaled(f), a.rank(), a.transpose(), a.stack(a2)
+    rank_of_columns(columns)
+    ColumnEliminator(a.stack(a2))
+    monkeypatch.undo()
+    assert created == []
+    # the boundary calls do create them, so the counter sees Fractions
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    a.column(min(a.cols))
+    monkeypatch.undo()
+    assert created

@@ -108,16 +108,16 @@ def test_q_and_pi_respect_weight_filtration(h3):
         qm = pkg.q_mat(k)
         src = pkg.keys(k)
         dst = pkg.keys(k - 1)
-        for j, col in qm.cols.items():
+        for j in qm.cols:
             base = term_weight(h3, *src[j])
-            for i in col:
+            for i in qm.column(j):
                 assert term_weight(h3, *dst[i]) >= base
     for k in range(h3.dim + 1):
         pim = pkg.pi_mat(k)
         keys = pkg.keys(k)
-        for j, col in pim.cols.items():
+        for j in pim.cols:
             base = term_weight(h3, *keys[j])
-            for i in col:
+            for i in pim.column(j):
                 assert term_weight(h3, *keys[i]) >= base
 
 
@@ -160,7 +160,7 @@ def test_direct_forms_of_the_pi_lemmas(model, n, P):
         assert dim_v - pi.rank() == dim_v - pi.trace() == model_dim == len(E)
         iota_inv = pkg.iota_inv(k)
         assert iota_inv.ncols == model_dim
-        assert rank_of_columns(E + list(iota_inv.cols.values())) == model_dim
+        assert rank_of_columns(E + [iota_inv.column(j) for j in iota_inv.cols]) == model_dim
 
 
 PI_ROWS = (
@@ -248,7 +248,8 @@ def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
             assert status["iota_inverse_left"] == "fail", seed
             continue
         for k in range(dim + 1):
-            for v in pkg.iota_inv(k).cols.values():
+            iota_inv = pkg.iota_inv(k)
+            for v in map(iota_inv.column, iota_inv.cols):
                 assert not pkg.q_mat(k).apply(v), seed
                 if k < dim:
                     assert not pkg.q_mat(k + 1).apply(d[k].apply(v)), seed

@@ -104,8 +104,8 @@ def test_truncation_middle_is_symbol_image_rank(h2):
     rows = [i for i, (exps, w, t) in enumerate(mk1) if exps == zero]
     dense = [[Fraction(0)] * D.ncols for _ in rows]
     pos = {i: r for r, i in enumerate(rows)}
-    for j, col in D.cols.items():
-        for i, c in col.items():
+    for j in D.cols:
+        for i, c in D.column(j).items():
             if i in pos:
                 dense[pos[i]][j] = c
     assert dense_rank(dense) == result["ranks"][-1] == 2
