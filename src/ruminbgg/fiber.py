@@ -328,7 +328,8 @@ class FiberContext:
         return table
 
     def delta_of_monomial(self, mono):
-        return dict(self.delta_map().get(mono, {}))
+        """delta of one monomial as {monomial: coefficient}, cached; callers must not change it."""
+        return self.delta_map().get(mono, {})
 
     # -- positional blocks and ranks ----------------------------------------
 

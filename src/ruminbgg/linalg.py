@@ -9,7 +9,9 @@ equal columns and `==` compares the stored dicts.  Stored columns are
 never changed in place, so matrices may share them.
 
 Products, sums, scaling, traces, ranks and eliminations run on Python
-ints.  `fractions.Fraction` remains only at the boundary: the constructor
+ints, and so do `apply_column`, `sum_columns` and `solve_column`, which
+take and return stored columns; `apply_column` is the one column-apply
+loop.  `fractions.Fraction` remains only at the boundary: the constructor
 and `set_column` take {row: Fraction} columns, and `column`, `entry`,
 `trace`, `apply`, `solve` and `nullspace` give Fractions back.
 
@@ -101,6 +103,11 @@ def _normal(den, acc):
     return (den, num) if num else None
 
 
+def sum_columns(columns):
+    """The stored column of a sum of stored columns, or None if it is zero."""
+    return _normal(*_lincomb([(1, den, num) for den, num in columns]))
+
+
 class SparseMatrix:
     """Shape (nrows, ncols); cols[j] = (den, num) holds column j as num / den."""
 
@@ -122,10 +129,6 @@ class SparseMatrix:
         out = cls(n, n)
         out.cols = {j: (1, {j: 1}) for j in range(n)}
         return out
-
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls(nrows, ncols)
 
     def entry(self, i, j):
         hit = self.cols.get(j)
@@ -162,31 +165,30 @@ class SparseMatrix:
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.cols == other.cols
 
-    def apply(self, vec):
-        """Matrix-vector product; vec and result are {index: Fraction}."""
+    def apply_column(self, den, num):
+        """The stored column of self @ (num / den), or None if it is zero."""
         cols = self.cols
         terms = []
-        for j, x in vec.items():
-            hit = cols.get(j)
-            if hit is not None and x:
-                terms.append((x.numerator, x.denominator * hit[0], hit[1]))
+        for k, v in num.items():
+            hit = cols.get(k)
+            if hit is not None:
+                terms.append((v, hit[0], hit[1]))
         L, acc = _lincomb(terms)
-        return {i: Fraction(v, L) for i, v in acc.items() if v}
+        return _normal(den * L, acc)
+
+    def apply(self, vec):
+        """Matrix-vector product; vec and result are {index: Fraction}."""
+        x = _from_fractions(vec)
+        y = x and self.apply_column(*x)
+        return _to_fractions(*y) if y else {}
 
     def compose(self, other):
         """self @ other (apply other first)."""
         if other.nrows != self.ncols:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
         out = SparseMatrix(self.nrows, other.ncols)
-        cols = self.cols
         for j, (den, num) in other.cols.items():
-            terms = []
-            for k, v in num.items():
-                hit = cols.get(k)
-                if hit is not None:
-                    terms.append((v, hit[0], hit[1]))
-            L, acc = _lincomb(terms)
-            col = _normal(den * L, acc)
+            col = self.apply_column(den, num)
             if col:
                 out.cols[j] = col
         return out
@@ -347,15 +349,19 @@ class ColumnEliminator:
     def rank(self):
         return len(self.pivots)
 
+    def solve_column(self, den, num):
+        """One x with A x = num / den != 0 as a stored column, or None if inconsistent."""
+        # reducing -b to zero leaves combo / den = x, with -b + A x = 0
+        den, col, x = self._reduce(den, {i: -v for i, v in num.items()}, {})
+        return None if col else _normal(den, x)
+
     def solve(self, b):
         """One x with A x = b, or None if inconsistent."""
         rhs = _from_fractions(b)
         if rhs is None:
             return {}
-        # reducing -b to zero leaves combo / den = x, with -b + A x = 0
-        den, num = rhs
-        den, col, x = self._reduce(den, {i: -v for i, v in num.items()}, {})
-        return None if col else _to_fractions(den, x)
+        x = self.solve_column(*rhs)
+        return None if x is None else _to_fractions(*x)
 
     def nullspace(self):
         """Deterministic basis of {x : A x = 0} as a list of sparse vectors."""

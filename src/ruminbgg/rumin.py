@@ -8,8 +8,16 @@ Neumann series sum (-L0^{-1} N)^j L0^{-1}.  From the inverse:
 
     q  = (d delta + delta d)^{-1} delta
     pi = d q + q d
-    iota^{-1} = (1 - q d) on harmonic-monomial lifts
+    iota^{-1} = (1 - q d) lift,  lift = the harmonic representatives
     D  = project_harmonic . d . iota^{-1}
+
+Each operator is a product of matrices over stored integer columns.  Only
+L0^{-1} on im delta and the harmonic projection go column by column: they
+split a column by (polynomial, fiber weight) block through a per-degree
+layout and solve each piece with the block's cached eliminator, so no
+Fraction is created between d, delta, the Hodge solvers and q, iota^{-1}, D.
+Fractions remain where forms and JSON meet the matrices, and in the
+per-vector route of `_fiber_bgg_block`.
 
 The construction asserts every operator identity exactly and names a
 witness basis element on failure.  The identity suite (`verify`) pins a
@@ -19,29 +27,17 @@ iota^{-1} columns, never composing with the materialized pi.
 """
 
 import json
-from fractions import Fraction
 
 from .algebra import algebra_from_json, algebra_to_json
 from .errors import IdentityError, StructureError
-from .fiber import FiberContext, monomial_weight
+from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term, operator_matrix
-from .linalg import ColumnEliminator, SparseMatrix, accumulate, axpy
+from .linalg import ColumnEliminator, SparseMatrix, accumulate, axpy, sum_columns
 from .scalars import fraction_from_str, fraction_to_str, ratio_to_str
 
 def default_poly_degree(algebra):
     """Spanning-set budget: 3 for dim <= 7, 1 beyond (octonionic scale)."""
     return 3 if algebra.dim <= 7 else 1
-
-
-def _vsub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        accumulate(out, k, -v)
-    return out
-
-
-def _vneg(a):
-    return {k: -v for k, v in a.items()}
 
 
 class RuminPackage:
@@ -60,6 +56,7 @@ class RuminPackage:
         self.neumann_terms = 0  # max Neumann length seen while inverting
         self._keys = {}
         self._index = {}
+        self._block_layout = {}
         self._d = {}
         self._delta = {}
         self._lap = {}
@@ -174,70 +171,92 @@ class RuminPackage:
 
     # -- the filtered inverse ---------------------------------------------------
 
-    def _fiber_blocks(self, k, vec):
-        """Split a positional V^k vector into its fiber blocks.
+    def block_layout(self, k):
+        """(where, blocks) for V^k, built once; callers must not change it.
 
-        Returns (exps, w, monos, v_pos) per (polynomial, fiber weight) block,
-        with v_pos positional in monos = fiber.block(k, w).
+        blocks[b] = (exps, w, rows), numbered by weight, then polynomial, has
+        rows[i] = the V^k position of (exps, fiber.block(k, w)[i]), and
+        where[rows[i]] = (b, i).
         """
-        keys = self.keys(k)
-        groups = {}
-        for pos, c in vec.items():
-            exps, mono = keys[pos]
-            w = monomial_weight(self.algebra, mono)
-            groups.setdefault((exps, w), {})[mono] = c
-        blocks = []
-        for (exps, w), fibvec in groups.items():
-            monos = self.fiber.block(k, w)
-            index = self.fiber.block_index(k, w)
-            blocks.append((exps, w, monos, {index[m]: c for m, c in fibvec.items()}))
-        return blocks
+        if k not in self._block_layout:
+            self.keys(k)
+            index = self._index[k]
+            where = [None] * len(index)
+            blocks = []
+            for w, monos in self.fiber.blocks(k).items():
+                for exps in self.group.poly_basis(self.P):
+                    rows = [index[(exps, m)] for m in monos]
+                    for i, pos in enumerate(rows):
+                        where[pos] = (len(blocks), i)
+                    blocks.append((exps, w, rows))
+            self._block_layout[k] = (where, blocks)
+        return self._block_layout[k]
 
-    def _l0_inverse(self, k, vec):
-        """Solve L0 u = vec inside im delta, blockwise over (exps, weight)."""
-        out = {}
-        index = self._index[k]
-        for exps, w, monos, v_pos in self._fiber_blocks(k, vec):
+    def _blockwise(self, k, matrix, nrows, solve):
+        """Map each column of a V^k matrix piece by fiber block.
+
+        solve(block, den, piece) maps piece / den, positional in the block,
+        to a stored column over nrows rows.  Columns go in ascending order and
+        blocks by number, so a failing solve is the first failing block of
+        the first failing column.  The budget is checked every 64 columns.
+        """
+        where, blocks = self.block_layout(k)
+        out = SparseMatrix(nrows, matrix.ncols)
+        for n, (j, (den, num)) in enumerate(sorted(matrix.cols.items())):
+            if self.budget is not None and n % 64 == 0:
+                self.budget.check()
+            pieces = {}
+            for pos, v in num.items():
+                b, i = where[pos]
+                pieces.setdefault(b, {})[i] = v
+            col = sum_columns([solve(blocks[b], den, pieces[b]) for b in sorted(pieces)])
+            if col:
+                out.cols[j] = col
+        return out
+
+    def inverse_apply(self, k, matrix):
+        """(d delta + delta d)^{-1} on im delta at degree k, per column of a V^k matrix.
+
+        The series sums (-L0^{-1} N)^j L0^{-1} B; L0^{-1} on im delta goes
+        block by block through the fiber's im-delta eliminators.
+        """
+
+        def l0_solve(block, den, num):
+            exps, w, rows = block
             elim, dblock = self.fiber.imdelta_solver(k, w)
-            x = elim.solve(v_pos)
+            x = elim.solve_column(den, num)
             if x is None:
                 raise StructureError(
                     f"graded part d0 delta0 + delta0 d0 is singular on the "
                     f"im-delta block (degree {k}, weight {w})"
                 )
-            for i, c in dblock.apply(x).items():
-                accumulate(out, index[(exps, monos[i])], c)
-        return out
+            # x != 0 solves (L0 delta0) x = piece != 0, so delta0 x != 0
+            den, u = dblock.apply_column(*x)
+            return den, {rows[i]: v for i, v in u.items()}
 
-    def inverse_apply(self, k, vec):
-        """(d delta + delta d)^{-1} on im delta at degree k, positional."""
-        if not vec:
-            return {}
-        lap = self.lap_mat(k)
+        total = SparseMatrix(matrix.nrows, matrix.ncols)
+        if matrix.is_zero():
+            return total
         n = self.n_mat(k)
-        term = self._l0_inverse(k, vec)
-        total = dict(term)
-        terms_used = 1
         # N strictly raises total weight, so this terminates
         limit = 2 * (sum(self.algebra.layers) + self.P) + 4
-        while term:
-            n_term = n.apply(term)
-            if not n_term:
-                break
-            term = self._l0_inverse(k, _vneg(n_term))
-            for i, c in term.items():
-                accumulate(total, i, c)
-            terms_used += 1
-            if terms_used > limit:
+        rhs, terms_used = matrix, 0
+        while not rhs.is_zero():
+            if self.budget is not None:
+                self.budget.check()
+            if terms_used == limit:
                 raise IdentityError(
                     "neumann_termination",
                     witness=f"degree {k}",
                     detail="filtered Neumann series failed to terminate",
                 )
+            term = self._blockwise(k, rhs, rhs.nrows, l0_solve)
+            total = total - term if terms_used % 2 else total + term
+            terms_used += 1
+            rhs = n @ term
         if terms_used > self.neumann_terms:
             self.neumann_terms = terms_used
-        residual = _vsub(lap.apply(total), vec)
-        if residual:
+        if self.lap_mat(k) @ total != matrix:
             raise IdentityError(
                 "inverse_on_im_delta",
                 witness=f"degree {k}",
@@ -249,19 +268,10 @@ class RuminPackage:
 
     def q_mat(self, k):
         if k not in self._q:
-            if k <= 0 or k > self.algebra.dim:
+            if 0 < k <= self.algebra.dim:
+                self._q[k] = self.inverse_apply(k - 1, self.delta_mat(k))
+            else:
                 self._q[k] = SparseMatrix(self.dim_v(k - 1), self.dim_v(k))
-                return self._q[k]
-            delta = self.delta_mat(k)
-            cols = {}
-            for j in range(self.dim_v(k)):
-                if self.budget is not None and j % 64 == 0:
-                    self.budget.check()
-                b = delta.column(j)
-                if not b:
-                    continue
-                cols[j] = self.inverse_apply(k - 1, b)
-            self._q[k] = SparseMatrix(self.dim_v(k - 1), self.dim_v(k), cols)
         return self._q[k]
 
     def pi_mat(self, k):
@@ -304,50 +314,43 @@ class RuminPackage:
         harmonic = sum(len(fib.harmonic_basis(k, w)) for w in fib.blocks(k))
         return harmonic * len(self.group.poly_basis(self.P))
 
-    def lift(self, k, model_vec):
-        """Model vector to positional V^k vector via harmonic representatives."""
-        out = {}
+    def lift(self, k):
+        """The model^k -> V^k matrix of harmonic representatives."""
+        self.keys(k)
         index = self._index[k]
+        harmonic = self.fiber.harmonic_basis
         mkeys = self.model_keys(k)
-        for pos, c in model_vec.items():
-            exps, w, i = mkeys[pos]
-            hvec = self.fiber.harmonic_basis(k, w)[i]
-            for mono, v in hvec.items():
-                accumulate(out, index[(exps, mono)], c * v)
-        return out
+        cols = {
+            j: {index[(exps, m)]: v for m, v in harmonic(k, w)[i].items()}
+            for j, (exps, w, i) in enumerate(mkeys)
+        }
+        return SparseMatrix(len(index), len(mkeys), cols)
 
-    def project(self, k, vec):
-        """Fiberwise class of a pointwise-ker-delta vector in the model basis."""
+    def project(self, k, matrix):
+        """Fiberwise classes of pointwise-ker-delta V^k columns in the model basis."""
         self.model_keys(k)
         midx = self._model_index[k]
-        out = {}
-        for exps, w, _, v_pos in self._fiber_blocks(k, vec):
+
+        def solve(block, den, num):
+            exps, w, _ = block
             elim, nharm = self.fiber.kerdelta_solver(k, w)
-            x = elim.solve(v_pos)
+            x = elim.solve_column(den, num)
             if x is None:
                 raise IdentityError(
                     "projection_domain",
                     witness=f"degree {k}, weight {w}",
                     detail="vector not a section of ker delta",
                 )
-            for j, c in x.items():
-                if j < nharm and c:
-                    accumulate(out, midx[(exps, w, j)], c)
-        return out
+            return x[0], {midx[(exps, w, j)]: v for j, v in x[1].items() if j < nharm}
+
+        return self._blockwise(k, matrix, len(midx), solve)
 
     def iota_inv_mat(self, k):
-        """(1 - q d) applied to harmonic lifts: model^k -> V^k."""
-        below_top = k < self.algebra.dim
-        if below_top:
-            q, d = self.q_mat(k + 1), self.d_mat(k)
-        cols = {}
-        n = len(self.model_keys(k))
-        for j in range(n):
-            v = self.lift(k, {j: Fraction(1)})
-            if below_top:
-                v = _vsub(v, q.apply(d.apply(v)))
-            cols[j] = v
-        return SparseMatrix(self.dim_v(k), n, cols)
+        """(1 - q d) lift: model^k -> V^k."""
+        lift = self.lift(k)
+        if k < self.algebra.dim:
+            lift = lift - self.q_mat(k + 1) @ (self.d_mat(k) @ lift)
+        return lift
 
     def iota_inv(self, k):
         """iota_inv_mat(k), built once per package; D_mat and verify share it."""
@@ -357,14 +360,7 @@ class RuminPackage:
 
     def D_mat(self, k):
         if k not in self._D:
-            iota_inv = self.iota_inv(k)
-            d = self.d_mat(k)
-            n_out = len(self.model_keys(k + 1))
-            cols = {}
-            for j in range(iota_inv.ncols):
-                image = d.apply(iota_inv.column(j))
-                cols[j] = self.project(k + 1, image)
-            self._D[k] = SparseMatrix(n_out, iota_inv.ncols, cols)
+            self._D[k] = self.project(k + 1, self.d_mat(k) @ self.iota_inv(k))
         return self._D[k]
 
     def arrows(self):
@@ -562,17 +558,14 @@ class RuminPackage:
             once(("idempotent", k), residual)
 
         def projected(k):
-            # project of every iota^-1(k) column, shared by the rows that need it
-            def run():
-                iota_inv = self.iota_inv(k)
-                return [self.project(k, iota_inv.column(j)) for j in range(iota_inv.ncols)]
-
-            return once(("projected", k), run)
+            # project of the iota^-1(k) columns, shared by the rows that need it
+            return once(("projected", k), lambda: self.project(k, self.iota_inv(k)))
 
         def iota_right(k):
-            for j, got in enumerate(projected(k)):
-                if got != {j: Fraction(1)}:
-                    raise IdentityError("iota_inverse_right", witness=model_witness(k, j))
+            got = projected(k)
+            wrong = got - SparseMatrix.identity(got.ncols)
+            if wrong.cols:
+                raise IdentityError("iota_inverse_right", witness=model_witness(k, min(wrong.cols)))
 
         def ker_pi(k):
             # ker q cap ker qd lies in ker pi because pi = F.  The model_dim(k)
@@ -584,15 +577,13 @@ class RuminPackage:
                 idempotent(k)
                 iota_right(k)
                 iota_inv = self.iota_inv(k)
-                q = self.q_mat(k)
-                for j in range(iota_inv.ncols):
-                    v = iota_inv.column(j)
-                    if q.apply(v) or (
-                        k < dim and self.q_mat(k + 1).apply(self.d_mat(k).apply(v))
-                    ):
-                        raise IdentityError(
-                            "ker_pi_equals_ker_q_ker_qd", witness=model_witness(k, j)
-                        )
+                wrong = set((self.q_mat(k) @ iota_inv).cols)
+                if k < dim:
+                    wrong |= set((self.q_mat(k + 1) @ (self.d_mat(k) @ iota_inv)).cols)
+                if wrong:
+                    raise IdentityError(
+                        "ker_pi_equals_ker_q_ker_qd", witness=model_witness(k, min(wrong))
+                    )
                 nullity_pi = self.dim_v(k) - self.pi_mat(k).trace()
                 if nullity_pi != self.model_dim(k):
                     raise IdentityError(
@@ -675,14 +666,11 @@ class RuminPackage:
             for k in range(dim + 1):
                 ker_pi(k)
                 iota_inv = self.iota_inv(k)
-                for j, x in enumerate(projected(k)):
-                    vec = iota_inv.column(j)
-                    back = iota_inv.apply(x)
-                    if back != vec:
-                        raise IdentityError(
-                            "iota_inverse_left",
-                            witness=self._witness(k, min(set(vec) | set(back))),
-                        )
+                back = iota_inv @ projected(k)
+                if back != iota_inv:
+                    j = min((back - iota_inv).cols)
+                    rows = set(iota_inv.column(j)) | set(back.column(j))
+                    raise IdentityError("iota_inverse_left", witness=self._witness(k, min(rows)))
 
         def check_D_squared():
             for k in range(dim - 1):
@@ -881,7 +869,8 @@ def invert_on_im_delta(algebra, max_poly_degree=None, budget=None):
     def apply(form):
         out = PolyForm(algebra)
         for k, vec in pkg._to_positional(form).items():
-            out = out + pkg._to_form(k, pkg.inverse_apply(k, vec))
+            column = SparseMatrix(pkg.dim_v(k), 1, {0: vec})
+            out = out + pkg._to_form(k, pkg.inverse_apply(k, column).column(0))
         return out
 
     return pkg, apply

@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -250,6 +251,18 @@ def test_budget_exhaustion_exit3(capsys):
     assert code == 3
     payload = json.loads(out)
     assert payload["budget"]["exceeded"]
+
+
+def test_budget_overshoot_is_bounded(capsys):
+    # checkpoints before each Neumann term and every 64 columns of the
+    # blockwise solves stop a 0.5 s budget well within a second past it
+    start = time.monotonic()
+    code, out = run_cli(
+        ["rumin", "build", "quaternionic:2", "--budget-seconds", "0.5"], capsys
+    )
+    assert code == 3
+    assert json.loads(out)["budget"]["exceeded"]
+    assert time.monotonic() - start < 1.5
 
 
 @pytest.mark.parametrize(

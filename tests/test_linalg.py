@@ -10,6 +10,7 @@ from ruminbgg.linalg import (
     accumulate,
     axpy,
     rank_of_columns,
+    sum_columns,
 )
 
 from conftest import dense_rank, random_fraction, sparse_to_dense
@@ -413,10 +414,13 @@ def test_integer_paths_create_no_fraction(monkeypatch):
         created.append(args)
         return new(cls, *args, **kwargs)
 
+    elim = ColumnEliminator(a)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     a @ b, a + a2, a - a2, a.scaled(-3), a.scaled(f), a.rank(), a.transpose(), a.stack(a2)
     rank_of_columns(columns)
     ColumnEliminator(a.stack(a2))
+    a.apply_column(*b.cols[min(b.cols)]), sum_columns([a.cols[j] for j in a.cols])
+    elim.solve_column(*a.cols[min(a.cols)])
     monkeypatch.undo()
     assert created == []
     # the boundary calls do create them, so the counter sees Fractions

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from ruminbgg.algebra import builtin
+from ruminbgg.algebra import algebra_from_json, builtin
 from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError
-from ruminbgg.groupcalc import PolyForm, term_weight
-from ruminbgg.linalg import SparseMatrix, rank_of_columns
+from ruminbgg.fiber import monomial_weight
+from ruminbgg.groupcalc import PolyForm, format_term, term_weight
+from ruminbgg.linalg import SparseMatrix, accumulate, axpy, rank_of_columns
 from ruminbgg.rumin import (
     RuminPackage,
     build_iota_and_D,
@@ -42,13 +43,9 @@ def test_inverse_composes_back_heisenberg2(h2):
     pkg = RuminPackage(h2, 2)
     for k in range(1, h2.dim + 1):
         delta = pkg.delta_mat(k)
-        lap = pkg.lap_mat(k - 1)
-        for j in range(pkg.dim_v(k)):
-            b = delta.column(j)
-            if not b:
-                continue
-            u = pkg.inverse_apply(k - 1, b)
-            assert lap.apply(u) == b
+        u = pkg.inverse_apply(k - 1, delta)
+        assert u.shape() == delta.shape()
+        assert pkg.lap_mat(k - 1) @ u == delta
 
 
 def test_neumann_termination_bound(h2):
@@ -65,6 +62,169 @@ def test_neumann_needs_corrections_somewhere(q2):
     for k in range(q2.dim + 1):
         pkg.q_mat(k)
     assert pkg.neumann_terms >= 2
+
+
+# -- the per-column oracle ---------------------------------------------------------
+#
+# The package builds q, iota^-1 and D as matrix products, with blockwise
+# solves on integer columns.  The functions below are the earlier
+# construction, one {position: Fraction} vector at a time through the
+# public Fraction calls, kept as the reference for it.
+
+
+def _oracle_blocks(pkg, k, vec):
+    """(exps, w, monos, piece) per fiber block of a V^k vector, by weight."""
+    keys = pkg.keys(k)
+    groups = {}
+    for pos, c in vec.items():
+        exps, mono = keys[pos]
+        groups.setdefault((monomial_weight(pkg.algebra, mono), exps), {})[mono] = c
+    for (w, exps), fibvec in sorted(groups.items()):
+        index = pkg.fiber.block_index(k, w)
+        yield exps, w, pkg.fiber.block(k, w), {index[m]: c for m, c in fibvec.items()}
+
+
+def _oracle_l0_inverse(pkg, k, vec):
+    out = {}
+    for exps, w, monos, piece in _oracle_blocks(pkg, k, vec):
+        elim, dblock = pkg.fiber.imdelta_solver(k, w)
+        for i, c in dblock.apply(elim.solve(piece)).items():
+            accumulate(out, pkg._index[k][(exps, monos[i])], c)
+    return out
+
+
+def _oracle_inverse(pkg, k, vec):
+    """(terms used, (d delta + delta d)^{-1} vec) by the Neumann series."""
+    n = pkg.n_mat(k)
+    term = _oracle_l0_inverse(pkg, k, vec)
+    total = dict(term)
+    used = 1
+    while term:
+        n_term = n.apply(term)
+        if not n_term:
+            break
+        term = _oracle_l0_inverse(pkg, k, {i: -c for i, c in n_term.items()})
+        axpy(total, term, 1)
+        used += 1
+    return used, total
+
+
+def _oracle_project(pkg, k, vec):
+    """The model vector of a ker-delta V^k vector, or the weight of the first
+    block, by weight, that is not in ker delta."""
+    pkg.model_keys(k)
+    out = {}
+    for exps, w, _, piece in _oracle_blocks(pkg, k, vec):
+        elim, nharm = pkg.fiber.kerdelta_solver(k, w)
+        x = elim.solve(piece)
+        if x is None:
+            return w
+        for j, c in x.items():
+            if j < nharm:
+                accumulate(out, pkg._model_index[k][(exps, w, j)], c)
+    return out
+
+
+def _oracle_q(pkg, k):
+    """(q(k), Neumann terms) column by column; q(k) must be nonzero."""
+    delta = pkg.delta_mat(k)
+    runs = {j: _oracle_inverse(pkg, k - 1, delta.column(j)) for j in delta.cols}
+    q = SparseMatrix(pkg.dim_v(k - 1), pkg.dim_v(k), {j: u for j, (_, u) in runs.items()})
+    return q, max(used for used, _ in runs.values())
+
+
+def _oracle_iota_columns(pkg, k):
+    """(1 - q d) applied to each harmonic lift, with the package's q and d."""
+    out = []
+    for exps, w, i in pkg.model_keys(k):
+        hvec = pkg.fiber.harmonic_basis(k, w)[i]
+        v = {pkg._index[k][(exps, m)]: c for m, c in hvec.items()}
+        if k < pkg.algebra.dim:
+            axpy(v, pkg.q_mat(k + 1).apply(pkg.d_mat(k).apply(v)), -1)
+        out.append(v)
+    return out
+
+
+CUSTOM_INNER_PRODUCT = {
+    "name": "weighted-h3",
+    "layers": [2, 1],
+    "brackets": [
+        {"a": 1, "b": 2, "terms": [{"k": 3, "c": "1"}]},
+        {"a": 2, "b": 1, "terms": [{"k": 3, "c": "-1"}]},
+    ],
+    "inner_product": [["2", "1/2", "0"], ["1/2", "1", "0"], ["0", "0", "3"]],
+}
+
+
+def _algebra(name):
+    if name == "weighted-h3":
+        return algebra_from_json(CUSTOM_INNER_PRODUCT)
+    model, _, n = name.partition(":")
+    return builtin(model, int(n))
+
+
+ORACLE_CASES = [
+    ("heisenberg:2", 1),
+    ("heisenberg:2", 2),
+    ("heisenberg:2", 3),
+    ("heisenberg:3", 1),
+    ("heisenberg:3", 2),
+    ("quaternionic:2", 1),
+    ("quaternionic:2", 2),
+    ("abelian:3", 2),
+    ("weighted-h3", 2),
+]
+
+
+@pytest.mark.parametrize("name,P", ORACLE_CASES)
+def test_matrix_path_matches_per_column_oracle(name, P):
+    alg = _algebra(name)
+    pkg = RuminPackage(alg, P).build()
+    terms = 0
+    for k in range(1, alg.dim + 1):
+        if pkg.delta_mat(k).is_zero():
+            assert pkg.q_mat(k).is_zero()
+            continue
+        q, used = _oracle_q(pkg, k)
+        assert pkg.q_mat(k) == q, k
+        terms = max(terms, used)
+    assert pkg.neumann_terms == terms
+    for k in range(alg.dim + 1):
+        iota = _oracle_iota_columns(pkg, k)
+        assert pkg.iota_inv(k) == SparseMatrix(pkg.dim_v(k), len(iota), dict(enumerate(iota)))
+        if k < alg.dim:
+            d = pkg.d_mat(k)
+            cols = {j: _oracle_project(pkg, k + 1, d.apply(v)) for j, v in enumerate(iota)}
+            assert pkg.D_mat(k) == SparseMatrix(len(pkg.model_keys(k + 1)), len(iota), cols)
+
+
+@pytest.mark.parametrize("name,P", [("quaternionic:2", 1), ("weighted-h3", 2)])
+def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
+    alg = _algebra(name)
+    pkg = RuminPackage(alg, P)
+    fib = pkg.fiber
+    # d, delta, N and the Hodge data are Fraction-built caches
+    for k in range(alg.dim + 1):
+        pkg.d_mat(k), pkg.delta_mat(k), pkg.n_mat(k), pkg.model_keys(k)
+        for w in fib.blocks(k):
+            fib.imdelta_solver(k, w), fib.kerdelta_solver(k, w)
+    created = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for k in range(alg.dim + 1):
+        pkg.q_mat(k)
+    for k in range(alg.dim + 1):
+        pkg.iota_inv(k)
+    for k in range(alg.dim):
+        pkg.D_mat(k)
+    monkeypatch.undo()
+    assert created == []
+    assert pkg.neumann_terms >= 1 and any(not pkg.D_mat(k).is_zero() for k in range(alg.dim))
 
 
 # -- q -------------------------------------------------------------------------
@@ -208,6 +368,63 @@ def _first_nonzero(pkg, mats):
     return {"status": "ok"}
 
 
+def _model_witness(pkg, k, j):
+    exps, w, i = pkg.model_keys(k)[j]
+    return f"model element (deg {k}, weight {w}, #{i}) poly {format_term(pkg.algebra, exps, ())}"
+
+
+def _ker_pi_witness(pkg, k, iota, right):
+    """The first failure of ker_pi_equals_ker_q_ker_qd at degree k, or None."""
+    dim = pkg.algebra.dim
+    pi = pkg.pi_mat(k)
+    residual = pi @ pi - pi
+    if residual.cols:
+        return pkg._witness(k, min(residual.cols))
+    if right is not None:
+        return right
+    for j, v in enumerate(iota):
+        if pkg.q_mat(k).apply(v) or (k < dim and pkg.q_mat(k + 1).apply(pkg.d_mat(k).apply(v))):
+            return _model_witness(pkg, k, j)
+    nullity = pkg.dim_v(k) - pi.trace()
+    if nullity != pkg.model_dim(k):
+        return (
+            f"degree {k}: dim ker pi = n - trace(pi) = {nullity}, "
+            f"model dimension = {pkg.model_dim(k)}"
+        )
+    return None
+
+
+def _oracle_iota_rows(pkg):
+    """The rows iota_inverse_right, ker_pi_equals_ker_q_ker_qd and
+    iota_inverse_left, column by column, for a package whose stored pi is
+    d q + q d.  Each row reports its first failure by degree."""
+    first = {"iota_inverse_right": None, "ker_pi_equals_ker_q_ker_qd": None,
+             "iota_inverse_left": None}
+    for k in range(pkg.algebra.dim + 1):
+        iota = _oracle_iota_columns(pkg, k)
+        projected = [_oracle_project(pkg, k, v) for v in iota]
+        right = next(
+            (f"degree {k}, weight {x}" for x in projected if not isinstance(x, dict)), None
+        ) or next(
+            (_model_witness(pkg, k, j) for j, x in enumerate(projected) if x != {j: 1}), None
+        )
+        left = ker = _ker_pi_witness(pkg, k, iota, right)
+        if ker is None:
+            lifts = SparseMatrix(pkg.dim_v(k), len(iota), dict(enumerate(iota)))
+            for vec, x in zip(iota, projected):
+                back = lifts.apply(x)
+                if back != vec:
+                    left = pkg._witness(k, min(set(vec) | set(back)))
+                    break
+        for name, witness in zip(first, (right, ker, left)):
+            if first[name] is None:
+                first[name] = witness
+    return {
+        name: {"status": "ok"} if w is None else {"status": "fail", "counterexample": w}
+        for name, w in first.items()
+    }
+
+
 @pytest.mark.parametrize("model,n", [("heisenberg", 2), ("heisenberg", 3)])
 def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
     # one q entry changed and pi stored as the d q + q d it implies, so the
@@ -239,6 +456,7 @@ def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
             ("pi_commutes_d", commutes),
             ("pi_q", pi_q),
             ("q_pi", q_pi),
+            *_oracle_iota_rows(pkg).items(),
         ):
             assert rows[name] == {"identity": name, **want}, (seed, name)
         # ker pi and iota_inverse_left rest on the rows before them
@@ -353,17 +571,14 @@ def test_abelian_D_is_de_rham():
         assert a["target_weight"] == a["source_weight"] + 1
     # D acts as d under the identification of the model with all forms
     for k in range(alg.dim):
-        D = pkg.D_mat(k)
-        d = pkg.d_mat(k)
         mk = pkg.model_keys(k)
-        # compare columns through the harmonic identification
-        for j in range(len(mk)):
-            exps, w, i = mk[j]
+        # compare through the harmonic identification, lifted by hand
+        lifted = {}
+        for j, (exps, w, i) in enumerate(mk):
             hvec = pkg.fiber.harmonic_basis(k, w)[i]
-            lifted = {pkg._index[k][(exps, m)]: c for m, c in hvec.items()}
-            dv = d.apply(lifted)
-            projected = pkg.project(k + 1, dv)
-            assert projected == D.column(j)
+            lifted[j] = {pkg._index[k][(exps, m)]: c for m, c in hvec.items()}
+        lifted = SparseMatrix(pkg.dim_v(k), len(mk), lifted)
+        assert pkg.project(k + 1, pkg.d_mat(k) @ lifted) == pkg.D_mat(k)
 
 
 def test_quaternionic_arrows_positive_order(q2):
