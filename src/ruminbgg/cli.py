@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 from . import __version__
@@ -90,6 +91,28 @@ def emit(text, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def write_replacing(path, write):
+    """Stream write(fh) into a temporary file beside path, then move it onto path.
+
+    A failed or interrupted write removes the temporary file and leaves
+    path as it was, so a reader never sees a truncated file.
+    """
+    # mkstemp creates the file 0600; give it the mode open(path, "w") would
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def to_json_text(obj):
@@ -187,8 +210,7 @@ def cmd_rumin_build(args, config):
     report = pkg.verify()
     ok = all(r["status"] == "ok" for r in report)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(to_json_text(pkg.to_json()))
+        write_replacing(config.out, pkg.write_json)
     payload = {
         "algebra": alg.name,
         "max_poly_degree": pkg.P,

@@ -11,8 +11,9 @@ never changed in place, so matrices may share them.
 Products, sums, scaling, traces, ranks and eliminations run on Python
 ints, and so do `apply_column`, `sum_columns` and `solve_column`, which
 take and return stored columns; `apply_column` is the one column-apply
-loop.  `fractions.Fraction` remains only at the boundary: the constructor
-and `set_column` take {row: Fraction} columns, and `column`, `entry`,
+loop.  `column_from_ratios` builds a stored column from (p, q) pairs.
+`fractions.Fraction` remains only at the boundary: the constructor and
+`set_column` take {row: Fraction} columns, and `column`, `entry`,
 `trace`, `apply`, `solve` and `nullspace` give Fractions back.
 
 Ranks go to the integer elimination kernel with the stored numerators as
@@ -67,6 +68,21 @@ def _from_fractions(col):
     if den == 1:
         return 1, {i: v.numerator for i, v in live.items()}
     return den, {i: v.numerator * (den // v.denominator) for i, v in live.items()}
+
+
+def column_from_ratios(ratios):
+    """The stored column of {row: (p, q)}, each p/q in lowest terms with q > 0.
+
+    Like `_from_fractions`, for callers that never made the Fractions;
+    None if the column is zero.
+    """
+    live = {i: pq for i, pq in ratios.items() if pq[0]}
+    if not live:
+        return None
+    den = lcm(*{q for _, q in live.values()})
+    if den == 1:
+        return 1, {i: p for i, (p, _) in live.items()}
+    return den, {i: p * (den // q) for i, (p, q) in live.items()}
 
 
 def _to_fractions(den, num):

@@ -16,8 +16,14 @@ L0^{-1} on im delta and the harmonic projection go column by column: they
 split a column by (polynomial, fiber weight) block through a per-degree
 layout and solve each piece with the block's cached eliminator, so no
 Fraction is created between d, delta, the Hodge solvers and q, iota^{-1}, D.
-Fractions remain where forms and JSON meet the matrices, and in the
-per-vector route of `_fiber_bgg_block`.
+The package's stored operator entries are written from and decoded into
+integer columns without Fractions as well.  Fractions remain where forms
+meet the matrices, in the stored harmonic bases, which are compared with
+the canonical Fraction ones on load, and in the per-vector route of
+`_fiber_bgg_block`.
+
+The package format is what `write_json` streams: the indent=2, key-sorted
+JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
 
 The construction asserts every operator identity exactly and names a
 witness basis element on failure.  The identity suite (`verify`) pins a
@@ -26,14 +32,22 @@ products of the sparse d and q, and ker pi through trace(pi) and the
 iota^{-1} columns, never composing with the materialized pi.
 """
 
+import io
 import json
 
 from .algebra import algebra_from_json, algebra_to_json
 from .errors import IdentityError, StructureError
 from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term, operator_matrix
-from .linalg import ColumnEliminator, SparseMatrix, accumulate, axpy, sum_columns
-from .scalars import fraction_from_str, fraction_to_str, ratio_to_str
+from .linalg import (
+    ColumnEliminator,
+    SparseMatrix,
+    accumulate,
+    axpy,
+    column_from_ratios,
+    sum_columns,
+)
+from .scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
 def default_poly_degree(algebra):
     """Spanning-set budget: 3 for dim <= 7, 1 beyond (octonionic scale)."""
@@ -728,15 +742,35 @@ class RuminPackage:
 
     # -- serialization -----------------------------------------------------------
 
-    def to_json(self):
+    def write_json(self, fh):
+        """Stream the package into fh as json.dumps(indent=2, sort_keys=True) + "\n".
+
+        This is the package format.  Operator entries go straight from the
+        stored integer columns to text, one write per column, so the text is
+        never held whole.  The budget is checked every 64 columns.
+        """
         self.build()
+        budget = self.budget
 
         def encode(matrix):
-            entries = []
-            for j in sorted(matrix.cols):
-                den, num = matrix.cols[j]
-                for i in sorted(num):
-                    entries.append([i, j, ratio_to_str(num[i], den)])
+            def entries(write, depth):
+                """The [i, j, "p/q"] entry list, one write per column."""
+                outer = "\n" + "  " * depth
+                pad = outer + "  "
+                inner = pad + "  "
+                sep = "["
+                for n, j in enumerate(sorted(matrix.cols)):
+                    if budget is not None and n % 64 == 0:
+                        budget.check()
+                    den, num = matrix.cols[j]
+                    mid = f",{inner}{j},{inner}\""
+                    write(sep + ",".join([
+                        f'{pad}[{inner}{i}{mid}{ratio_to_str(num[i], den)}"{pad}]'
+                        for i in sorted(num)
+                    ]))
+                    sep = ","
+                write("[]" if sep == "[" else outer + "]")
+
             return {"rows": matrix.nrows, "cols": matrix.ncols, "entries": entries}
 
         harmonic = {}
@@ -748,7 +782,7 @@ class RuminPackage:
                         [[list(m), fraction_to_str(c)] for m, c in sorted(vec.items())]
                         for vec in basis
                     ]
-        return {
+        package = {
             "algebra": algebra_to_json(self.algebra),
             "max_poly_degree": self.P,
             "neumann_terms": self.neumann_terms,
@@ -760,6 +794,14 @@ class RuminPackage:
             },
             "arrows": self.arrows(),
         }
+        _stream_json(fh.write, package, 0)
+        fh.write("\n")
+
+    def to_json(self):
+        """The package as JSON data, parsed back from `write_json`."""
+        text = io.StringIO()
+        self.write_json(text)
+        return json.loads(text.getvalue())
 
     @classmethod
     def from_json(cls, data, budget=None):
@@ -829,7 +871,7 @@ def _decode_matrix(ops, name, k, shape):
     for entry in entries:
         try:
             i, j, c = entry
-            value = fraction_from_str(c)
+            value = ratio_from_str(c)
         except (TypeError, ValueError) as exc:
             raise StructureError(f"malformed entry {entry!r} in stored {what}: {exc}") from exc
         if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < nrows and 0 <= j < ncols):
@@ -837,7 +879,34 @@ def _decode_matrix(ops, name, k, shape):
                 f"entry ({i!r}, {j!r}) lies outside the {nrows}x{ncols} stored {what}"
             )
         cols.setdefault(j, {})[i] = value
-    return SparseMatrix(nrows, ncols, cols)
+    out = SparseMatrix(nrows, ncols)
+    for j, ratios in cols.items():
+        col = column_from_ratios(ratios)
+        if col:
+            out.cols[j] = col
+    return out
+
+
+def _stream_json(write, value, depth):
+    """Write value as json.dumps(indent=2, sort_keys=True) lays it out at this depth.
+
+    Objects are written key by key, in sorted string order ("10" before
+    "2"); a callable is a streamed value and writes itself as
+    value(write, depth); anything else goes through json.dumps, re-indented
+    by replacing its newlines, which JSON escaping never emits raw.
+    """
+    if callable(value):
+        value(write, depth)
+    elif isinstance(value, dict) and value:
+        pad = "\n" + "  " * depth
+        sep = "{"
+        for key in sorted(value):
+            write(f"{sep}{pad}  {json.dumps(key)}: ")
+            _stream_json(write, value[key], depth + 1)
+            sep = ","
+        write(pad + "}")
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth))
 
 
 # ---------------------------------------------------------------------------

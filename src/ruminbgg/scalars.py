@@ -27,16 +27,31 @@ def as_fraction(value):
 
 def fraction_from_str(text):
     """Parse "p/q" or "p"; anything else, a zero q included, is a ValueError."""
+    return Fraction(*ratio_from_str(text))
+
+
+def ratio_from_str(text):
+    """Parse "p/q" or "p" to (num, den) in lowest terms with den > 0.
+
+    Surrounding whitespace is allowed; anything else that is not an integer
+    or a quotient of two, a zero q included, is a ValueError.
+    """
     if not isinstance(text, str):
         raise ValueError(f"not a rational string: {text!r}")
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        num, den = int(num), int(den)
-        if not den:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    num = int(num)
+    if not slash:
+        return num, 1
+    den = int(den)
+    if den < 0:
+        num, den = -num, -den
+    elif not den:
+        raise ValueError(f"zero denominator in {text.strip()!r}")
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return num, den
 
 
 def fraction_to_str(value):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,16 @@ SUITE_ROWS = [
     "D_squared",
     "fiber_restriction",
 ]
+
+
+def assert_normal_form(matrix):
+    """Every stored column is (den, {row: int}) with den > 0, gcd 1, no zero."""
+    for j, (den, num) in matrix.cols.items():
+        assert 0 <= j < matrix.ncols
+        assert type(den) is int and den > 0
+        assert num and all(type(v) is int and v for v in num.values())
+        assert all(0 <= i < matrix.nrows for i in num)
+        assert math.gcd(den, *num.values()) == 1
 
 
 def dense_rank(rows):

@@ -1,13 +1,19 @@
 import copy
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from ruminbgg.algebra import builtin
+from ruminbgg.budget import Budget
 from ruminbgg.cli import main
+from ruminbgg.errors import BudgetExceededError
 from ruminbgg.rumin import RuminPackage
 
 from conftest import SUITE_ROWS
@@ -138,11 +144,54 @@ def test_rumin_build_verify_round_trip(tmp_path, capsys):
     assert build_payload["package_written"] == str(pkg_path)
     assert all(r["status"] == "ok" for r in build_payload["report"])
     assert [r["identity"] for r in build_payload["report"]] == SUITE_ROWS
+    # written through a temporary file, with the mode a plain open() gives
+    assert [p.name for p in tmp_path.iterdir()] == ["pkg.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(pkg_path.stat().st_mode) == 0o666 & ~umask
     code, out = run_cli(["rumin", "verify", str(pkg_path)], capsys)
     assert code == 0
     verify_payload = json.loads(out)
     assert all(r["status"] == "ok" for r in verify_payload["report"])
     assert [r["identity"] for r in verify_payload["report"]] == SUITE_ROWS
+
+
+@pytest.mark.parametrize("failure", ["budget", "disk_full"])
+def test_failed_package_write_keeps_the_old_file(failure, tmp_path, monkeypatch, capsys):
+    dest = tmp_path / "pkg.json"
+    dest.write_text("old bytes")
+    write_json = RuminPackage.write_json
+
+    def exhausted(budget):
+        raise BudgetExceededError("wall-clock budget exhausted")
+
+    def failing_write_json(pkg, fh):
+        if failure == "budget":
+            # only the writer's own checkpoints can trip
+            monkeypatch.setattr(Budget, "check", exhausted)
+            write_json(pkg, fh)
+            return
+        chunks = []
+
+        def write(text):
+            if len(chunks) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            chunks.append(text)
+            fh.write(text)
+
+        write_json(pkg, SimpleNamespace(write=write))
+
+    monkeypatch.setattr(RuminPackage, "write_json", failing_write_json)
+    code = main(["rumin", "build", "heisenberg:2", "--max-poly-degree", "1", "--out", str(dest)])
+    captured = capsys.readouterr()
+    if failure == "budget":
+        assert code == 3
+        assert json.loads(captured.out)["budget"]["exceeded"]
+    else:
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.out == ""
+    assert dest.read_text() == "old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["pkg.json"]
 
 
 def test_rumin_verify_catches_tampering(tmp_path, capsys):

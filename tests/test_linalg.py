@@ -12,8 +12,10 @@ from ruminbgg.linalg import (
     rank_of_columns,
     sum_columns,
 )
+from ruminbgg.rumin import _decode_matrix
+from ruminbgg.scalars import ratio_to_str
 
-from conftest import dense_rank, random_fraction, sparse_to_dense
+from conftest import assert_normal_form, dense_rank, random_fraction, sparse_to_dense
 
 
 def random_sparse(rng, nrows, ncols, fill=0.3):
@@ -298,16 +300,6 @@ def _random_rhs(rng, nrows):
     return {i: _hard_value(rng) for i in rng.sample(range(nrows), rng.randint(0, nrows))}
 
 
-def assert_normal_form(matrix):
-    """Every stored column is (den, {row: int}) with den > 0, gcd 1, no zero."""
-    for j, (den, num) in matrix.cols.items():
-        assert 0 <= j < matrix.ncols
-        assert type(den) is int and den > 0
-        assert num and all(type(v) is int and v for v in num.values())
-        assert all(0 <= i < matrix.nrows for i in num)
-        assert math.gcd(den, *num.values()) == 1
-
-
 def test_eliminator_matches_fraction_oracle():
     rng = random.Random(20261019)
     inconsistent = negative = duplicates = 0
@@ -415,14 +407,19 @@ def test_integer_paths_create_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     elim = ColumnEliminator(a)
+    stored = {"rows": 7, "cols": 6, "entries": [
+        [i, j, ratio_to_str(v, den)] for j, (den, num) in a.cols.items() for i, v in num.items()
+    ]}
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     a @ b, a + a2, a - a2, a.scaled(-3), a.scaled(f), a.rank(), a.transpose(), a.stack(a2)
     rank_of_columns(columns)
     ColumnEliminator(a.stack(a2))
     a.apply_column(*b.cols[min(b.cols)]), sum_columns([a.cols[j] for j in a.cols])
     elim.solve_column(*a.cols[min(a.cols)])
+    decoded = _decode_matrix({"a": {"0": stored}}, "a", 0, (7, 6))
     monkeypatch.undo()
     assert created == []
+    assert decoded == a
     # the boundary calls do create them, so the counter sees Fractions
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     a.column(min(a.cols))

@@ -1,24 +1,28 @@
+import io
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from ruminbgg.algebra import algebra_from_json, builtin
+from ruminbgg.algebra import algebra_from_json, algebra_to_json, builtin
 from ruminbgg.budget import Budget
-from ruminbgg.errors import BudgetExceededError
+from ruminbgg.errors import BudgetExceededError, StructureError
 from ruminbgg.fiber import monomial_weight
 from ruminbgg.groupcalc import PolyForm, format_term, term_weight
 from ruminbgg.linalg import SparseMatrix, accumulate, axpy, rank_of_columns
 from ruminbgg.rumin import (
     RuminPackage,
+    _decode_matrix,
     build_iota_and_D,
     build_pi_and_E,
     build_q,
     invert_on_im_delta,
 )
+from ruminbgg.scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
-from conftest import SUITE_ROWS
+from conftest import SUITE_ROWS, assert_normal_form
 
 
 def suite_ok(pkg):
@@ -610,6 +614,117 @@ def test_pi_E_wrapper(h2):
 
 
 # -- serialization ------------------------------------------------------------------
+
+
+def _package_dict(pkg):
+    """The package as a dict, built in full: the reference for `write_json`.
+
+    json.dumps(this, indent=2, sort_keys=True) + "\n" is the format's byte
+    definition from before the package was streamed.
+    """
+    pkg.build()
+
+    def encode(matrix):
+        entries = []
+        for j in sorted(matrix.cols):
+            den, num = matrix.cols[j]
+            for i in sorted(num):
+                entries.append([i, j, ratio_to_str(num[i], den)])
+        return {"rows": matrix.nrows, "cols": matrix.ncols, "entries": entries}
+
+    harmonic = {}
+    for k in range(pkg.algebra.dim + 1):
+        for w in sorted(pkg.fiber.blocks(k)):
+            basis = pkg.fiber.harmonic_basis(k, w)
+            if basis:
+                harmonic[f"{k},{w}"] = [
+                    [[list(m), fraction_to_str(c)] for m, c in sorted(vec.items())]
+                    for vec in basis
+                ]
+    return {
+        "algebra": algebra_to_json(pkg.algebra),
+        "max_poly_degree": pkg.P,
+        "neumann_terms": pkg.neumann_terms,
+        "harmonic": harmonic,
+        "operators": {
+            "q": {str(k): encode(pkg.q_mat(k)) for k in range(pkg.algebra.dim + 1)},
+            "pi": {str(k): encode(pkg.pi_mat(k)) for k in range(pkg.algebra.dim + 1)},
+            "D": {str(k): encode(pkg.D_mat(k)) for k in range(pkg.algebra.dim)},
+        },
+        "arrows": pkg.arrows(),
+    }
+
+
+def _dict_text(pkg):
+    return json.dumps(_package_dict(pkg), indent=2, sort_keys=True) + "\n"
+
+
+# quaternionic:3 has dim 11, so its degree keys sort "10" before "2";
+# weighted-h3's non-standard inner product gives fractional harmonic entries
+PACKAGE_CASES = [
+    ("heisenberg:2", 1),
+    ("heisenberg:2", 2),
+    ("heisenberg:2", 3),
+    ("heisenberg:3", 1),
+    ("abelian:3", 2),
+    ("quaternionic:2", 1),
+    ("quaternionic:3", 0),
+    ("weighted-h3", 2),
+]
+
+
+@pytest.mark.parametrize("name,P", PACKAGE_CASES)
+def test_written_package_matches_dict_encoder(name, P):
+    pkg = RuminPackage(_algebra(name), P).build()
+    text = io.StringIO()
+    pkg.write_json(text)
+    assert text.getvalue() == _dict_text(pkg)
+    assert pkg.to_json() == _package_dict(pkg)
+
+
+def test_package_is_written_column_by_column():
+    pkg = RuminPackage(builtin("quaternionic", 2), 2).build()
+    chunks = []
+    pkg.write_json(SimpleNamespace(write=chunks.append))
+    text = "".join(chunks)
+    assert text == _dict_text(pkg)
+    dim = pkg.algebra.dim
+    matrices = [pkg.q_mat(k) for k in range(dim + 1)] + [pkg.pi_mat(k) for k in range(dim + 1)]
+    matrices += [pkg.D_mat(k) for k in range(dim)]
+    assert len(chunks) > sum(len(m.cols) for m in matrices)
+    assert max(map(len, chunks)) <= 256 * 1024 < len(text) // 4
+
+
+def _fraction_decode(blob, nrows, ncols):
+    """Entries decoded through Fraction, as the stored-matrix decoder once did."""
+    cols = {}
+    for i, j, c in blob["entries"]:
+        num, _, den = c.strip().partition("/")
+        cols.setdefault(j, {})[i] = Fraction(int(num), int(den or 1))
+    return SparseMatrix(nrows, ncols, cols)
+
+
+def test_decoded_matrix_matches_fraction_decoder():
+    cases = [
+        [[0, 0, " 1/2 "], [1, 0, "1/-2"], [2, 0, "-3/6"], [0, 1, "4"]],
+        [[0, 0, "0"], [1, 0, "0/7"], [2, 2, "2/4"]],
+        # a duplicated (i, j): the last value wins, a zero one included
+        [[0, 0, "1/3"], [0, 0, "5"], [1, 1, "2"], [1, 1, "0"], [2, 1, "1/-1"]],
+        [[2, 2, "-6/4"], [0, 2, "1/6"], [1, 2, "5/9"], [0, 1, "\t7/21\n"]],
+        [],
+    ]
+    for entries in cases:
+        blob = {"rows": 3, "cols": 3, "entries": entries}
+        got = _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 3))
+        assert got == _fraction_decode(blob, 3, 3)
+        assert_normal_form(got)
+    for bad in ["1/0", "abc", "1/2/3", "", 5, None, ["1"]]:
+        blob = {"rows": 3, "cols": 3, "entries": [[0, 0, "1"], [1, 1, bad]]}
+        with pytest.raises(StructureError, match="malformed entry"):
+            _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 3))
+        with pytest.raises(ValueError):
+            fraction_from_str(bad)
+    assert ratio_from_str(" -4/-6 ") == (2, 3) and ratio_from_str("0/-5") == (0, 1)
 
 
 def test_package_round_trip(h2):
