@@ -403,21 +403,41 @@ class FiberContext:
             self._imdelta_solver[key] = (ColumnEliminator(lap @ dblock), dblock)
         return self._imdelta_solver[key]
 
+    def l0_inverse_column(self, k, w, den, num):
+        """The stored column u in im delta with L0 u = num / den != 0 in block
+        (k, w), or None if num / den is not in L0(im delta)."""
+        elim, dblock = self.imdelta_solver(k, w)
+        x = elim.solve_column(den, num)
+        # x != 0 solves (L0 delta0) x = num / den != 0, so delta0 x != 0
+        return None if x is None else dblock.apply_column(*x)
+
+    def harmonic_block(self, k, w):
+        """Matrix whose column j is harmonic_basis(k, w)[j], positional in the block."""
+        index = self.block_index(k, w)
+        harm = self.harmonic_basis(k, w)
+        cols = {j: {index[m]: v for m, v in vec.items()} for j, vec in enumerate(harm)}
+        return SparseMatrix(len(index), len(harm), cols)
+
     def kerdelta_solver(self, k, w):
         """Eliminator of [harmonic basis | delta-block] for projections."""
         key = (k, w)
         if key not in self._kerdelta_solver:
-            index = self.block_index(k, w)
-            harm = self.harmonic_basis(k, w)
+            harm = self.harmonic_block(k, w)
             dblock = self.delta_block(k + 1, w)
-            cols = {}
-            for j, vec in enumerate(harm):
-                cols[j] = {index[m]: v for m, v in vec.items()}
-            for j in dblock.cols:
-                cols[len(harm) + j] = dblock.column(j)
-            matrix = SparseMatrix(len(index), len(harm) + dblock.ncols, cols)
-            self._kerdelta_solver[key] = (ColumnEliminator(matrix), len(harm))
+            matrix = SparseMatrix(harm.nrows, harm.ncols + dblock.ncols)
+            matrix.cols = {**harm.cols, **{harm.ncols + j: c for j, c in dblock.cols.items()}}
+            self._kerdelta_solver[key] = (ColumnEliminator(matrix), harm.ncols)
         return self._kerdelta_solver[key]
+
+    def harmonic_coordinates(self, k, w, den, num):
+        """Harmonic coordinates (den', {j: int}) of num / den != 0 in block (k, w),
+        not reduced and possibly empty; None if num / den is not in ker delta."""
+        elim, nharm = self.kerdelta_solver(k, w)
+        x = elim.solve_column(den, num)
+        if x is None:
+            return None
+        den, x = x
+        return den, {j: v for j, v in x.items() if j < nharm}
 
 
 def _det(rows):

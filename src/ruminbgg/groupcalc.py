@@ -15,7 +15,7 @@ which satisfy [X_a, X_b] = sum_k c^k_{ab} Z_k exactly, and Z_k = d/dz_k.
 Polynomial degree never increases under d, delta, i_X or L_X, so the
 space of forms with coefficient degree <= P is exactly invariant.
 `operator_matrix` turns a single-term operator into a sparse matrix over
-its spanning basis (rumin builds d, delta and L0 with it), and
+its spanning basis (rumin builds d with it), and
 `parametrix_identity_check` checks the calculus as exact matrix
 identities on that basis, with no truncation error.
 """

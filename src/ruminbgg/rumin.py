@@ -11,16 +11,17 @@ Neumann series sum (-L0^{-1} N)^j L0^{-1}.  From the inverse:
     iota^{-1} = (1 - q d) lift,  lift = the harmonic representatives
     D  = project_harmonic . d . iota^{-1}
 
-Each operator is a product of matrices over stored integer columns.  Only
-L0^{-1} on im delta and the harmonic projection go column by column: they
-split a column by (polynomial, fiber weight) block through a per-degree
-layout and solve each piece with the block's cached eliminator, so no
-Fraction is created between d, delta, the Hodge solvers and q, iota^{-1}, D.
-The package's stored operator entries are written from and decoded into
-integer columns without Fractions as well.  Fractions remain where forms
-meet the matrices, in the stored harmonic bases, which are compared with
-the canonical Fraction ones on load, and in the per-vector route of
-`_fiber_bgg_block`.
+Each operator is a product of matrices over stored integer columns.  V^k =
+Poly_P (x) Lambda^k is laid out per degree by (polynomial, fiber weight)
+block; delta = 1 (x) delta0 and L0 = 1 (x) (d0 delta0 + delta0 d0) are the
+fiber's (k, w) block matrices copied through that layout.  Only L0^{-1} on
+im delta and the harmonic projection go column by column: they split a
+column by block and solve each piece with the block's cached eliminator, so
+no Fraction is created between d, delta, the Hodge solvers and q,
+iota^{-1}, D.  The package's stored operator entries are written from and
+decoded into integer columns without Fractions as well.  Fractions remain
+where forms meet the matrices, and in the stored harmonic bases, which are
+compared with the canonical Fraction ones on load.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
@@ -39,14 +40,7 @@ from .algebra import algebra_from_json, algebra_to_json
 from .errors import IdentityError, StructureError
 from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term, operator_matrix
-from .linalg import (
-    ColumnEliminator,
-    SparseMatrix,
-    accumulate,
-    axpy,
-    column_from_ratios,
-    sum_columns,
-)
+from .linalg import ColumnEliminator, SparseMatrix, column_from_ratios, sum_columns
 from .scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
 def default_poly_degree(algebra):
@@ -87,8 +81,7 @@ class RuminPackage:
     # -- bases ---------------------------------------------------------------
 
     def keys(self, k):
-        if k < 0 or k > self.algebra.dim:
-            return []
+        """Spanning basis of V^k, empty outside 0 <= k <= dim."""
         if k not in self._keys:
             basis = self.group.spanning_basis(k, self.P)
             if self.budget is not None:
@@ -138,10 +131,7 @@ class RuminPackage:
         if k not in self._delta:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
-            self.keys(k - 1)
-            self._delta[k] = operator_matrix(
-                self.keys(k), self._index.get(k - 1, {}), self.group.delta_term, self.budget
-            )
+            self._delta[k] = self._fiberwise(k, k - 1, self.fiber.delta_block)
         return self._delta[k]
 
     def lap_mat(self, k):
@@ -163,19 +153,7 @@ class RuminPackage:
 
         Not cached: only n_mat reads it, once per degree.
         """
-        fib = self.fiber
-
-        def term(exps, mono):
-            out = {}
-            for m1, c1 in fib.delta_of_monomial(mono).items():
-                for m2, c2 in fib.d0_of_monomial(m1).items():
-                    accumulate(out, (exps, m2), c1 * c2)
-            for m1, c1 in fib.d0_of_monomial(mono).items():
-                for m2, c2 in fib.delta_of_monomial(m1).items():
-                    accumulate(out, (exps, m2), c1 * c2)
-            return out
-
-        return operator_matrix(self.keys(k), self._index[k], term, self.budget)
+        return self._fiberwise(k, k, self.fiber.laplacian_block)
 
     def n_mat(self, k):
         """N = lap - L0, the strictly weight-raising part of lap_mat."""
@@ -205,6 +183,24 @@ class RuminPackage:
                     blocks.append((exps, w, rows))
             self._block_layout[k] = (where, blocks)
         return self._block_layout[k]
+
+    def _fiberwise(self, k, out_k, block_fn):
+        """The V^k -> V^out_k matrix of 1 (x) F, F given per weight w by its
+        block block_fn(k, w): (k, w) -> (out_k, w), built once and copied
+        through both block layouts.  The budget is checked every 64 columns."""
+        targets = {(exps, w): rows for exps, w, rows in self.block_layout(out_k)[1]}
+        fiber_cols = {w: block_fn(k, w).cols for w in self.fiber.blocks(k)}
+        out = SparseMatrix(self.dim_v(out_k), self.dim_v(k))
+        n = 0
+        for exps, w, rows in self.block_layout(k)[1]:
+            # no (out_k, w) block means F's block has no columns
+            out_rows = targets.get((exps, w))
+            for j, (den, num) in fiber_cols[w].items():
+                if self.budget is not None and n % 64 == 0:
+                    self.budget.check()
+                n += 1
+                out.cols[rows[j]] = (den, {out_rows[i]: v for i, v in num.items()})
+        return out
 
     def _blockwise(self, k, matrix, nrows, solve):
         """Map each column of a V^k matrix piece by fiber block.
@@ -237,16 +233,13 @@ class RuminPackage:
 
         def l0_solve(block, den, num):
             exps, w, rows = block
-            elim, dblock = self.fiber.imdelta_solver(k, w)
-            x = elim.solve_column(den, num)
-            if x is None:
+            u = self.fiber.l0_inverse_column(k, w, den, num)
+            if u is None:
                 raise StructureError(
                     f"graded part d0 delta0 + delta0 d0 is singular on the "
                     f"im-delta block (degree {k}, weight {w})"
                 )
-            # x != 0 solves (L0 delta0) x = piece != 0, so delta0 x != 0
-            den, u = dblock.apply_column(*x)
-            return den, {rows[i]: v for i, v in u.items()}
+            return u[0], {rows[i]: v for i, v in u[1].items()}
 
         total = SparseMatrix(matrix.nrows, matrix.ncols)
         if matrix.is_zero():
@@ -347,15 +340,14 @@ class RuminPackage:
 
         def solve(block, den, num):
             exps, w, _ = block
-            elim, nharm = self.fiber.kerdelta_solver(k, w)
-            x = elim.solve_column(den, num)
+            x = self.fiber.harmonic_coordinates(k, w, den, num)
             if x is None:
                 raise IdentityError(
                     "projection_domain",
                     witness=f"degree {k}, weight {w}",
                     detail="vector not a section of ker delta",
                 )
-            return x[0], {midx[(exps, w, j)]: v for j, v in x[1].items() if j < nharm}
+            return x[0], {midx[(exps, w, j)]: v for j, v in x[1].items()}
 
         return self._blockwise(k, matrix, len(midx), solve)
 
@@ -422,45 +414,30 @@ class RuminPackage:
     def _fiber_bgg_block(self, k, w):
         """Fiber-level BGG map H(k,w) -> H(k+1,w): proj d0 (1 - q0 d0)."""
         fib = self.fiber
-        harm = fib.harmonic_basis(k, w)
-        tgt = fib.harmonic_basis(k + 1, w)
-        tgt_index = fib.block_index(k + 1, w)
-        cols = {}
-        for j, h in enumerate(harm):
-            dh = {}
-            for mono, c in h.items():
-                axpy(dh, fib.d0_of_monomial(mono), c)
-            # q0 dh: solve L0 u = delta0 dh inside the (k+1, w) im-delta block
-            b = {}
-            for mono, c in dh.items():
-                axpy(b, fib.delta_of_monomial(mono), c)
-            # b lives in degree k, weight w
-            if b:
-                monos_k = fib.block(k, w)
-                bidx = fib.block_index(k, w)
-                elim, dblock = fib.imdelta_solver(k, w)
-                x = elim.solve({bidx[m]: c for m, c in b.items()})
-                if x is None:
-                    raise StructureError(
-                        f"fiber inverse failed on block ({k}, {w})"
-                    )
-                u = dblock.apply(x)
-                # subtract d0(u) from dh  (D0 = proj d0 (h - q0 d0 h))
-                for i, c in u.items():
-                    axpy(dh, fib.d0_of_monomial(monos_k[i]), -c)
-            # project dh (in ker delta, weight w) onto harmonic coordinates
-            elim, nharm = fib.kerdelta_solver(k + 1, w)
-            x = elim.solve({tgt_index[m]: c for m, c in dh.items()})
+        d0 = fib.d0_block(k, w)
+        dh = d0 @ fib.harmonic_block(k, w)
+        # q0 dh: solve L0 u = delta0 dh inside the (k, w) im-delta block
+        b = fib.delta_block(k + 1, w) @ dh
+        u = SparseMatrix(b.nrows, b.ncols)
+        for j, col in b.cols.items():
+            x = fib.l0_inverse_column(k, w, *col)
+            if x is None:
+                raise StructureError(f"fiber inverse failed on block ({k}, {w})")
+            u.cols[j] = x
+        # project dh - d0 u (in ker delta, weight w) onto harmonic coordinates
+        out = SparseMatrix(len(fib.harmonic_basis(k + 1, w)), dh.ncols)
+        for j, col in (dh - d0 @ u).cols.items():
+            x = fib.harmonic_coordinates(k + 1, w, *col)
             if x is None:
                 raise IdentityError(
                     "fiber_projection",
                     witness=f"block ({k + 1}, {w})",
                     detail="fiber image left ker delta",
                 )
-            col = {i: c for i, c in x.items() if i < nharm and c}
-            if col:
-                cols[j] = col
-        return SparseMatrix(len(tgt), len(harm), cols)
+            x = sum_columns([x])
+            if x:
+                out.cols[j] = x
+        return out
 
     def _witness(self, k, column):
         exps, mono = self.keys(k)[column]
@@ -709,17 +686,15 @@ class RuminPackage:
                 mk1_index = self._model_index[k + 1]
                 D = self.D_mat(k)
                 for w in sorted(self.fiber.blocks(k)):
-                    harm = self.fiber.harmonic_basis(k, w)
-                    if not harm:
+                    if not self.fiber.harmonic_basis(k, w):
                         continue
                     fiber_block = self._fiber_bgg_block(k, w)
-                    for i in range(len(harm)):
-                        src = mk_index[(zero_exps, w, i)]
-                        got = D.column(src)
-                        want = {}
-                        for t, c in fiber_block.column(i).items():
-                            want[mk1_index[(zero_exps, w, t)]] = c
-                        if got != want:
+                    for i in range(fiber_block.ncols):
+                        want = fiber_block.cols.get(i)
+                        if want is not None:
+                            den, num = want
+                            want = (den, {mk1_index[(zero_exps, w, t)]: v for t, v in num.items()})
+                        if D.cols.get(mk_index[(zero_exps, w, i)]) != want:
                             raise IdentityError(
                                 "fiber_restriction",
                                 witness=f"constant model element (deg {k}, weight {w}, #{i})",
@@ -814,7 +789,8 @@ class RuminPackage:
             if key not in data:
                 raise StructureError(f"package is missing {key!r}")
         P = data["max_poly_degree"]
-        if not isinstance(P, int):
+        # bool is an int subclass, so isinstance(True, int) holds
+        if type(P) is not int:
             raise StructureError(f"max_poly_degree must be an integer, got {P!r}")
         algebra = algebra_from_json(data["algebra"])
         pkg = cls(algebra, P, budget=budget)
@@ -863,9 +839,9 @@ def _decode_matrix(ops, name, k, shape):
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed stored {what}: {exc!r}") from exc
     nrows, ncols = shape
-    if declared != shape:
+    if any(type(n) is not int for n in declared) or declared != shape:
         raise StructureError(
-            f"stored {what} has shape {declared[0]}x{declared[1]}, expected {nrows}x{ncols}"
+            f"stored {what} has shape {declared[0]!r}x{declared[1]!r}, expected {nrows}x{ncols}"
         )
     cols = {}
     for entry in entries:
@@ -874,11 +850,14 @@ def _decode_matrix(ops, name, k, shape):
             value = ratio_from_str(c)
         except (TypeError, ValueError) as exc:
             raise StructureError(f"malformed entry {entry!r} in stored {what}: {exc}") from exc
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < nrows and 0 <= j < ncols):
+        if not (type(i) is int and type(j) is int and 0 <= i < nrows and 0 <= j < ncols):
             raise StructureError(
                 f"entry ({i!r}, {j!r}) lies outside the {nrows}x{ncols} stored {what}"
             )
-        cols.setdefault(j, {})[i] = value
+        col = cols.setdefault(j, {})
+        if i in col:
+            raise StructureError(f"entry ({i}, {j}) appears twice in stored {what}")
+        col[i] = value
     out = SparseMatrix(nrows, ncols)
     for j, ratios in cols.items():
         col = column_from_ratios(ratios)

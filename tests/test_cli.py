@@ -242,6 +242,23 @@ def _far_D_row(pkg):
     pkg["operators"]["D"]["0"]["entries"].append([10**6, 0, "1"])
 
 
+def _bool_pi_row(pkg):
+    entries = pkg["operators"]["pi"]["2"]["entries"]
+    assert entries[0][0] == 0
+    entries[0][0] = False
+
+
+def _duplicate_pi_entry(pkg):
+    entries = pkg["operators"]["pi"]["2"]["entries"]
+    entries.append(list(entries[0]))
+
+
+def _bool_q_rows(pkg):
+    blob = pkg["operators"]["q"]["0"]
+    assert blob["rows"] == 0
+    blob["rows"] = False
+
+
 def _set_bracket_coefficient(pkg, text):
     pkg["algebra"]["brackets"][0]["terms"][0]["c"] = text
 
@@ -253,6 +270,10 @@ MALFORMED_PACKAGES = {
     "harmonic_not_rational": lambda pkg: _set_harmonic_entry(pkg, "abc"),
     "missing_max_poly_degree": lambda pkg: pkg.pop("max_poly_degree"),
     "D_entry_outside_shape": _far_D_row,
+    "max_poly_degree_bool": lambda pkg: pkg.update(max_poly_degree=True),
+    "pi_entry_bool_row": _bool_pi_row,
+    "pi_entry_duplicated": _duplicate_pi_entry,
+    "q_block_bool_rows": _bool_q_rows,
     "algebra_zero_denominator": lambda pkg: _set_bracket_coefficient(pkg, "1/0"),
 }
 

@@ -10,7 +10,7 @@ from ruminbgg.algebra import algebra_from_json, algebra_to_json, builtin
 from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError, StructureError
 from ruminbgg.fiber import monomial_weight
-from ruminbgg.groupcalc import PolyForm, format_term, term_weight
+from ruminbgg.groupcalc import PolyForm, format_term, operator_matrix, term_weight
 from ruminbgg.linalg import SparseMatrix, accumulate, axpy, rank_of_columns
 from ruminbgg.rumin import (
     RuminPackage,
@@ -200,6 +200,79 @@ def test_matrix_path_matches_per_column_oracle(name, P):
             d = pkg.d_mat(k)
             cols = {j: _oracle_project(pkg, k + 1, d.apply(v)) for j, v in enumerate(iota)}
             assert pkg.D_mat(k) == SparseMatrix(len(pkg.model_keys(k + 1)), len(iota), cols)
+
+
+# -- the per-key oracle of the fiberwise operators --------------------------------
+#
+# The package lifts L0, delta and the fiber BGG map from the fiber's (k, w)
+# block matrices.  The functions below are the earlier construction, key by
+# key and vector by vector through the monomial tables, kept as the
+# reference for it.
+
+
+def _oracle_l0(pkg, k):
+    """delta0 d0 + d0 delta0 on the coframe of each V^k key."""
+    fib = pkg.fiber
+
+    def term(exps, mono):
+        out = {}
+        for m1, c1 in fib.delta_of_monomial(mono).items():
+            for m2, c2 in fib.d0_of_monomial(m1).items():
+                accumulate(out, (exps, m2), c1 * c2)
+        for m1, c1 in fib.d0_of_monomial(mono).items():
+            for m2, c2 in fib.delta_of_monomial(m1).items():
+                accumulate(out, (exps, m2), c1 * c2)
+        return out
+
+    return operator_matrix(pkg.keys(k), pkg._index[k], term)
+
+
+def _oracle_delta(pkg, k):
+    pkg.keys(k - 1)
+    return operator_matrix(pkg.keys(k), pkg._index.get(k - 1, {}), pkg.group.delta_term)
+
+
+def _oracle_fiber_bgg_block(pkg, k, w):
+    """proj d0 (1 - q0 d0) on H(k, w), one harmonic vector at a time."""
+    fib = pkg.fiber
+    harm = fib.harmonic_basis(k, w)
+    tgt_index = fib.block_index(k + 1, w)
+    cols = {}
+    for j, h in enumerate(harm):
+        dh = {}
+        for mono, c in h.items():
+            axpy(dh, fib.d0_of_monomial(mono), c)
+        b = {}
+        for mono, c in dh.items():
+            axpy(b, fib.delta_of_monomial(mono), c)
+        if b:
+            monos_k = fib.block(k, w)
+            bidx = fib.block_index(k, w)
+            elim, dblock = fib.imdelta_solver(k, w)
+            u = dblock.apply(elim.solve({bidx[m]: c for m, c in b.items()}))
+            for i, c in u.items():
+                axpy(dh, fib.d0_of_monomial(monos_k[i]), -c)
+        elim, nharm = fib.kerdelta_solver(k + 1, w)
+        x = elim.solve({tgt_index[m]: c for m, c in dh.items()})
+        cols[j] = {i: c for i, c in x.items() if i < nharm}
+    return SparseMatrix(len(fib.harmonic_basis(k + 1, w)), len(harm), cols)
+
+
+@pytest.mark.parametrize("name,P", ORACLE_CASES)
+def test_fiberwise_operators_match_per_key_oracle(name, P):
+    alg = _algebra(name)
+    pkg = RuminPackage(alg, P)
+    for k in range(alg.dim + 1):
+        pairs = [(pkg.l0_mat(k), _oracle_l0(pkg, k)), (pkg.delta_mat(k), _oracle_delta(pkg, k))]
+        for got, want in pairs:
+            assert got == want, k
+            assert_normal_form(got)
+        if k < alg.dim:
+            for w in pkg.fiber.blocks(k):
+                got = pkg._fiber_bgg_block(k, w)
+                assert got == _oracle_fiber_bgg_block(pkg, k, w), (k, w)
+                assert_normal_form(got)
+    assert pkg.delta_mat(0).shape() == (0, pkg.dim_v(0))
 
 
 @pytest.mark.parametrize("name,P", [("quaternionic:2", 1), ("weighted-h3", 2)])
@@ -708,8 +781,6 @@ def test_decoded_matrix_matches_fraction_decoder():
     cases = [
         [[0, 0, " 1/2 "], [1, 0, "1/-2"], [2, 0, "-3/6"], [0, 1, "4"]],
         [[0, 0, "0"], [1, 0, "0/7"], [2, 2, "2/4"]],
-        # a duplicated (i, j): the last value wins, a zero one included
-        [[0, 0, "1/3"], [0, 0, "5"], [1, 1, "2"], [1, 1, "0"], [2, 1, "1/-1"]],
         [[2, 2, "-6/4"], [0, 2, "1/6"], [1, 2, "5/9"], [0, 1, "\t7/21\n"]],
         [],
     ]
@@ -724,6 +795,19 @@ def test_decoded_matrix_matches_fraction_decoder():
             _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 3))
         with pytest.raises(ValueError):
             fraction_from_str(bad)
+    # a duplicated (i, j) is rejected, whatever the values, a zero one included
+    for dup in (["1/3", "5"], ["2", "0"], ["0", "0"]):
+        blob = {"rows": 3, "cols": 3, "entries": [[2, 1, "1"]] + [[1, 1, c] for c in dup]}
+        with pytest.raises(StructureError, match=r"entry \(1, 1\) appears twice"):
+            _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 3))
+    # bool is an int subclass, but not a JSON integer
+    for entry in ([False, 0, "1"], [0, True, "1"]):
+        blob = {"rows": 3, "cols": 3, "entries": [entry]}
+        with pytest.raises(StructureError, match="lies outside"):
+            _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 3))
+    blob = {"rows": 3, "cols": True, "entries": []}
+    with pytest.raises(StructureError, match="has shape 3xTrue"):
+        _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 1))
     assert ratio_from_str(" -4/-6 ") == (2, 3) and ratio_from_str("0/-5") == (0, 1)
 
 
