@@ -162,6 +162,7 @@ class FiberContext:
         self._harmonic = {}
         self._imdelta_solver = {}
         self._kerdelta_solver = {}
+        self._harmonic_coordinates = {}
         self._gram_inv = None
 
     # -- bases ------------------------------------------------------------
@@ -419,7 +420,9 @@ class FiberContext:
         return SparseMatrix(len(index), len(harm), cols)
 
     def kerdelta_solver(self, k, w):
-        """Eliminator of [harmonic basis | delta-block] for projections."""
+        """Eliminator of [harmonic basis | delta-block]: a solve on ker delta0
+        gives the harmonic coordinates first, as `harmonic_coordinate_block`
+        does in one product."""
         key = (k, w)
         if key not in self._kerdelta_solver:
             harm = self.harmonic_block(k, w)
@@ -429,15 +432,28 @@ class FiberContext:
             self._kerdelta_solver[key] = (ColumnEliminator(matrix), harm.ncols)
         return self._kerdelta_solver[key]
 
-    def harmonic_coordinates(self, k, w, den, num):
-        """Harmonic coordinates (den', {j: int}) of num / den != 0 in block (k, w),
-        not reduced and possibly empty; None if num / den is not in ker delta."""
-        elim, nharm = self.kerdelta_solver(k, w)
-        x = elim.solve_column(den, num)
-        if x is None:
-            return None
-        den, x = x
-        return den, {j: v for j, v in x.items() if j < nharm}
+    def harmonic_coordinate_block(self, k, w):
+        """The nharm x n matrix X = (H^T G H)^{-1} H^T G of block (k, w), cached;
+        H = harmonic_block(k, w) and G is the block's Gram matrix (1 for the
+        standard inner product).
+
+        On ker delta0 = H + im delta0, X v is the harmonic coordinate vector
+        of v, as the ker-delta solve gives it: X H = 1, and H^T G delta0 = 0
+        since delta0 is the G-adjoint of d0 and d0 H = 0.  Off ker delta0, X v
+        means nothing, so callers check delta0 v = 0 first.
+        """
+        key = (k, w)
+        if key not in self._harmonic_coordinates:
+            harm = self.harmonic_block(k, w)
+            ht = harm.transpose()
+            if not self.algebra.inner_product_is_standard():
+                ht = ht @ self._gram_block(k, w)
+            # H^T G H is the Gram matrix of the harmonic basis, so invertible
+            elim = ColumnEliminator(ht @ harm)
+            out = SparseMatrix(harm.ncols, harm.nrows)
+            out.cols = {j: elim.solve_column(*col) for j, col in ht.cols.items()}
+            self._harmonic_coordinates[key] = out
+        return self._harmonic_coordinates[key]
 
 
 def _det(rows):

@@ -14,14 +14,18 @@ with the sum over the whole frame.  The layer-1 fields are
 which satisfy [X_a, X_b] = sum_k c^k_{ab} Z_k exactly, and Z_k = d/dz_k.
 Polynomial degree never increases under d, delta, i_X or L_X, so the
 space of forms with coefficient degree <= P is exactly invariant.
-`operator_matrix` turns a single-term operator into a sparse matrix over
-its spanning basis (rumin builds d with it), and
-`parametrix_identity_check` checks the calculus as exact matrix
-identities on that basis, with no truncation error.
+`GroupContext.d_matrix` builds the matrix of d on that space from cached
+pieces (X_a on the polynomials, the wedge signs and d0 on the coframe),
+and both rumin and `parametrix_identity_check` use it.
+`operator_matrix` turns any other single-term operator into a sparse
+matrix over its spanning basis, and `parametrix_identity_check` checks
+the calculus as exact matrix identities on that basis, with no
+truncation error.
 """
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import BudgetExceededError, IdentityError, UnsupportedStepError
 from .fiber import FiberContext, monomial_weight, sort_with_sign
@@ -160,6 +164,9 @@ class GroupContext:
         self.algebra = algebra
         self.fiber = fiber or FiberContext(algebra)
         self.fields = [LeftInvariantField(algebra, i) for i in range(algebra.dim)]
+        self._spanning_index = {}
+        self._field_matrices = {}
+        self._coframe_pieces = {}
 
     # -- single-term operator actions (dicts keyed by (exps, mono)) --------
 
@@ -273,6 +280,101 @@ class GroupContext:
             (exps, mono) for mono in self.fiber.mons(k) for exps in polys
         ]
 
+    def spanning_index(self, k, max_degree):
+        """{key: position} over `spanning_basis(k, max_degree)`, built once;
+        callers must not change it."""
+        key = (k, max_degree)
+        if key not in self._spanning_index:
+            basis = self.spanning_basis(k, max_degree)
+            self._spanning_index[key] = {b: i for i, b in enumerate(basis)}
+        return self._spanning_index[key]
+
+    def field_matrices(self, max_degree):
+        """X_a on the polynomials of degree <= max_degree, one matrix per frame
+        field over `poly_basis` positions, built once; callers must not change them."""
+        if max_degree not in self._field_matrices:
+            polys = self.poly_basis(max_degree)
+            index = {e: i for i, e in enumerate(polys)}
+            self._field_matrices[max_degree] = [
+                SparseMatrix(len(polys), len(polys), {
+                    j: {index[e2]: c for e2, c in f.derive_exponents(e).items()}
+                    for j, e in enumerate(polys)
+                })
+                for f in self.fields
+            ]
+        return self._field_matrices[max_degree]
+
+    def coframe_pieces(self, k):
+        """(wedges, d0) for coframe degree k, built once; callers must not change them.
+
+        wedges[I] lists (a, J, sign) with theta^a ^ theta^I = sign theta^J for
+        every frame index a not in I, a ascending; d0 is the matrix of d0 from
+        degree k to k + 1.  I and J are positions in `fiber.mons`.
+        """
+        if k not in self._coframe_pieces:
+            mons = self.fiber.mons(k)
+            index = {m: i for i, m in enumerate(self.fiber.mons(k + 1))}
+            wedges = []
+            for mono in mons:
+                row = []
+                for a in range(self.algebra.dim):
+                    if a not in mono:
+                        merged, sign = sort_with_sign((a,) + mono)
+                        row.append((a, index[merged], sign))
+                wedges.append(row)
+            d0 = SparseMatrix(len(index), len(mons), {
+                j: {index[m2]: c for m2, c in self.fiber.d0_of_monomial(mono).items()}
+                for j, mono in enumerate(mons)
+            })
+            self._coframe_pieces[k] = (wedges, d0)
+        return self._coframe_pieces[k]
+
+    def d_matrix(self, k, max_degree, budget=None):
+        """Matrix of d from the `spanning_basis(k, max_degree)` positions to
+        those of degree k + 1; no columns outside 0 <= k <= dim.
+
+        Column (e, I) joins cached pieces: X_a(x^e) at theta^a ^ theta^I for
+        each a not in I, and x^e d0(theta^I).  Their row sets are disjoint:
+        X_a changes the exponents e, and distinct a give distinct coframe
+        monomials theta^a ^ theta^I.  So nothing cancels, and the pieces, each
+        a stored column in normal form, join over the lcm L of their
+        denominators in normal form too: for each prime p of L, the piece
+        whose denominator holds the most factors p keeps a numerator prime
+        to p.  The budget is checked every 64 columns.
+        """
+        npoly = len(self.poly_basis(max_degree))
+        fields = [m.cols for m in self.field_matrices(max_degree)]
+        wedges, d0 = self.coframe_pieces(k)
+        out = SparseMatrix(npoly * d0.nrows, npoly * d0.ncols)
+        # the row numbers as the index's int objects, which the columns then
+        # share instead of each holding its own
+        rows = list(self.spanning_index(k + 1, max_degree).values())
+        j = 0
+        for mono, wedge in enumerate(wedges):
+            d0_col = d0.cols.get(mono)
+            for e in range(npoly):
+                if budget is not None and j % 64 == 0:
+                    budget.check()
+                # (den, multiplier, numerators, offset, stride): the numerator
+                # at i goes to row offset + stride * i
+                pieces = []
+                for a, merged, sign in wedge:
+                    hit = fields[a].get(e)
+                    if hit is not None:
+                        pieces.append((hit[0], sign, hit[1], merged * npoly, 1))
+                if d0_col is not None:
+                    pieces.append((d0_col[0], 1, d0_col[1], e, npoly))
+                if pieces:
+                    L = lcm(*[p[0] for p in pieces])
+                    col = {}
+                    for den, c, num, offset, stride in pieces:
+                        c *= L // den
+                        for i, v in num.items():
+                            col[rows[offset + stride * i]] = c * v
+                    out.cols[j] = (L, col)
+                j += 1
+        return out
+
 
 def operator_matrix(src_keys, dst_index, term_fn, budget=None):
     """Matrix of a term-wise operator on a basis of (exps, mono) keys.
@@ -328,8 +430,8 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
     alg = algebra
     report = []
     layer1 = [f for f in ctx.fields if f.layer == 1]
-    bases = {k: ctx.spanning_basis(k, max_poly_degree) for k in range(alg.dim + 1)}
-    indexes = {k: {key: i for i, key in enumerate(b)} for k, b in bases.items()}
+    indexes = {k: ctx.spanning_index(k, max_poly_degree) for k in range(alg.dim + 1)}
+    bases = {k: list(index) for k, index in indexes.items()}
     memo = {}  # the operator matrices of this call, each built once
 
     def once(key, build):
@@ -342,7 +444,7 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         return operator_matrix(bases.get(k, []), indexes.get(out, {}), term_fn, budget)
 
     def d_mat(k):
-        return once(("d", k), lambda: matrix(k, k + 1, ctx.d_term))
+        return once(("d", k), lambda: ctx.d_matrix(k, max_poly_degree, budget))
 
     def i_mat(f, k):
         return once(

@@ -11,17 +11,20 @@ Neumann series sum (-L0^{-1} N)^j L0^{-1}.  From the inverse:
     iota^{-1} = (1 - q d) lift,  lift = the harmonic representatives
     D  = project_harmonic . d . iota^{-1}
 
-Each operator is a product of matrices over stored integer columns.  V^k =
-Poly_P (x) Lambda^k is laid out per degree by (polynomial, fiber weight)
-block; delta = 1 (x) delta0 and L0 = 1 (x) (d0 delta0 + delta0 d0) are the
-fiber's (k, w) block matrices copied through that layout.  Only L0^{-1} on
-im delta and the harmonic projection go column by column: they split a
-column by block and solve each piece with the block's cached eliminator, so
-no Fraction is created between d, delta, the Hodge solvers and q,
-iota^{-1}, D.  The package's stored operator entries are written from and
-decoded into integer columns without Fractions as well.  Fractions remain
-where forms meet the matrices, and in the stored harmonic bases, which are
-compared with the canonical Fraction ones on load.
+Each operator is a product of matrices over stored integer columns.  d
+comes from the group calculus's cached pieces (`GroupContext.d_matrix`).
+V^k = Poly_P (x) Lambda^k is laid out per degree by (polynomial, fiber
+weight) block; delta = 1 (x) delta0, L0 = 1 (x) (d0 delta0 + delta0 d0) and
+the harmonic projection 1 (x) X, X the fiber's harmonic coordinate matrix,
+are the fiber's (k, w) block matrices copied through that layout.  Only
+L0^{-1} on im delta goes column by column: it splits a column by block and
+solves each piece with the block's cached eliminator.  So no Fraction is
+created from the cached pieces of d and the fiber's blocks and solvers to
+q, iota^{-1}, D.  The package's stored operator entries are written from
+and decoded into integer columns without Fractions as well.  Fractions
+remain where forms meet the matrices, in building those cached pieces, and
+in the stored harmonic bases, which are compared with the canonical
+Fraction ones on load.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
@@ -39,7 +42,7 @@ import json
 from .algebra import algebra_from_json, algebra_to_json
 from .errors import IdentityError, StructureError
 from .fiber import FiberContext
-from .groupcalc import GroupContext, PolyForm, format_term, operator_matrix
+from .groupcalc import GroupContext, PolyForm, format_term
 from .linalg import ColumnEliminator, SparseMatrix, column_from_ratios, sum_columns
 from .scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
@@ -72,7 +75,6 @@ class RuminPackage:
         self._q = {}
         self._pi = {}
         self._model_keys = {}
-        self._model_index = {}
         self._D = {}
         self._iota_inv = {}
         self._E_basis = {}
@@ -83,11 +85,11 @@ class RuminPackage:
     def keys(self, k):
         """Spanning basis of V^k, empty outside 0 <= k <= dim."""
         if k not in self._keys:
-            basis = self.group.spanning_basis(k, self.P)
+            index = self.group.spanning_index(k, self.P)
             if self.budget is not None:
-                self.budget.count_monomials(len(basis))
-            self._keys[k] = basis
-            self._index[k] = {key: i for i, key in enumerate(basis)}
+                self.budget.count_monomials(len(index))
+            self._keys[k] = list(index)
+            self._index[k] = index
         return self._keys[k]
 
     def dim_v(self, k):
@@ -121,10 +123,10 @@ class RuminPackage:
         if k not in self._d:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
+            # the package's bases count against the monomial budget
+            self.keys(k)
             self.keys(k + 1)
-            self._d[k] = operator_matrix(
-                self.keys(k), self._index.get(k + 1, {}), self.group.d_term, self.budget
-            )
+            self._d[k] = self.group.d_matrix(k, self.P, self.budget)
         return self._d[k]
 
     def delta_mat(self, k):
@@ -186,14 +188,19 @@ class RuminPackage:
 
     def _fiberwise(self, k, out_k, block_fn):
         """The V^k -> V^out_k matrix of 1 (x) F, F given per weight w by its
-        block block_fn(k, w): (k, w) -> (out_k, w), built once and copied
-        through both block layouts.  The budget is checked every 64 columns."""
+        block block_fn(k, w): (k, w) -> (out_k, w)."""
         targets = {(exps, w): rows for exps, w, rows in self.block_layout(out_k)[1]}
+        return self._copy_blocks(k, block_fn, self.dim_v(out_k), targets)
+
+    def _copy_blocks(self, k, block_fn, nrows, targets):
+        """A matrix on V^k with nrows rows that maps each fiber block (exps, w)
+        of V^k by block_fn(k, w), built once per weight, into the rows
+        targets[(exps, w)].  The budget is checked every 64 columns."""
         fiber_cols = {w: block_fn(k, w).cols for w in self.fiber.blocks(k)}
-        out = SparseMatrix(self.dim_v(out_k), self.dim_v(k))
+        out = SparseMatrix(nrows, self.dim_v(k))
         n = 0
         for exps, w, rows in self.block_layout(k)[1]:
-            # no (out_k, w) block means F's block has no columns
+            # no target rows means the block has no columns
             out_rows = targets.get((exps, w))
             for j, (den, num) in fiber_cols[w].items():
                 if self.budget is not None and n % 64 == 0:
@@ -312,7 +319,6 @@ class RuminPackage:
                     for exps in polys:
                         keys.append((exps, w, i))
             self._model_keys[k] = keys
-            self._model_index[k] = {key: i for i, key in enumerate(keys)}
         return self._model_keys[k]
 
     def model_dim(self, k):
@@ -334,22 +340,37 @@ class RuminPackage:
         return SparseMatrix(len(index), len(mkeys), cols)
 
     def project(self, k, matrix):
-        """Fiberwise classes of pointwise-ker-delta V^k columns in the model basis."""
-        self.model_keys(k)
-        midx = self._model_index[k]
+        """Fiberwise classes of pointwise-ker-delta V^k columns in the model basis.
 
-        def solve(block, den, num):
-            exps, w, _ = block
-            x = self.fiber.harmonic_coordinates(k, w, den, num)
-            if x is None:
+        Each column must lie in ker delta; otherwise projection_domain names
+        the smallest such column's lowest weight where delta of it is nonzero.
+        On ker delta the fiber blocks' harmonic coordinate matrices, copied
+        through the block layout and rebuilt per call, give the model
+        coordinates as one product.  The budget is checked every 64 columns.
+        """
+        delta = self.delta_mat(k)
+        mkeys = self.model_keys(k)
+        targets = {}
+        for pos, (exps, w, _) in enumerate(mkeys):
+            targets.setdefault((exps, w), []).append(pos)
+        coords = self._copy_blocks(k, self.fiber.harmonic_coordinate_block, len(mkeys), targets)
+        out = SparseMatrix(coords.nrows, matrix.ncols)
+        for n, (j, (den, num)) in enumerate(sorted(matrix.cols.items())):
+            if self.budget is not None and n % 64 == 0:
+                self.budget.check()
+            off = delta.apply_column(den, num)
+            if off:
+                where, blocks = self.block_layout(k - 1)
+                w = min(blocks[where[i][0]][1] for i in off[1])
                 raise IdentityError(
                     "projection_domain",
                     witness=f"degree {k}, weight {w}",
                     detail="vector not a section of ker delta",
                 )
-            return x[0], {midx[(exps, w, j)]: v for j, v in x[1].items()}
-
-        return self._blockwise(k, matrix, len(midx), solve)
+            col = coords.apply_column(den, num)
+            if col:
+                out.cols[j] = col
+        return out
 
     def iota_inv_mat(self, k):
         """(1 - q d) lift: model^k -> V^k."""
@@ -410,34 +431,6 @@ class RuminPackage:
                 self.D_mat(k)
             self._built = True
         return self
-
-    def _fiber_bgg_block(self, k, w):
-        """Fiber-level BGG map H(k,w) -> H(k+1,w): proj d0 (1 - q0 d0)."""
-        fib = self.fiber
-        d0 = fib.d0_block(k, w)
-        dh = d0 @ fib.harmonic_block(k, w)
-        # q0 dh: solve L0 u = delta0 dh inside the (k, w) im-delta block
-        b = fib.delta_block(k + 1, w) @ dh
-        u = SparseMatrix(b.nrows, b.ncols)
-        for j, col in b.cols.items():
-            x = fib.l0_inverse_column(k, w, *col)
-            if x is None:
-                raise StructureError(f"fiber inverse failed on block ({k}, {w})")
-            u.cols[j] = x
-        # project dh - d0 u (in ker delta, weight w) onto harmonic coordinates
-        out = SparseMatrix(len(fib.harmonic_basis(k + 1, w)), dh.ncols)
-        for j, col in (dh - d0 @ u).cols.items():
-            x = fib.harmonic_coordinates(k + 1, w, *col)
-            if x is None:
-                raise IdentityError(
-                    "fiber_projection",
-                    witness=f"block ({k + 1}, {w})",
-                    detail="fiber image left ker delta",
-                )
-            x = sum_columns([x])
-            if x:
-                out.cols[j] = x
-        return out
 
     def _witness(self, k, column):
         exps, mono = self.keys(k)[column]
@@ -675,30 +668,19 @@ class RuminPackage:
                     )
 
         def check_fiber_restriction():
-            # constants go through the purely fiber-level BGG operator
+            # the fiber-level BGG operator proj d0 (1 - q0 d0) vanishes on the
+            # harmonic forms, which lie in ker d0: D is zero on constants
             zero_exps = (0,) * self.algebra.dim
             for k in range(dim):
-                # build both model bases here: an earlier row may have stopped
-                # before building them
-                self.model_keys(k)
-                self.model_keys(k + 1)
-                mk_index = self._model_index[k]
-                mk1_index = self._model_index[k + 1]
-                D = self.D_mat(k)
-                for w in sorted(self.fiber.blocks(k)):
-                    if not self.fiber.harmonic_basis(k, w):
-                        continue
-                    fiber_block = self._fiber_bgg_block(k, w)
-                    for i in range(fiber_block.ncols):
-                        want = fiber_block.cols.get(i)
-                        if want is not None:
-                            den, num = want
-                            want = (den, {mk1_index[(zero_exps, w, t)]: v for t, v in num.items()})
-                        if D.cols.get(mk_index[(zero_exps, w, i)]) != want:
-                            raise IdentityError(
-                                "fiber_restriction",
-                                witness=f"constant model element (deg {k}, weight {w}, #{i})",
-                            )
+                mk = self.model_keys(k)
+                wrong = [j for j in self.D_mat(k).cols if mk[j][0] == zero_exps]
+                if wrong:
+                    # model keys run by weight, then harmonic vector
+                    _, w, i = mk[min(wrong)]
+                    raise IdentityError(
+                        "fiber_restriction",
+                        witness=f"constant model element (deg {k}, weight {w}, #{i})",
+                    )
 
         record("q_squared", check_q_squared)
         record("q_d_q", check_qdq)
@@ -805,7 +787,7 @@ class RuminPackage:
             try:
                 k, w = (int(x) for x in key.split(","))
                 stored = [
-                    {tuple(m): fraction_from_str(c) for m, c in vec} for vec in vectors
+                    {_stored_monomial(m): fraction_from_str(c) for m, c in vec} for vec in vectors
                 ]
             except (TypeError, ValueError) as exc:
                 raise StructureError(f"malformed harmonic block {key!r}: {exc}") from exc
@@ -824,6 +806,15 @@ class RuminPackage:
             pkg._D[k] = _decode_matrix(ops, "D", k, shape)
         pkg._built = True
         return pkg
+
+
+def _stored_monomial(m):
+    """A stored harmonic monomial as a tuple; anything but a list of ints is
+    a ValueError.  bool is an int subclass and False == 0, so a [false]
+    monomial would otherwise compare equal to (0,)."""
+    if not isinstance(m, list) or any(type(i) is not int for i in m):
+        raise ValueError(f"monomial {m!r} is not a list of integers")
+    return tuple(m)
 
 
 def _decode_matrix(ops, name, k, shape):

@@ -234,6 +234,16 @@ def _set_harmonic_entry(pkg, text):
     vectors[0][0][1] = text
 
 
+def _bool_harmonic_monomial(pkg):
+    for vectors in pkg["harmonic"].values():
+        for vec in vectors:
+            for mono, _ in vec:
+                if 0 in mono:
+                    mono[mono.index(0)] = False
+                    return
+    raise AssertionError("no harmonic monomial holds index 0")
+
+
 def _grow_D_block(pkg):
     pkg["operators"]["D"]["0"]["rows"] += 1
 
@@ -268,6 +278,7 @@ MALFORMED_PACKAGES = {
     "q_entry_zero_denominator": lambda pkg: _set_q_entry(pkg, "1/0"),
     "harmonic_zero_denominator": lambda pkg: _set_harmonic_entry(pkg, "1/0"),
     "harmonic_not_rational": lambda pkg: _set_harmonic_entry(pkg, "abc"),
+    "harmonic_monomial_bool": _bool_harmonic_monomial,
     "missing_max_poly_degree": lambda pkg: pkg.pop("max_poly_degree"),
     "D_entry_outside_shape": _far_D_row,
     "max_poly_degree_bool": lambda pkg: pkg.update(max_poly_degree=True),

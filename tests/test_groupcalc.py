@@ -338,31 +338,47 @@ def test_broken_algebras_fail_rows_with_witnesses():
 
 
 def _d_term_mutants(alg, P, stride):
-    """Single-key mutants of d_term: one spanning element gets an extra
-    image term, of the same coefficient or (raise_z) one more z-power, so
-    that the weight filtration breaks too."""
+    """Single-key mutants of d: one spanning element gets an extra image
+    term, of the same coefficient or (raise_z) one more z-power, so that the
+    weight filtration breaks too.  Each mutant is a (d_term, d_matrix) pair
+    with the same change, since the per-element oracle builds d from d_term
+    and the matrix identities from d_matrix."""
     ctx = GroupContext(alg)
-    original = GroupContext.d_term
+    original_term, original_matrix = GroupContext.d_term, GroupContext.d_matrix
     for k in range(alg.dim):
+        basis, image_basis = ctx.spanning_basis(k, P), ctx.spanning_basis(k + 1, P)
         first_mono = ctx.fiber.mons(k + 1)[0]
-        for n, (exps, mono) in enumerate(ctx.spanning_basis(k, P)[k % stride :: stride]):
+        for n, (exps, mono) in enumerate(basis[k % stride :: stride]):
             raise_z = n % 2 == 0 and sum(exps) < P
             extra = (exps[:-1] + (exps[-1] + 1,) if raise_z else exps, first_mono)
 
-            def mutant(self, e, m, target=(exps, mono), extra=extra):
-                out = original(self, e, m)
+            def term(self, e, m, target=(exps, mono), extra=extra):
+                out = original_term(self, e, m)
                 if (e, m) == target:
                     out = dict(out)
                     out[extra] = out.get(extra, 0) + Fraction(1, 3)
                 return out
 
+            def matrix(
+                self, kk, PP, budget=None, k=k, j=basis.index((exps, mono)),
+                i=image_basis.index(extra),
+            ):
+                out = original_matrix(self, kk, PP, budget)
+                if (kk, PP) == (k, P):
+                    col = out.column(j)
+                    col[i] = col.get(i, 0) + Fraction(1, 3)
+                    out.set_column(j, col)
+                return out
+
             kind = "raise_z" if raise_z else "extra"
-            yield pytest.param(mutant, id=f"{format_term(alg, exps, mono)}-{kind}")
+            yield pytest.param((term, matrix), id=f"{format_term(alg, exps, mono)}-{kind}")
 
 
 @pytest.mark.parametrize("mutant", list(_d_term_mutants(builtin("heisenberg", 2), 2, 9)))
 def test_report_matches_oracle_on_d_term_mutants(h2, monkeypatch, mutant):
-    monkeypatch.setattr(GroupContext, "d_term", mutant)
+    term, matrix = mutant
+    monkeypatch.setattr(GroupContext, "d_term", term)
+    monkeypatch.setattr(GroupContext, "d_matrix", matrix)
     report = parametrix_identity_check(h2, 2)
     assert any(row["status"] == "fail" for row in report)
     assert report == per_element_report(h2, 2)

@@ -8,7 +8,7 @@ import pytest
 
 from ruminbgg.algebra import algebra_from_json, algebra_to_json, builtin
 from ruminbgg.budget import Budget
-from ruminbgg.errors import BudgetExceededError, StructureError
+from ruminbgg.errors import BudgetExceededError, IdentityError, StructureError
 from ruminbgg.fiber import monomial_weight
 from ruminbgg.groupcalc import PolyForm, format_term, operator_matrix, term_weight
 from ruminbgg.linalg import SparseMatrix, accumulate, axpy, rank_of_columns
@@ -116,7 +116,7 @@ def _oracle_inverse(pkg, k, vec):
 def _oracle_project(pkg, k, vec):
     """The model vector of a ker-delta V^k vector, or the weight of the first
     block, by weight, that is not in ker delta."""
-    pkg.model_keys(k)
+    model_index = {key: i for i, key in enumerate(pkg.model_keys(k))}
     out = {}
     for exps, w, _, piece in _oracle_blocks(pkg, k, vec):
         elim, nharm = pkg.fiber.kerdelta_solver(k, w)
@@ -125,7 +125,7 @@ def _oracle_project(pkg, k, vec):
             return w
         for j, c in x.items():
             if j < nharm:
-                accumulate(out, pkg._model_index[k][(exps, w, j)], c)
+                accumulate(out, model_index[(exps, w, j)], c)
     return out
 
 
@@ -160,9 +160,33 @@ CUSTOM_INNER_PRODUCT = {
 }
 
 
+# heisenberg:3 with a non-standard inner product: unlike weighted-h3, some
+# fiber blocks hold both harmonic forms and im delta0, where the harmonic
+# coordinates depend on the Gram matrix
+CUSTOM_INNER_PRODUCT_H5 = {
+    "name": "weighted-h5",
+    "layers": [4, 1],
+    "brackets": [
+        {"a": 1, "b": 2, "terms": [{"k": 5, "c": "1"}]},
+        {"a": 2, "b": 1, "terms": [{"k": 5, "c": "-1"}]},
+        {"a": 3, "b": 4, "terms": [{"k": 5, "c": "1"}]},
+        {"a": 4, "b": 3, "terms": [{"k": 5, "c": "-1"}]},
+    ],
+    "inner_product": [
+        ["2", "1/2", "0", "0", "0"],
+        ["1/2", "1", "0", "1/3", "0"],
+        ["0", "0", "1", "0", "0"],
+        ["0", "1/3", "0", "2", "0"],
+        ["0", "0", "0", "0", "3"],
+    ],
+}
+
+
 def _algebra(name):
     if name == "weighted-h3":
         return algebra_from_json(CUSTOM_INNER_PRODUCT)
+    if name == "weighted-h5":
+        return algebra_from_json(CUSTOM_INNER_PRODUCT_H5)
     model, _, n = name.partition(":")
     return builtin(model, int(n))
 
@@ -177,6 +201,7 @@ ORACLE_CASES = [
     ("quaternionic:2", 2),
     ("abelian:3", 2),
     ("weighted-h3", 2),
+    ("weighted-h5", 1),
 ]
 
 
@@ -232,47 +257,74 @@ def _oracle_delta(pkg, k):
     return operator_matrix(pkg.keys(k), pkg._index.get(k - 1, {}), pkg.group.delta_term)
 
 
-def _oracle_fiber_bgg_block(pkg, k, w):
-    """proj d0 (1 - q0 d0) on H(k, w), one harmonic vector at a time."""
-    fib = pkg.fiber
-    harm = fib.harmonic_basis(k, w)
-    tgt_index = fib.block_index(k + 1, w)
-    cols = {}
-    for j, h in enumerate(harm):
-        dh = {}
-        for mono, c in h.items():
-            axpy(dh, fib.d0_of_monomial(mono), c)
-        b = {}
-        for mono, c in dh.items():
-            axpy(b, fib.delta_of_monomial(mono), c)
-        if b:
-            monos_k = fib.block(k, w)
-            bidx = fib.block_index(k, w)
-            elim, dblock = fib.imdelta_solver(k, w)
-            u = dblock.apply(elim.solve({bidx[m]: c for m, c in b.items()}))
-            for i, c in u.items():
-                axpy(dh, fib.d0_of_monomial(monos_k[i]), -c)
-        elim, nharm = fib.kerdelta_solver(k + 1, w)
-        x = elim.solve({tgt_index[m]: c for m, c in dh.items()})
-        cols[j] = {i: c for i, c in x.items() if i < nharm}
-    return SparseMatrix(len(fib.harmonic_basis(k + 1, w)), len(harm), cols)
-
-
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
 def test_fiberwise_operators_match_per_key_oracle(name, P):
     alg = _algebra(name)
     pkg = RuminPackage(alg, P)
+    fib = pkg.fiber
     for k in range(alg.dim + 1):
         pairs = [(pkg.l0_mat(k), _oracle_l0(pkg, k)), (pkg.delta_mat(k), _oracle_delta(pkg, k))]
         for got, want in pairs:
             assert got == want, k
             assert_normal_form(got)
-        if k < alg.dim:
-            for w in pkg.fiber.blocks(k):
-                got = pkg._fiber_bgg_block(k, w)
-                assert got == _oracle_fiber_bgg_block(pkg, k, w), (k, w)
-                assert_normal_form(got)
+        for w, monos in fib.blocks(k).items():
+            # the harmonic forms lie in ker d0, so the fiber-level BGG map
+            # proj d0 (1 - q0 d0) is zero and D vanishes on constants
+            assert (fib.d0_block(k, w) @ fib.harmonic_block(k, w)).is_zero(), (k, w)
+            # ker delta0 = H + im delta0, which the projection's domain check needs
+            elim, _ = fib.kerdelta_solver(k, w)
+            assert elim.rank == len(monos) - fib.delta_block(k, w).rank(), (k, w)
+            # so the harmonic coordinates on ker delta0 are fixed by X H = 1
+            # and X delta0 = 0
+            X = fib.harmonic_coordinate_block(k, w)
+            assert X @ fib.harmonic_block(k, w) == SparseMatrix.identity(X.nrows), (k, w)
+            assert (X @ fib.delta_block(k + 1, w)).is_zero(), (k, w)
+            assert_normal_form(X)
     assert pkg.delta_mat(0).shape() == (0, pkg.dim_v(0))
+
+
+@pytest.mark.parametrize("name,P", ORACLE_CASES)
+def test_d_matrix_matches_per_key_oracle(name, P):
+    alg = _algebra(name)
+    pkg = RuminPackage(alg, P)
+    for k in range(alg.dim + 1):
+        got = pkg.d_mat(k)
+        assert got == operator_matrix(pkg.keys(k), pkg._index[k + 1], pkg.group.d_term), k
+        assert_normal_form(got)
+
+
+@pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1), ("weighted-h3", 2)])
+def test_project_names_the_oracle_weight_off_ker_delta(name, P):
+    alg = _algebra(name)
+    pkg = RuminPackage(alg, P)
+    checked = 0
+    for k in range(1, alg.dim + 1):
+        where, blocks = pkg.block_layout(k)
+        delta = pkg.delta_mat(k)
+        # one V^k column outside ker delta per weight, each in its own block,
+        # so that no sum of them is in ker delta
+        off = {}
+        for j in sorted(delta.cols):
+            off.setdefault(blocks[where[j][0]][1], j)
+        if not off:
+            continue
+        highest = {off[max(off)]: Fraction(1)}
+        every = {j: Fraction(1) for j in off.values()}
+        iota = pkg.iota_inv(k)
+        kept = {j: iota.column(j) for j in iota.cols}
+        n = iota.ncols
+        # the witness is the smallest failing column's lowest failing weight
+        for extra, first in [((every,), every), ((highest, every), highest)]:
+            cols = {**kept, **{n + t: vec for t, vec in enumerate(extra)}}
+            want = _oracle_project(pkg, k, first)
+            assert isinstance(want, int)
+            with pytest.raises(IdentityError) as err:
+                pkg.project(k, SparseMatrix(pkg.dim_v(k), n + len(extra), cols))
+            assert err.value.identity == "projection_domain"
+            assert err.value.witness == f"degree {k}, weight {want}"
+        assert _oracle_project(pkg, k, every) == min(off)
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name,P", [("quaternionic:2", 1), ("weighted-h3", 2)])
@@ -280,11 +332,15 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     alg = _algebra(name)
     pkg = RuminPackage(alg, P)
     fib = pkg.fiber
-    # d, delta, N and the Hodge data are Fraction-built caches
+    # the pieces of d, delta, N and the Hodge data are Fraction-built caches
+    pkg.group.field_matrices(P)
     for k in range(alg.dim + 1):
-        pkg.d_mat(k), pkg.delta_mat(k), pkg.n_mat(k), pkg.model_keys(k)
+        pkg.group.coframe_pieces(k), pkg.delta_mat(k), pkg.n_mat(k), pkg.model_keys(k)
         for w in fib.blocks(k):
             fib.imdelta_solver(k, w), fib.kerdelta_solver(k, w)
+            fib.harmonic_coordinate_block(k, w)
+    # N was built from d; d is built again below, from its cached pieces
+    pkg._d.clear()
     created = []
     new = Fraction.__new__
 
@@ -293,6 +349,8 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for k in range(alg.dim + 1):
+        pkg.d_mat(k)
     for k in range(alg.dim + 1):
         pkg.q_mat(k)
     for k in range(alg.dim + 1):
@@ -743,6 +801,7 @@ PACKAGE_CASES = [
     ("quaternionic:2", 1),
     ("quaternionic:3", 0),
     ("weighted-h3", 2),
+    ("weighted-h5", 1),
 ]
 
 

@@ -17,10 +17,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
+BUILD = ["rumin", "build", "heisenberg:2", "--max-poly-degree", "1"]
+# PACKAGE stands for a package that BUILD writes first; `rumin verify` is the
+# one path through the tracer's from_json wrapper and its `json` stand-in
+PACKAGE = "{package}"
 COMMANDS = [
     ["bgg", "heisenberg:2"],
     ["calculus", "verify", "heisenberg:2", "--max-poly-degree", "1"],
-    ["rumin", "build", "heisenberg:2", "--max-poly-degree", "1"],
+    BUILD,
+    ["rumin", "verify", PACKAGE],
 ]
 
 
@@ -31,6 +36,11 @@ def _run(args):
 
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c[:2]))
 def test_traced_run_matches_untraced(tmp_path, command):
+    if PACKAGE in command:
+        package = tmp_path / "pkg.json"
+        built = _run([sys.executable, "-m", "ruminbgg.cli", *BUILD, "--out", str(package)])
+        assert built.returncode == 0, built.stderr.decode()
+        command = [str(package) if arg == PACKAGE else arg for arg in command]
     plain = _run([sys.executable, "-m", "ruminbgg.cli", *command])
     traced = _run([sys.executable, str(TRACER), str(tmp_path / "trace"), "--", *command])
     assert plain.returncode == 0, plain.stderr.decode()
