@@ -56,12 +56,11 @@ class GradedNilpotentLieAlgebra:
         return dict(self.bracket.get((a, b), {}))
 
     def inner_product_is_standard(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                expect = Fraction(1) if i == j else Fraction(0)
-                if self.inner_product[i][j] != expect:
-                    return False
-        return True
+        return all(
+            v == (1 if i == j else 0)
+            for i, row in enumerate(self.inner_product)
+            for j, v in enumerate(row)
+        )
 
     def __repr__(self):
         return f"GradedNilpotentLieAlgebra({self.name!r}, layers={self.layers})"

@@ -3,17 +3,20 @@
 Monomials are strictly increasing tuples of dual-basis indices; the weight
 of a monomial is the sum of the layers of its factors, and the coboundary
 d0 connects only equal weights, so every rank computation is blocked by
-(degree, weight).  The boundary delta is the metric adjoint of d0; with
-the standard orthonormal inner product it is the plain transpose, and a
-general layer-orthogonal inner product goes through exact Gram matrices.
+(degree, weight).  d0 blocks are built from integer structure constants
+over one common denominator.  The boundary delta is the metric adjoint of
+d0 taken block by block: with the standard orthonormal inner product it is
+the plain transpose of the d0 block, and a general layer-orthogonal inner
+product goes through exact Gram matrices of the two blocks.
 """
 
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 from .errors import StructureError
-from .linalg import ColumnEliminator, SparseMatrix, accumulate, axpy
+from .linalg import ColumnEliminator, SparseMatrix, _normal, accumulate, axpy
 from .scalars import ZERO
 
 
@@ -201,20 +204,28 @@ class FiberContext:
     # -- structure maps ----------------------------------------------------
 
     def _target_pairs(self):
-        """index k -> list of (a, b, c, -c) with a < b and c = c^k_{ab}."""
+        """(den, {index k: [(a, b, n, -n)]}) with a < b and c^k_{ab} = n / den.
+
+        den is the lcm of the structure constants' denominators, so every
+        n is an int; den is 1 for every built-in model.
+        """
         if self._pairs_by_target is None:
+            bracket = self.algebra.bracket
+            den = lcm(*(c.denominator for terms in bracket.values() for c in terms.values()))
             table = {}
-            for (a, b), terms in self.algebra.bracket.items():
+            for (a, b), terms in bracket.items():
                 if a < b:
                     for k, c in terms.items():
-                        table.setdefault(k, []).append((a, b, c, -c))
+                        n = c.numerator * (den // c.denominator)
+                        table.setdefault(k, []).append((a, b, n, -n))
             for k in table:
                 table[k].sort()
-            self._pairs_by_target = table
+            self._pairs_by_target = den, table
         return self._pairs_by_target
 
-    def d0_of_monomial(self, mono):
-        """Coboundary of one monomial as {monomial: coefficient}.
+    def _d0_numerators(self, mono):
+        """Coboundary of one monomial as {monomial: int} over the den of
+        `_target_pairs`, with no zero entry.
 
         d0 xi^k = -sum_{a<b} c^k_{ab} xi^a xi^b extended as an odd
         derivation; the minus sign makes d0^2 = 0 equivalent to Jacobi.
@@ -225,7 +236,7 @@ class FiberContext:
         (-1)^(ia + ib).  The term is -c^k_{ab} (-1)^(pos + ia + ib), and
         it vanishes when a or b already occurs in rest.
         """
-        pairs = self._target_pairs()
+        pairs = self._target_pairs()[1]
         out = {}
         for pos, idx in enumerate(mono):
             hits = pairs.get(idx)
@@ -241,8 +252,18 @@ class FiberContext:
                 if ib < n and rest[ib] == b:
                     continue
                 merged = rest[:ia] + (a,) + rest[ia:ib] + (b,) + rest[ib:]
-                accumulate(out, merged, c if (pos + ia + ib) & 1 else neg_c)
+                # c != 0, so a zero sum is a key of out
+                s = out.get(merged, 0) + (c if (pos + ia + ib) & 1 else neg_c)
+                if s:
+                    out[merged] = s
+                else:
+                    del out[merged]
         return out
+
+    def d0_of_monomial(self, mono):
+        """Coboundary of one monomial as {monomial: Fraction}."""
+        den = self._target_pairs()[0]
+        return {m: Fraction(v, den) for m, v in self._d0_numerators(mono).items()}
 
     def d0_map(self):
         """Full {monomial: {monomial: coeff}} table over the exterior algebra."""
@@ -257,15 +278,15 @@ class FiberContext:
         return self._d0
 
     def delta_map(self):
+        """Full {monomial: {monomial: coeff}} table of delta, read off delta_block."""
         if self._delta is None:
-            if self.algebra.inner_product_is_standard():
-                table = {}
-                for src, image in self.d0_map().items():
-                    for dst, c in image.items():
-                        table.setdefault(dst, {})[src] = c
-                self._delta = table
-            else:
-                self._delta = self._delta_from_gram()
+            table = {}
+            for k in range(1, self.algebra.dim + 1):
+                for w, src in self.blocks(k).items():
+                    dst = self.block(k - 1, w)
+                    for j, (den, num) in self.delta_block(k, w).cols.items():
+                        table[src[j]] = {dst[i]: Fraction(v, den) for i, v in sorted(num.items())}
+            self._delta = table
         return self._delta
 
     def _gram_inverse(self):
@@ -303,31 +324,6 @@ class FiberContext:
             cols[j] = col
         return SparseMatrix(len(monos), len(monos), cols)
 
-    def _delta_from_gram(self):
-        """delta = Gram_k^{-1} d0^T Gram_{k+1}, assembled blockwise."""
-        table = {}
-        for k in range(self.algebra.dim):
-            for w, src_monos in self.blocks(k + 1).items():
-                dst_monos = self.block(k, w)
-                if not dst_monos:
-                    continue
-                d0b = self.d0_block(k, w)  # (k,w) -> (k+1,w)
-                gram_hi = self._gram_block(k + 1, w)
-                gram_lo_elim = ColumnEliminator(self._gram_block(k, w))
-                dt = d0b.transpose()
-                block = dt @ gram_hi
-                for j, src in enumerate(src_monos):
-                    col = block.column(j)
-                    if not col:
-                        continue
-                    sol = gram_lo_elim.solve(col)
-                    if sol is None:
-                        raise StructureError("Gram solve failed; inner product degenerate")
-                    image = {dst_monos[i]: v for i, v in sol.items() if v}
-                    if image:
-                        table[src] = {**table.get(src, {}), **image}
-        return table
-
     def delta_of_monomial(self, mono):
         """delta of one monomial as {monomial: coefficient}, cached; callers must not change it."""
         return self.delta_map().get(mono, {})
@@ -335,33 +331,39 @@ class FiberContext:
     # -- positional blocks and ranks ----------------------------------------
 
     def d0_block(self, k, w):
-        """Matrix of d0 from block (k, w) to block (k+1, w)."""
+        """Matrix of d0 from block (k, w) to block (k+1, w), built from the
+        integer numerators, one normal-form pass per column."""
+        den = self._target_pairs()[0]
         src = self.block(k, w)
         index = self.block_index(k + 1, w)
-        cols = {}
+        out = SparseMatrix(len(index), len(src))
         for j, m in enumerate(src):
             col = {}
-            for out, c in self.d0_of_monomial(m).items():
-                pos = index.get(out)
+            for mono, v in self._d0_numerators(m).items():
+                pos = index.get(mono)
                 if pos is None:
-                    raise StructureError(f"d0 left weight block at {m} -> {out}")
-                col[pos] = c
+                    raise StructureError(f"d0 left weight block at {m} -> {mono}")
+                col[pos] = v
             if col:
-                cols[j] = col
-        return SparseMatrix(len(index), len(src), cols)
+                out.cols[j] = _normal(den, col)
+        return out
 
     def delta_block(self, k, w):
-        """Matrix of delta from block (k, w) to block (k-1, w)."""
-        src = self.block(k, w)
-        index = self.block_index(k - 1, w)
-        cols = {}
-        for j, m in enumerate(src):
-            col = {}
-            for out, c in self.delta_of_monomial(m).items():
-                col[index[out]] = c
-            if col:
-                cols[j] = col
-        return SparseMatrix(len(index), len(src), cols)
+        """Matrix of delta from block (k, w) to block (k-1, w): the adjoint of
+        d0_block(k-1, w), the plain transpose for the standard inner product
+        and Gram_{k-1}^{-1} d0^T Gram_k otherwise, solved per column.  This
+        is the one construction of delta; it is rebuilt on each call."""
+        dt = self.d0_block(k - 1, w).transpose()
+        if self.algebra.inner_product_is_standard():
+            return dt
+        gram_lo = ColumnEliminator(self._gram_block(k - 1, w))
+        out = SparseMatrix(dt.nrows, dt.ncols)
+        for j, col in (dt @ self._gram_block(k, w)).cols.items():
+            x = gram_lo.solve_column(*col)
+            if x is None:
+                raise StructureError("Gram solve failed; inner product degenerate")
+            out.cols[j] = x
+        return out
 
     def rank_d0_block(self, k, w):
         key = (k, w)

@@ -9,6 +9,7 @@ exact rationals with a distinguished infinity sentinel, never floats.
 
 from fractions import Fraction
 
+from . import _kernel
 from .algebra import homogeneous_dimension
 from .errors import StructureError
 from .fiber import bgg_fiber
@@ -105,38 +106,24 @@ def truncation_ranks(algebra, budget=None, max_poly_degree=None):
     pkg = RuminPackage(algebra, needed, budget=budget)
     D = pkg.D_mat(mid)
     zero_exps = (0,) * algebra.dim
-    model_keys_out = pkg.model_keys(mid + 1)
-
-    # restrict rows to constant-coefficient outputs, split by target weight
-    const_rows = {}  # global row -> (weight, position within weight block)
-    per_weight_positions = {}
-    for i, (exps, w2, t) in enumerate(model_keys_out):
+    # constant-coefficient output rows of D, split by target weight
+    const_rows = {}
+    for i, (exps, w2, _) in enumerate(pkg.model_keys(mid + 1)):
         if exps == zero_exps:
-            pos = per_weight_positions.setdefault(w2, {})
-            pos[i] = len(pos)
-    blocks = {}
-    all_rows = {}
-    n_all = 0
-    offsets = {}
-    for w2 in sorted(per_weight_positions):
-        offsets[w2] = n_all
-        n_all += len(per_weight_positions[w2])
-    for j in D.cols:
-        for i, c in D.column(j).items():
-            exps, w2, t = model_keys_out[i]
-            if exps != zero_exps:
-                continue
-            local = per_weight_positions[w2][i]
-            blocks.setdefault(w2, {}).setdefault(j, {})[local] = c
-            all_rows.setdefault(j, {})[offsets[w2] + local] = c
+            const_rows.setdefault(w2, set()).add(i)
 
-    middle_blocks = []
-    for w2 in sorted(per_weight_positions):
-        nrows = len(per_weight_positions[w2])
-        cols = blocks.get(w2, {})
-        r = SparseMatrix(nrows, D.ncols, cols).rank()
-        middle_blocks.append({"weight": w2, "rank": r})
-    middle_rank = SparseMatrix(n_all, D.ncols, all_rows).rank()
+    def rank_on(rows):
+        # column denominators do not change a rank, so the kernel ranks the
+        # stored integer columns restricted to rows (as its rows: rank is
+        # symmetric)
+        return _kernel.rank_sparse(
+            [{i: v for i, v in num.items() if i in rows} for _, num in D.cols.values()]
+        )
+
+    middle_blocks = [
+        {"weight": w2, "rank": rank_on(rows)} for w2, rows in sorted(const_rows.items())
+    ]
+    middle_rank = rank_on(set().union(*const_rows.values()))
 
     ranks = [table.degree_total(k) for k in range(mid + 1)]
     full = [table.degree_total(k) for k in range(m + 1)]

@@ -1,10 +1,16 @@
 import math
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ruminbgg.algebra import builtin
+
+# the environment of a `python -m ruminbgg.cli` child: pytest's `pythonpath`
+# setting reaches this interpreter only, so the child gets src on PYTHONPATH
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 # the rows of RuminPackage.verify(), in report order
 SUITE_ROWS = [

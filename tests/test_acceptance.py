@@ -24,7 +24,7 @@ from ruminbgg.tables import (
     strip_table,
 )
 
-from conftest import SUITE_ROWS, dense_rank, random_fraction
+from conftest import CLI_ENV, SUITE_ROWS, dense_rank, random_fraction
 
 
 def criterion(num, description):
@@ -265,7 +265,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     for args in fixtures:
         runs = []
         for _ in range(2):
-            proc = subprocess.run(cmd + args, capture_output=True)
+            proc = subprocess.run(cmd + args, capture_output=True, env=CLI_ENV)
             assert proc.returncode == 0, proc.stderr
             runs.append(proc.stdout)
         assert runs[0] == runs[1], args

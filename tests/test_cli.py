@@ -16,7 +16,7 @@ from ruminbgg.cli import main
 from ruminbgg.errors import BudgetExceededError
 from ruminbgg.rumin import RuminPackage
 
-from conftest import SUITE_ROWS
+from conftest import CLI_ENV, SUITE_ROWS
 
 GOOD_ALGEBRA = {
     "name": "h3file",
@@ -399,6 +399,7 @@ def test_byte_identical_reruns():
         proc = subprocess.run(
             cmd + ["calculus", "verify", "heisenberg:2", "--max-poly-degree", "1", "--seed", "7"],
             capture_output=True,
+            env=CLI_ENV,
         )
         assert proc.returncode == 0
         env_runs.append(proc.stdout)
@@ -406,7 +407,9 @@ def test_byte_identical_reruns():
 
     runs = []
     for _ in range(2):
-        proc = subprocess.run(cmd + ["strips", "quaternionic:2"], capture_output=True)
+        proc = subprocess.run(
+            cmd + ["strips", "quaternionic:2"], capture_output=True, env=CLI_ENV
+        )
         assert proc.returncode == 0
         runs.append(proc.stdout)
     assert runs[0] == runs[1]

@@ -9,7 +9,7 @@ import pytest
 from ruminbgg.algebra import algebra_from_json, algebra_to_json, builtin
 from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError, IdentityError, StructureError
-from ruminbgg.fiber import monomial_weight
+from ruminbgg.fiber import FiberContext, monomial_weight
 from ruminbgg.groupcalc import PolyForm, format_term, operator_matrix, term_weight
 from ruminbgg.linalg import SparseMatrix, accumulate, axpy, rank_of_columns
 from ruminbgg.rumin import (
@@ -23,6 +23,7 @@ from ruminbgg.rumin import (
 from ruminbgg.scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
 from conftest import SUITE_ROWS, assert_normal_form
+from test_fiber import RATIONAL
 
 
 def suite_ok(pkg):
@@ -257,6 +258,42 @@ def _oracle_delta(pkg, k):
     return operator_matrix(pkg.keys(k), pkg._index.get(k - 1, {}), pkg.group.delta_term)
 
 
+def _image_block(fib, monos, out_k, w, image):
+    """The matrix of mono -> image(mono), {monomial: Fraction}, from the
+    monos to block (out_k, w)."""
+    index = fib.block_index(out_k, w)
+    cols = {j: {index[m2]: c for m2, c in image(m).items()} for j, m in enumerate(monos)}
+    return SparseMatrix(len(index), len(monos), cols)
+
+
+# _oracle_delta reads delta_map, which is read off delta_block; this pins
+# delta_block against d0 on its own
+@pytest.mark.parametrize("name", sorted({name for name, _ in ORACLE_CASES}) + [RATIONAL["name"]])
+def test_delta_block_is_the_adjoint_of_the_d0_block(name):
+    alg = algebra_from_json(RATIONAL) if name == RATIONAL["name"] else _algebra(name)
+    fib = FiberContext(alg)
+    standard = alg.inner_product_is_standard()
+    # the dict-level transpose of d0_map, delta for the standard inner product
+    transpose = {}
+    for src, image in fib.d0_map().items():
+        for dst, c in image.items():
+            transpose.setdefault(dst, {})[src] = c
+    for k in range(alg.dim + 1):
+        for w, monos in fib.blocks(k).items():
+            d0 = fib.d0_block(k, w)
+            assert d0 == _image_block(fib, monos, k + 1, w, fib.d0_of_monomial), (k, w)
+            assert_normal_form(d0)
+            delta = fib.delta_block(k, w)
+            assert_normal_form(delta)
+            if standard:
+                want = _image_block(fib, monos, k - 1, w, lambda m: transpose.get(m, {}))
+                assert delta == want, (k, w)
+            else:
+                # Gram_{k-1} delta = d0^T Gram_k: delta is the Gram adjoint of d0
+                lhs = fib._gram_block(k - 1, w) @ delta
+                assert lhs == fib.d0_block(k - 1, w).transpose() @ fib._gram_block(k, w), (k, w)
+
+
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
 def test_fiberwise_operators_match_per_key_oracle(name, P):
     alg = _algebra(name)
@@ -332,14 +369,19 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     alg = _algebra(name)
     pkg = RuminPackage(alg, P)
     fib = pkg.fiber
-    # the pieces of d, delta, N and the Hodge data are Fraction-built caches
+    # the pieces of d and the Hodge data are Fraction-built caches; delta
+    # and N are too under a non-standard inner product, whose Gram blocks
+    # come from Fraction determinants
+    gram = not alg.inner_product_is_standard()
     pkg.group.field_matrices(P)
     for k in range(alg.dim + 1):
-        pkg.group.coframe_pieces(k), pkg.delta_mat(k), pkg.n_mat(k), pkg.model_keys(k)
+        pkg.group.coframe_pieces(k), pkg.model_keys(k)
+        if gram:
+            pkg.delta_mat(k), pkg.n_mat(k)
         for w in fib.blocks(k):
             fib.imdelta_solver(k, w), fib.kerdelta_solver(k, w)
             fib.harmonic_coordinate_block(k, w)
-    # N was built from d; d is built again below, from its cached pieces
+    # N may have been built from d; d is built again below, from its cached pieces
     pkg._d.clear()
     created = []
     new = Fraction.__new__
@@ -351,6 +393,8 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     for k in range(alg.dim + 1):
         pkg.d_mat(k)
+    for k in range(alg.dim + 1):
+        pkg.delta_mat(k), pkg.n_mat(k)
     for k in range(alg.dim + 1):
         pkg.q_mat(k)
     for k in range(alg.dim + 1):
