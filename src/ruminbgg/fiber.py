@@ -8,6 +8,16 @@ over one common denominator.  The boundary delta is the metric adjoint of
 d0 taken block by block: with the standard orthonormal inner product it is
 the plain transpose of the d0 block, and a general layer-orthogonal inner
 product goes through exact Gram matrices of the two blocks.
+
+Ranks use Poincaré duality.  With n = dim and Q the homogeneous
+dimension, xi^I ^ xi^{I^c} = +-vol pairs block (k, w) with block
+(n-k, Q-w).  The bracket respects the grading (checked once over the
+structure constants), so d0 keeps the weight and kills every (n-1)-form:
+its weights are below Q.  The odd derivation rule then gives
+d0 a ^ b = -(-1)^k a ^ d0 b for a of degree k, and the d0 block (k, w) is
+the signed transpose of the d0 block (n-1-k, Q-w) under the
+complement-monomial bijection; the inner product plays no part.  Each such
+pair has one rank, computed once on its lower-degree side.
 """
 
 import itertools
@@ -15,6 +25,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
+from .algebra import homogeneous_dimension
 from .errors import StructureError
 from .linalg import ColumnEliminator, SparseMatrix, _normal, accumulate, axpy
 from .scalars import ZERO
@@ -161,6 +172,7 @@ class FiberContext:
         self._d0 = None
         self._delta = None
         self._pairs_by_target = None
+        self._homogeneous_dim = homogeneous_dimension(algebra)
         self._rank_cache = {}
         self._harmonic = {}
         self._imdelta_solver = {}
@@ -204,23 +216,33 @@ class FiberContext:
     # -- structure maps ----------------------------------------------------
 
     def _target_pairs(self):
-        """(den, {index k: [(a, b, n, -n)]}) with a < b and c^k_{ab} = n / den.
+        """(den, {index k: [(a, b, n, -n)]}, off) with a < b and c^k_{ab} = n / den.
 
         den is the lcm of the structure constants' denominators, so every
-        n is an int; den is 1 for every built-in model.
+        n is an int; den is 1 for every built-in model.  off is None when
+        every constant has layer(a) + layer(b) = layer(k), and otherwise the
+        StructureError message of the first that does not: d0 takes xi^k
+        out of its weight block there.  `d0_block` raises it, so every
+        block fails on such an algebra, whichever side of a dual pair
+        `rank_d0_block` builds; the per-monomial d0 stays defined for the
+        calculus checks.
         """
         if self._pairs_by_target is None:
-            bracket = self.algebra.bracket
+            alg = self.algebra
+            bracket = alg.bracket
             den = lcm(*(c.denominator for terms in bracket.values() for c in terms.values()))
             table = {}
+            off = None
             for (a, b), terms in bracket.items():
                 if a < b:
                     for k, c in terms.items():
+                        if off is None and alg.layer_of(a) + alg.layer_of(b) != alg.layer_of(k):
+                            off = f"d0 left weight block at {(k,)} -> {(a, b)}"
                         n = c.numerator * (den // c.denominator)
                         table.setdefault(k, []).append((a, b, n, -n))
             for k in table:
                 table[k].sort()
-            self._pairs_by_target = den, table
+            self._pairs_by_target = den, table, off
         return self._pairs_by_target
 
     def _d0_numerators(self, mono):
@@ -332,18 +354,17 @@ class FiberContext:
 
     def d0_block(self, k, w):
         """Matrix of d0 from block (k, w) to block (k+1, w), built from the
-        integer numerators, one normal-form pass per column."""
-        den = self._target_pairs()[0]
+        integer numerators, one normal-form pass per column.  Raises
+        StructureError if the bracket does not respect the grading."""
+        den, _, off = self._target_pairs()
+        if off is not None:
+            raise StructureError(off)
         src = self.block(k, w)
         index = self.block_index(k + 1, w)
         out = SparseMatrix(len(index), len(src))
         for j, m in enumerate(src):
-            col = {}
-            for mono, v in self._d0_numerators(m).items():
-                pos = index.get(mono)
-                if pos is None:
-                    raise StructureError(f"d0 left weight block at {m} -> {mono}")
-                col[pos] = v
+            # the bracket respects the grading, so d0 keeps the weight
+            col = {index[mono]: v for mono, v in self._d0_numerators(m).items()}
             if col:
                 out.cols[j] = _normal(den, col)
         return out
@@ -366,12 +387,22 @@ class FiberContext:
         return out
 
     def rank_d0_block(self, k, w):
-        key = (k, w)
-        if key not in self._rank_cache:
+        """Rank of d0_block(k, w), cached once per Poincaré-dual pair.
+
+        Under the wedge pairing of block (k, w) with block (n-k, Q-w), Q the
+        homogeneous dimension, the block is the signed transpose of
+        d0_block(n-1-k, Q-w) (see the module docstring).  That needs d0 to
+        keep the weight, which `d0_block` checks.  Both blocks share the key
+        min((k, w), (n-1-k, Q-w)): the lower-degree side is the one built
+        and ranked, and the smaller weight for the self-dual middle degree.
+        """
+        key = min((k, w), (self.algebra.dim - 1 - k, self._homogeneous_dim - w))
+        rank = self._rank_cache.get(key)
+        if rank is None:
             if self.budget is not None:
                 self.budget.check()
-            self._rank_cache[key] = self.d0_block(k, w).rank()
-        return self._rank_cache[key]
+            rank = self._rank_cache[key] = self.d0_block(*key).rank()
+        return rank
 
     def rank_d0_degree(self, k):
         return sum(self.rank_d0_block(k, w) for w in self.blocks(k))

@@ -1,6 +1,15 @@
 from fractions import Fraction
 
-from ruminbgg.algebra import algebra_from_json, builtin, dilate
+import pytest
+
+from ruminbgg.algebra import (
+    GradedNilpotentLieAlgebra,
+    algebra_from_json,
+    builtin,
+    dilate,
+    homogeneous_dimension,
+)
+from ruminbgg.errors import StructureError
 from ruminbgg.fiber import (
     FiberContext,
     FiberForm,
@@ -12,7 +21,7 @@ from ruminbgg.fiber import (
     monomial_weight,
     sort_with_sign,
 )
-from ruminbgg.linalg import accumulate
+from ruminbgg.linalg import SparseMatrix, accumulate
 
 from conftest import dense_rank, random_fraction, sparse_to_dense
 
@@ -198,13 +207,84 @@ def test_cohomology_heisenberg2_vs_dense_oracle(h2):
     assert cohomology_ranks(h2) == betti_oracle
 
 
+def _check_ranks_vs_dense_oracle(alg, top_down):
+    """Every rank_d0_block of a fresh context against a dense rank of its block."""
+    ctx = FiberContext(alg)
+    keys = [(k, w) for k in range(alg.dim + 1) for w in ctx.blocks(k)]
+    for k, w in reversed(keys) if top_down else keys:
+        dense = sparse_to_dense(ctx.d0_block(k, w))
+        assert ctx.rank_d0_block(k, w) == dense_rank(dense), (alg.name, k, w)
+
+
 def test_rank_d0_block_vs_dense_oracle(q2):
     for alg in (builtin("heisenberg", 4), q2):
+        _check_ranks_vs_dense_oracle(alg, top_down=False)
+
+
+def test_rank_d0_block_queried_from_the_top_vs_dense_oracle(q2):
+    # from the highest degree down, each dual pair's shared rank is first
+    # asked for on its higher-degree side
+    for alg in (builtin("heisenberg", 4), q2):
+        _check_ranks_vs_dense_oracle(alg, top_down=True)
+
+
+def _complement(mono, n):
+    """(I^c, s) with xi^I ^ xi^{I^c} = s vol."""
+    comp = tuple(i for i in range(n) if i not in mono)
+    return comp, sort_with_sign(mono + comp)[1]
+
+
+def test_d0_blocks_of_a_dual_pair_are_signed_transposes(octo):
+    # d0 a ^ b = -(-1)^k a ^ d0 b for a in block (k, w), b in block
+    # (n-1-k, Q-w), so entry (M, I) of d0_block(k, w) and entry (I^c, M^c)
+    # of the dual block differ by the sign -(-1)^k s(I) s(M)
+    models = [builtin("heisenberg", n) for n in (2, 3, 4)]
+    models += [builtin("quaternionic", 2), builtin("abelian", 4), octo]
+    models += [algebra_from_json(RATIONAL), algebra_from_json(CUSTOM)]
+    for alg in models:
         ctx = FiberContext(alg)
-        for k in range(alg.dim + 1):
-            for w in ctx.blocks(k):
-                dense = sparse_to_dense(ctx.d0_block(k, w))
-                assert ctx.rank_d0_block(k, w) == dense_rank(dense), (alg.name, k, w)
+        n, top = alg.dim, homogeneous_dimension(alg)
+        for k in range(n):
+            for w in range(top + 1):
+                block, dual = ctx.d0_block(k, w), ctx.d0_block(n - 1 - k, top - w)
+                src, dst = ctx.block(k, w), ctx.block(k + 1, w)
+                rows = ctx.block_index(n - k, top - w)
+                cols = ctx.block_index(n - 1 - k, top - w)
+                want = {}
+                for j in block.cols:
+                    src_c, s_src = _complement(src[j], n)
+                    for i, v in block.column(j).items():
+                        dst_c, s_dst = _complement(dst[i], n)
+                        sign = (-1) ** (k + 1) * s_src * s_dst
+                        want.setdefault(cols[dst_c], {})[rows[src_c]] = sign * v
+                assert dual == SparseMatrix(len(src), len(dst), want), (alg.name, k, w)
+                assert dual.rank() == block.rank(), (alg.name, k, w)
+
+
+# well-formed algebras, built without `validate`, whose bracket leaves the grading
+OFF_GRADING = [
+    # [e1, e3] = e2: layers 1 + 2 land in layer 1
+    GradedNilpotentLieAlgebra(
+        "off-grading", (2, 1), {(0, 2): {1: Fraction(1)}, (2, 0): {1: Fraction(-1)}}
+    ),
+    # [e1, e2] = e3 with e3 in layer 4; the only block d0 leaves is (1, 4),
+    # the higher side of its dual pair (1, 2), whose block is empty
+    GradedNilpotentLieAlgebra(
+        "off-grading-high", (2, 0, 0, 1), {(0, 1): {2: Fraction(1)}, (1, 0): {2: Fraction(-1)}}
+    ),
+]
+
+
+@pytest.mark.parametrize("alg", OFF_GRADING, ids=lambda a: a.name)
+def test_bracket_off_the_grading_raises_structure_error(alg):
+    for compute in (bgg_fiber, cohomology_ranks):
+        with pytest.raises(StructureError, match="d0 left weight block"):
+            compute(alg)
+    ctx = FiberContext(alg)
+    for k in range(alg.dim + 1):
+        for w in range(homogeneous_dimension(alg) + 1):
+            with pytest.raises(StructureError):
+                ctx.rank_d0_block(k, w)
 
 
 def test_cohomology_abelian_binomials():
