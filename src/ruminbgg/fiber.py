@@ -27,7 +27,7 @@ from math import lcm
 
 from .algebra import homogeneous_dimension
 from .errors import StructureError
-from .linalg import ColumnEliminator, SparseMatrix, _normal, accumulate, axpy
+from .linalg import ColumnEliminator, SparseMatrix, _normal, accumulate, axpy, combine
 from .scalars import ZERO
 
 
@@ -426,7 +426,8 @@ class FiberContext:
         delta_k = self.delta_block(k, w)
         d_k = self.d0_block(k, w)
         delta_hi = self.delta_block(k + 1, w)
-        return d_lo @ delta_k + delta_hi @ d_k
+        n = d_k.ncols
+        return combine(n, n, [(1, d_lo, delta_k), (1, delta_hi, d_k)])
 
     def imdelta_solver(self, k, w):
         """Eliminator of L0 @ delta-block; solves L0 u = v inside im delta."""

@@ -29,7 +29,7 @@ from math import lcm
 
 from .errors import BudgetExceededError, IdentityError, UnsupportedStepError
 from .fiber import FiberContext, monomial_weight, sort_with_sign
-from .linalg import SparseMatrix, accumulate, axpy
+from .linalg import SparseMatrix, accumulate, axpy, combine
 
 HALF = Fraction(1, 2)
 
@@ -452,12 +452,17 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
             lambda: matrix(k, k - 1, lambda e, m: ctx.contraction_term(f.index, e, m)),
         )
 
+    def dim(k):
+        return len(bases.get(k, []))
+
     def lie_mat(f, k):
         """The Cartan form d i_X + i_X d on V^k."""
-        return once(
-            ("L", f.index, k),
-            lambda: d_mat(k - 1) @ i_mat(f, k) + i_mat(f, k + 1) @ d_mat(k),
-        )
+
+        def build():
+            terms = [(1, d_mat(k - 1), i_mat(f, k)), (1, i_mat(f, k + 1), d_mat(k))]
+            return combine(dim(k), dim(k), terms, budget)
+
+        return once(("L", f.index, k), build)
 
     def run(name, check_fn):
         try:
@@ -499,9 +504,11 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         return lambda: first_nonzero(lambda k: lie_mat(f, k) - matrix(k, k, direct))
 
     def check_lie_d(f):
-        return lambda: first_nonzero(
-            lambda k: lie_mat(f, k + 1) @ d_mat(k) - d_mat(k) @ lie_mat(f, k)
-        )
+        def diff(k):
+            terms = [(1, lie_mat(f, k + 1), d_mat(k)), (-1, d_mat(k), lie_mat(f, k))]
+            return combine(dim(k + 1), dim(k), terms, budget)
+
+        return lambda: first_nonzero(diff)
 
     def check_frame_brackets():
         polys = ctx.poly_basis(max_poly_degree)
@@ -531,18 +538,15 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
 
     def check_parametrix():
         def a_mat(k):  # A = sum i_X L_X, V^k -> V^(k-1)
-            out = SparseMatrix(len(bases.get(k - 1, [])), len(bases.get(k, [])))
-            for f in layer1:
-                out = out + i_mat(f, k) @ lie_mat(f, k)
-            return out
+            terms = [(1, i_mat(f, k), lie_mat(f, k)) for f in layer1]
+            return combine(dim(k - 1), dim(k), terms, budget)
 
         A = {k: a_mat(k) for k in range(alg.dim + 2)}
 
         def diff(k):
-            out = d_mat(k - 1) @ A[k] + A[k + 1] @ d_mat(k)
-            for f in layer1:
-                out = out - lie_mat(f, k) @ lie_mat(f, k)
-            return out
+            terms = [(1, d_mat(k - 1), A[k]), (1, A[k + 1], d_mat(k))]
+            terms += [(-1, lie_mat(f, k), lie_mat(f, k)) for f in layer1]
+            return combine(dim(k), dim(k), terms, budget)
 
         return first_nonzero(diff)
 

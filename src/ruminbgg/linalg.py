@@ -10,8 +10,15 @@ never changed in place, so matrices may share them.
 
 Products, sums, scaling, traces, ranks and eliminations run on Python
 ints, and so do `apply_column`, `sum_columns` and `solve_column`, which
-take and return stored columns; `apply_column` is the one column-apply
-loop.  `column_from_ratios` builds a stored column from (p, q) pairs.
+take and return stored columns.  `combine(nrows, ncols, terms, budget)`
+is the one kernel for sums of products: it forms sum c * (A @ B) over
+(c, A, B) terms (B = None for a plain summand A) column by column, as in
+Gustavson's sparse product, gathering every term's contribution to a
+column and normalizing it once.  `@`, `+` and `-` are single calls of it,
+so a sum of products never builds and normalizes the products on their
+own.  Every column sum, in the kernel, `apply_column`, `sum_columns`,
+`transpose` and `stack`, goes through one accumulate-and-normalize loop.
+`column_from_ratios` builds a stored column from (p, q) pairs.
 `fractions.Fraction` remains only at the boundary: the constructor and
 `set_column` take {row: Fraction} columns, and `column`, `entry`,
 `trace`, `apply`, `solve` and `nullspace` give Fractions back.
@@ -89,22 +96,6 @@ def _to_fractions(den, num):
     return {i: Fraction(v, den) for i, v in num.items()}
 
 
-def _lincomb(terms):
-    """sum of (p / q) * num over the (p, q, num) terms, q > 0.
-
-    Returns (L, acc) with the sum equal to acc / L, L = lcm of the q;
-    entries that sum to zero stay in acc.
-    """
-    L = lcm(*(q for _, q, _ in terms))
-    acc = {}
-    get = acc.get
-    for p, q, num in terms:
-        c = p * (L // q)
-        for i, v in num.items():
-            acc[i] = get(i, 0) + c * v
-    return L, acc
-
-
 def _normal(den, acc):
     """acc / den as a stored column in normal form, or None if it is zero.
 
@@ -119,9 +110,84 @@ def _normal(den, acc):
     return (den, num) if num else None
 
 
+def _combine_column(terms):
+    """The stored column of sum (p / q) * num over the (p, q, num) terms, q > 0,
+    or None if it is zero: one lcm, one accumulation, one normalization.
+
+    This is the one accumulate-and-normalize loop of the matrix code.
+    """
+    L = lcm(*{q for _, q, _ in terms})
+    acc = {}
+    get = acc.get
+    for p, q, num in terms:
+        c = p * (L // q)
+        for i, v in num.items():
+            acc[i] = get(i, 0) + c * v
+    return _normal(L, acc)
+
+
 def sum_columns(columns):
     """The stored column of a sum of stored columns, or None if it is zero."""
-    return _normal(*_lincomb([(1, den, num) for den, num in columns]))
+    return _combine_column([(1, den, num) for den, num in columns])
+
+
+def combine(nrows, ncols, terms, budget=None):
+    """The nrows x ncols matrix sum c * (A @ B) over the (c, A, B) terms.
+
+    c is an int; B = None makes A itself a plain summand.  Gustavson's
+    column-by-column product over all terms at once: each output column
+    gathers every (coefficient, denominator, source column) of every term
+    and is accumulated and normalized once.  A column that is one plain
+    summand with c = 1 is the stored column itself, shared.  Terms with an
+    empty operand or c = 0 contribute nothing, so a product with an empty
+    side costs no column walk.  budget, if given, is checked every 64
+    result columns.
+    """
+    plain, products = [], []
+    for c, a, b in terms:
+        if b is None:
+            if (a.nrows, a.ncols) != (nrows, ncols):
+                raise ValueError(f"shape mismatch: {a.shape()} in a {nrows}x{ncols} sum")
+            if c and a.cols:
+                plain.append((c, a.cols))
+        else:
+            if a.ncols != b.nrows or (a.nrows, b.ncols) != (nrows, ncols):
+                raise ValueError(
+                    f"shape mismatch: {a.shape()} @ {b.shape()} in a {nrows}x{ncols} sum"
+                )
+            if c and a.cols and b.cols:
+                products.append((c, a.cols, b.cols))
+    out = SparseMatrix(nrows, ncols)
+    sources = [cols for _, cols in plain] + [bcols for _, _, bcols in products]
+    if not sources:
+        return out
+    keys = sources[0] if len(sources) == 1 else set().union(*sources)
+    out_cols = out.cols
+    for n, j in enumerate(keys):
+        if budget is not None and n % 64 == 0:
+            budget.check()
+        gathered = []
+        shared = None
+        for c, cols in plain:
+            hit = cols.get(j)
+            if hit is not None:
+                gathered.append((c, *hit))
+                shared = hit if c == 1 else None
+        for c, acols, bcols in products:
+            hit = bcols.get(j)
+            if hit is not None:
+                den, num = hit
+                for k, v in num.items():
+                    a = acols.get(k)
+                    if a is not None:
+                        gathered.append((c * v, den * a[0], a[1]))
+        if len(gathered) == 1 and shared is not None:
+            out_cols[j] = shared
+        elif gathered:
+            col = _combine_column(gathered)
+            if col:
+                out_cols[j] = col
+    return out
 
 
 class SparseMatrix:
@@ -188,9 +254,8 @@ class SparseMatrix:
         for k, v in num.items():
             hit = cols.get(k)
             if hit is not None:
-                terms.append((v, hit[0], hit[1]))
-        L, acc = _lincomb(terms)
-        return _normal(den * L, acc)
+                terms.append((v, den * hit[0], hit[1]))
+        return _combine_column(terms)
 
     def apply(self, vec):
         """Matrix-vector product; vec and result are {index: Fraction}."""
@@ -200,35 +265,19 @@ class SparseMatrix:
 
     def compose(self, other):
         """self @ other (apply other first)."""
-        if other.nrows != self.ncols:
-            raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
-        out = SparseMatrix(self.nrows, other.ncols)
-        for j, (den, num) in other.cols.items():
-            col = self.apply_column(den, num)
-            if col:
-                out.cols[j] = col
-        return out
+        return combine(self.nrows, other.ncols, [(1, self, other)])
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def __add__(self, other):
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch in add")
-        out = SparseMatrix(self.nrows, self.ncols)
-        a, b = self.cols, other.cols
-        for j in set(a) | set(b):
-            x, y = a.get(j), b.get(j)
-            if x is None or y is None:
-                out.cols[j] = x or y
-            else:
-                col = _normal(*_lincomb([(1, *x), (1, *y)]))
-                if col:
-                    out.cols[j] = col
-        return out
+        return combine(self.nrows, self.ncols, [(1, self, None), (1, other, None)])
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        # equal normal forms compare as dicts, far faster than they cancel
+        if self == other:
+            return SparseMatrix(self.nrows, self.ncols)
+        return combine(self.nrows, self.ncols, [(1, self, None), (-1, other, None)])
 
     def scaled(self, a):
         """a * self for an int or Fraction a."""
@@ -246,7 +295,7 @@ class SparseMatrix:
             for i, v in num.items():
                 rows.setdefault(i, []).append((1, den, {j: v}))
         for i, terms in rows.items():
-            out.cols[i] = _normal(*_lincomb(terms))
+            out.cols[i] = _combine_column(terms)
         return out
 
     def stack(self, other):
@@ -262,7 +311,7 @@ class SparseMatrix:
             if j in other.cols:
                 den, num = other.cols[j]
                 terms.append((1, den, {i + shift: v for i, v in num.items()}))
-            out.cols[j] = _normal(*_lincomb(terms))
+            out.cols[j] = _combine_column(terms)
         return out
 
     def shape(self):

@@ -11,8 +11,12 @@ Neumann series sum (-L0^{-1} N)^j L0^{-1}.  From the inverse:
     iota^{-1} = (1 - q d) lift,  lift = the harmonic representatives
     D  = project_harmonic . d . iota^{-1}
 
-Each operator is a product of matrices over stored integer columns.  d
-comes from the group calculus's cached pieces (`GroupContext.d_matrix`).
+Each operator is a product of matrices over stored integer columns.
+Every product or sum of products (the Laplacian, the Neumann steps and
+the inverse's residual, pi, iota^{-1}, D and the identity suite's
+residuals) is one call of `linalg.combine`, which checks the package
+budget every 64 columns.  d comes from the group calculus's cached
+pieces (`GroupContext.d_matrix`).
 V^k = Poly_P (x) Lambda^k is laid out per degree by (polynomial, fiber
 weight) block; delta = 1 (x) delta0, L0 = 1 (x) (d0 delta0 + delta0 d0) and
 the harmonic projection 1 (x) X, X the fiber's harmonic coordinate matrix,
@@ -31,9 +35,10 @@ JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
 
 The construction asserts every operator identity exactly and names a
 witness basis element on failure.  The identity suite (`verify`) pins a
-stored pi by pi = dq + qd, then evaluates the other pi identities through
-products of the sparse d and q, and ker pi through trace(pi) and the
-iota^{-1} columns, never composing with the materialized pi.
+stored pi by dq + qd - pi = 0, then evaluates the other pi identities as
+residual sums of products of the sparse d and q, and ker pi through
+trace(pi) and the iota^{-1} columns, never composing with the
+materialized pi.
 """
 
 import io
@@ -43,7 +48,7 @@ from .algebra import algebra_from_json, algebra_to_json
 from .errors import IdentityError, StructureError
 from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term
-from .linalg import ColumnEliminator, SparseMatrix, column_from_ratios, sum_columns
+from .linalg import ColumnEliminator, SparseMatrix, column_from_ratios, combine, sum_columns
 from .scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
 def default_poly_degree(algebra):
@@ -78,6 +83,7 @@ class RuminPackage:
         self._D = {}
         self._iota_inv = {}
         self._E_basis = {}
+        self._arrows = None
         self._built = False
 
     # -- bases ---------------------------------------------------------------
@@ -139,15 +145,13 @@ class RuminPackage:
     def lap_mat(self, k):
         """d delta + delta d on degree k."""
         if k not in self._lap:
-            a = self.d_mat(k - 1) @ self.delta_mat(k) if k > 0 else None
-            b = self.delta_mat(k + 1) @ self.d_mat(k) if k < self.algebra.dim else None
-            if a is None:
-                out = b
-            elif b is None:
-                out = a
-            else:
-                out = a + b
-            self._lap[k] = out
+            terms = []
+            if k > 0:
+                terms.append((1, self.d_mat(k - 1), self.delta_mat(k)))
+            if k < self.algebra.dim:
+                terms.append((1, self.delta_mat(k + 1), self.d_mat(k)))
+            n = self.dim_v(k)
+            self._lap[k] = combine(n, n, terms, self.budget)
         return self._lap[k]
 
     def l0_mat(self, k):
@@ -185,6 +189,10 @@ class RuminPackage:
                     blocks.append((exps, w, rows))
             self._block_layout[k] = (where, blocks)
         return self._block_layout[k]
+
+    def _product(self, a, b):
+        """a @ b, checking the package budget every 64 columns."""
+        return combine(a.nrows, b.ncols, [(1, a, b)], self.budget)
 
     def _fiberwise(self, k, out_k, block_fn):
         """The V^k -> V^out_k matrix of 1 (x) F, F given per weight w by its
@@ -265,12 +273,14 @@ class RuminPackage:
                     detail="filtered Neumann series failed to terminate",
                 )
             term = self._blockwise(k, rhs, rhs.nrows, l0_solve)
-            total = total - term if terms_used % 2 else total + term
+            sign = -1 if terms_used % 2 else 1
+            total = combine(total.nrows, total.ncols, [(1, total, None), (sign, term, None)])
             terms_used += 1
-            rhs = n @ term
+            rhs = combine(n.nrows, term.ncols, [(1, n, term)], self.budget)
         if terms_used > self.neumann_terms:
             self.neumann_terms = terms_used
-        if self.lap_mat(k) @ total != matrix:
+        residual = [(1, self.lap_mat(k), total), (-1, matrix, None)]
+        if combine(matrix.nrows, matrix.ncols, residual, self.budget).cols:
             raise IdentityError(
                 "inverse_on_im_delta",
                 witness=f"degree {k}",
@@ -293,18 +303,19 @@ class RuminPackage:
             self._pi[k] = self._dq_plus_qd(k)
         return self._pi[k]
 
-    def _dq_plus_qd(self, k):
-        """d q + q d on degree k, from the q and d matrices."""
+    def _dq_plus_qd(self, k, minus=None):
+        """d q + q d on degree k, from the q and d matrices, less the matrix
+        minus if one is given."""
         dim = self.algebra.dim
-        parts = []
+        terms = []
         if 0 < k <= dim:
-            parts.append(self.d_mat(k - 1) @ self.q_mat(k))
+            terms.append((1, self.d_mat(k - 1), self.q_mat(k)))
         if 0 <= k < dim:
-            parts.append(self.q_mat(k + 1) @ self.d_mat(k))
-        out = parts[0]
-        for p in parts[1:]:
-            out = out + p
-        return out
+            terms.append((1, self.q_mat(k + 1), self.d_mat(k)))
+        if minus is not None:
+            terms.append((-1, minus, None))
+        n = self.dim_v(k)
+        return combine(n, n, terms, self.budget)
 
     # -- the bigraded model and D -------------------------------------------------
 
@@ -376,7 +387,11 @@ class RuminPackage:
         """(1 - q d) lift: model^k -> V^k."""
         lift = self.lift(k)
         if k < self.algebra.dim:
-            lift = lift - self.q_mat(k + 1) @ (self.d_mat(k) @ lift)
+            d_lift = self._product(self.d_mat(k), lift)
+            lift = combine(
+                lift.nrows, lift.ncols, [(1, lift, None), (-1, self.q_mat(k + 1), d_lift)],
+                self.budget,
+            )
         return lift
 
     def iota_inv(self, k):
@@ -387,11 +402,17 @@ class RuminPackage:
 
     def D_mat(self, k):
         if k not in self._D:
-            self._D[k] = self.project(k + 1, self.d_mat(k) @ self.iota_inv(k))
+            self._D[k] = self.project(k + 1, self._product(self.d_mat(k), self.iota_inv(k)))
         return self._D[k]
 
     def arrows(self):
-        """Bigraded arrows of D with their weight jump (operator order)."""
+        """Bigraded arrows of D with their weight jump (operator order).
+
+        Computed once per package, so `rumin build` shares it between the
+        report and the package file; callers must not change the list.
+        """
+        if self._arrows is not None:
+            return self._arrows
         seen = {}
         for k in range(self.algebra.dim):
             mk = self.model_keys(k)
@@ -402,10 +423,11 @@ class RuminPackage:
                     _, w2, _ = mk1[i]
                     seen.setdefault((k, w, w2), 0)
                     seen[(k, w, w2)] += 1
-        return [
+        self._arrows = [
             {"degree": k, "source_weight": w, "target_weight": w2, "order": w2 - w}
             for (k, w, w2) in sorted(seen)
         ]
+        return self._arrows
 
     # -- E = ker delta  cap  ker delta d -------------------------------------------
 
@@ -413,7 +435,7 @@ class RuminPackage:
         """Canonical basis of ker q cap ker qd on V^k (equals ker pi)."""
         if k not in self._E_basis:
             q = self.q_mat(k)
-            qd = self.q_mat(k + 1) @ self.d_mat(k) if k < self.algebra.dim else None
+            qd = self._product(self.q_mat(k + 1), self.d_mat(k)) if k < self.algebra.dim else None
             stacked = q.stack(qd) if qd is not None else q
             self._E_basis[k] = ColumnEliminator(stacked).nullspace()
         return self._E_basis[k]
@@ -436,12 +458,14 @@ class RuminPackage:
         exps, mono = self.keys(k)[column]
         return format_term(self.algebra, exps, mono)
 
-    def _check_equal(self, name, k, left, right):
-        if left == right:
-            return
-        diff = left - right
-        col = min(diff.cols)
-        raise IdentityError(name, witness=self._witness(k, col))
+    def _check_zero(self, name, k, residual):
+        """Fail name at the smallest nonzero column of residual, a V^k matrix."""
+        if residual.cols:
+            raise IdentityError(name, witness=self._witness(k, min(residual.cols)))
+
+    def _check_sum(self, name, k, nrows, terms):
+        """Fail name unless combine(nrows, dim V^k, terms) is zero."""
+        self._check_zero(name, k, combine(nrows, self.dim_v(k), terms, self.budget))
 
     def verify(self):
         """Run the full identity suite and return its report rows.
@@ -499,20 +523,23 @@ class RuminPackage:
                 f"poly {format_term(self.algebra, exps, ())}"
             )
 
+        product = self._product
+
         def qq(k):
-            return once(("qq", k), lambda: self.q_mat(k - 1) @ self.q_mat(k))
+            return once(("qq", k), lambda: product(self.q_mat(k - 1), self.q_mat(k)))
 
         def qdq(k):
             q = self.q_mat(k)
-            return once(("qdq", k), lambda: q @ self.d_mat(k - 1) @ q)
+            return once(("qdq", k), lambda: product(product(q, self.d_mat(k - 1)), q))
 
         def dd(k):
-            return once(("dd", k), lambda: self.d_mat(k) @ self.d_mat(k - 1))
+            return once(("dd", k), lambda: product(self.d_mat(k), self.d_mat(k - 1)))
 
         def pinned(k):
             # the stored pi(k) equals F(k) = d q + q d
             def compare():
-                self._check_equal("pi_is_dq_plus_qd", k, self.pi_mat(k), self._dq_plus_qd(k))
+                residual = self._dq_plus_qd(k, minus=self.pi_mat(k))
+                self._check_zero("pi_is_dq_plus_qd", k, residual)
 
             once(("pinned", k), compare)
 
@@ -525,19 +552,15 @@ class RuminPackage:
             # R = qdq - q, which needs products of the sparse q and d only
             def residual():
                 pinned(k)
-                n = self.dim_v(k)
-                out = SparseMatrix(n, n)
+                terms = []
                 if k > 0:
-                    out = out + self.d_mat(k - 1) @ (qdq(k) - self.q_mat(k))
+                    terms.append((1, self.d_mat(k - 1), qdq(k) - self.q_mat(k)))
                 if k < dim:
-                    out = out + (qdq(k + 1) - self.q_mat(k + 1)) @ self.d_mat(k)
+                    terms.append((1, qdq(k + 1) - self.q_mat(k + 1), self.d_mat(k)))
                 if 0 < k < dim:
-                    out = out + self.d_mat(k - 1) @ (qq(k + 1) @ self.d_mat(k))
-                    out = out + self.q_mat(k + 1) @ (dd(k) @ self.q_mat(k))
-                if out.cols:
-                    raise IdentityError(
-                        "pi_idempotent", witness=self._witness(k, min(out.cols))
-                    )
+                    terms.append((1, self.d_mat(k - 1), product(qq(k + 1), self.d_mat(k))))
+                    terms.append((1, self.q_mat(k + 1), product(dd(k), self.q_mat(k))))
+                self._check_sum("pi_idempotent", k, self.dim_v(k), terms)
 
             once(("idempotent", k), residual)
 
@@ -561,9 +584,10 @@ class RuminPackage:
                 idempotent(k)
                 iota_right(k)
                 iota_inv = self.iota_inv(k)
-                wrong = set((self.q_mat(k) @ iota_inv).cols)
+                wrong = set(product(self.q_mat(k), iota_inv).cols)
                 if k < dim:
-                    wrong |= set((self.q_mat(k + 1) @ (self.d_mat(k) @ iota_inv)).cols)
+                    d_iota = product(self.d_mat(k), iota_inv)
+                    wrong |= set(product(self.q_mat(k + 1), d_iota).cols)
                 if wrong:
                     raise IdentityError(
                         "ker_pi_equals_ker_q_ker_qd", witness=model_witness(k, min(wrong))
@@ -580,13 +604,11 @@ class RuminPackage:
 
         def check_q_squared():
             for k in range(1, dim + 1):
-                self._check_equal(
-                    "q_squared", k, qq(k), SparseMatrix(self.dim_v(k - 2), self.dim_v(k))
-                )
+                self._check_zero("q_squared", k, qq(k))
 
         def check_qdq():
             for k in range(1, dim + 1):
-                self._check_equal("q_d_q", k, qdq(k), self.q_mat(k))
+                self._check_zero("q_d_q", k, qdq(k) - self.q_mat(k))
 
         def check_pi_idempotent():
             pin_all()
@@ -597,27 +619,30 @@ class RuminPackage:
             # given pi = F, pi d - d pi = q (dd) - (dd) q
             pin_all()
             for k in range(dim):
-                zero = SparseMatrix(self.dim_v(k + 1), self.dim_v(k))
-                self._check_equal(
-                    "pi_commutes_d",
-                    k,
-                    self.q_mat(k + 2) @ dd(k + 1) if k + 1 < dim else zero,
-                    dd(k) @ self.q_mat(k) if k > 0 else zero,
-                )
+                terms = []
+                if k + 1 < dim:
+                    terms.append((1, self.q_mat(k + 2), dd(k + 1)))
+                if k > 0:
+                    terms.append((-1, dd(k), self.q_mat(k)))
+                self._check_sum("pi_commutes_d", k, self.dim_v(k + 1), terms)
 
         def check_pi_q():
             # given pi = F, pi q = d (qq) + qdq
             pin_all()
             for k in range(1, dim + 1):
-                lhs = qdq(k) if k == 1 else self.d_mat(k - 2) @ qq(k) + qdq(k)
-                self._check_equal("pi_q", k, lhs, self.q_mat(k))
+                terms = [(1, qdq(k), None), (-1, self.q_mat(k), None)]
+                if k > 1:
+                    terms.append((1, self.d_mat(k - 2), qq(k)))
+                self._check_sum("pi_q", k, self.dim_v(k - 1), terms)
 
         def check_q_pi():
             # given pi = F, q pi = qdq + (qq) d
             pin_all()
             for k in range(1, dim + 1):
-                lhs = qdq(k) + qq(k + 1) @ self.d_mat(k) if k < dim else qdq(k)
-                self._check_equal("q_pi", k, lhs, self.q_mat(k))
+                terms = [(1, qdq(k), None), (-1, self.q_mat(k), None)]
+                if k < dim:
+                    terms.append((1, qq(k + 1), self.d_mat(k)))
+                self._check_sum("q_pi", k, self.dim_v(k - 1), terms)
 
         def check_homotopy():
             # dq + qd is the identity on im pi: given pi = F, that is pi^2 = pi
@@ -627,12 +652,8 @@ class RuminPackage:
         def check_q_lap():
             # q (d delta + delta d) = delta on all forms
             for k in range(1, dim + 1):
-                self._check_equal(
-                    "q_laplacian_is_delta",
-                    k,
-                    self.q_mat(k) @ self.lap_mat(k),
-                    self.delta_mat(k),
-                )
+                terms = [(1, self.q_mat(k), self.lap_mat(k)), (-1, self.delta_mat(k), None)]
+                self._check_sum("q_laplacian_is_delta", k, self.dim_v(k - 1), terms)
 
         def check_ker_pi():
             pin_all()
@@ -655,7 +676,7 @@ class RuminPackage:
 
         def check_D_squared():
             for k in range(dim - 1):
-                lhs = self.D_mat(k + 1) @ self.D_mat(k)
+                lhs = product(self.D_mat(k + 1), self.D_mat(k))
                 if not lhs.is_zero():
                     col = min(lhs.cols)
                     exps, w, i = self.model_keys(k)[col]

@@ -1,14 +1,20 @@
 import math
 import random
+import time
 from fractions import Fraction
+
+import pytest
 
 import ruminbgg
 from ruminbgg import _kernel, linalg
+from ruminbgg.budget import Budget
+from ruminbgg.errors import BudgetExceededError
 from ruminbgg.linalg import (
     ColumnEliminator,
     SparseMatrix,
     accumulate,
     axpy,
+    combine,
     rank_of_columns,
     sum_columns,
 )
@@ -372,6 +378,108 @@ def test_matrix_operations_match_dense_oracle():
         assert a.apply(vec) == want
 
 
+def _dense_scaled_sum(c, x, y):
+    return [[c * u + v for u, v in zip(r, s)] for r, s in zip(x, y)]
+
+
+def _reaches(a, b, j):
+    """Whether the term a @ b, or the plain summand a if b is None, has a
+    source entry for column j."""
+    if b is None:
+        return j in a.cols
+    return j in b.cols and any(k in a.cols for k in b.cols[j][1])
+
+
+def test_combine_matches_dense_oracle():
+    """Random sums of products and plain summands against dense Fractions."""
+    rng = random.Random(37)
+    cancelled = shared = 0
+    for trial in range(200):
+        n, p = rng.randint(1, 6), rng.randint(1, 6)
+        terms = []
+        want = [[Fraction(0)] * p for _ in range(n)]
+        for _ in range(rng.randint(0, 4)):
+            c = rng.choice([1, -1, 2, -2])
+            if rng.random() < 0.4:
+                a = _hard_sparse(rng, n, p) if rng.random() < 0.8 else SparseMatrix(n, p)
+                terms.append((c, a, None))
+                want = _dense_scaled_sum(c, sparse_to_dense(a), want)
+            else:
+                k = rng.randint(1, 6)
+                a = _hard_sparse(rng, n, k) if rng.random() < 0.85 else SparseMatrix(n, k)
+                b = _hard_sparse(rng, k, p) if rng.random() < 0.85 else SparseMatrix(k, p)
+                terms.append((c, a, b))
+                prod = _dense_product(sparse_to_dense(a), sparse_to_dense(b))
+                want = _dense_scaled_sum(c, prod, want)
+        if terms and rng.random() < 0.3:
+            # subtract the sum so far: every column cancels to zero
+            total = combine(n, p, terms)
+            terms.append((-1, total, None))
+            want = [[Fraction(0)] * p for _ in range(n)]
+            cancelled += 1
+        got = combine(n, p, terms)
+        assert_normal_form(got)
+        assert sparse_to_dense(got) == want, trial
+        assert got == SparseMatrix(n, p, {
+            j: {i: row[j] for i, row in enumerate(want)} for j in range(p)
+        }), trial
+        # a column that only one plain summand with c = 1 reaches is that summand's column
+        for j, col in got.cols.items():
+            reach = [(c, a, b) for c, a, b in terms if _reaches(a, b, j)]
+            if len(reach) == 1 and reach[0][0] == 1 and reach[0][2] is None:
+                assert col is reach[0][1].cols[j], trial
+                shared += 1
+    assert cancelled > 30 and shared > 10
+
+
+def test_combine_shares_single_plain_columns_and_skips_empty_operands():
+    a = SparseMatrix(3, 3, {0: {0: Fraction(1, 2)}, 1: {1: Fraction(3)}})
+    b = SparseMatrix(3, 3, {1: {2: Fraction(1)}, 2: {0: Fraction(-1, 3)}})
+    total = a + b
+    assert total.cols[0] is a.cols[0] and total.cols[2] is b.cols[2]
+    assert total.cols[1] == (1, {1: 3, 2: 1})
+    diff = a - b
+    assert diff.cols[0] is a.cols[0] and diff.cols[2] == (3, {0: 1})
+    # an empty operand contributes nothing, and a sum of nothing is empty
+    empty = SparseMatrix(3, 3)
+    assert combine(3, 3, [(1, a, None), (2, empty, b), (-1, b, empty)]).cols[0] is a.cols[0]
+    assert combine(3, 3, [(1, empty, b), (1, a, empty)]) == empty
+    assert combine(3, 3, []) == empty
+    assert combine(3, 3, [(1, a, None), (-1, a, None)]) == empty
+    # shapes are checked for plain summands and for both sides of a product
+    with pytest.raises(ValueError):
+        combine(3, 2, [(1, a, None)])
+    with pytest.raises(ValueError):
+        combine(3, 3, [(1, a, SparseMatrix(2, 3))])
+    with pytest.raises(ValueError):
+        combine(2, 3, [(1, a, b)])
+
+
+class _CountingBudget:
+    def __init__(self):
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+
+
+def test_combine_checks_the_budget_every_64_columns():
+    n = 130
+    a = SparseMatrix.identity(n)
+    b = SparseMatrix(n, n, {j: {(j + 1) % n: Fraction(j + 1)} for j in range(n)})
+    budget = _CountingBudget()
+    assert combine(n, n, [(1, a, b)], budget) == b
+    assert budget.checks == 3  # result columns 0, 64 and 128
+    exhausted = Budget(seconds=0.001)
+    time.sleep(0.01)
+    with pytest.raises(BudgetExceededError):
+        combine(n, n, [(1, a, b)], exhausted)
+    with pytest.raises(BudgetExceededError):
+        combine(n, n, [(1, a, b), (-1, b, None)], exhausted)
+    # `@` and `+` take no budget
+    assert a @ b == b and (a @ b) - b == SparseMatrix(n, n)
+
+
 def test_columns_are_written_in_normal_form():
     half = Fraction(1, 2)
     m = SparseMatrix(
@@ -415,6 +523,7 @@ def test_integer_paths_create_no_fraction(monkeypatch):
     rank_of_columns(columns)
     ColumnEliminator(a.stack(a2))
     a.apply_column(*b.cols[min(b.cols)]), sum_columns([a.cols[j] for j in a.cols])
+    combine(7, 8, [(2, a, b), (-1, a2, b), (1, a @ b, None), (-2, a2 @ b, None)])
     elim.solve_column(*a.cols[min(a.cols)])
     decoded = _decode_matrix({"a": {"0": stored}}, "a", 0, (7, 6))
     monkeypatch.undo()
