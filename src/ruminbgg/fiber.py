@@ -426,15 +426,11 @@ class FiberContext:
     # -- Hodge data per block ------------------------------------------------
 
     def harmonic_basis(self, k, w):
-        """Canonical basis of ker d0 ∩ ker delta in block (k, w)."""
+        """Canonical basis of ker d0 ∩ ker delta in block (k, w), a column per vector, cached."""
         key = (k, w)
         if key not in self._harmonic:
-            monos = self.block(k, w)
             stacked = self.d0_block(k, w).stack(self.delta_block(k, w))
-            basis = ColumnEliminator(stacked).nullspace()
-            self._harmonic[key] = [
-                {monos[i]: v for i, v in vec.items()} for vec in basis
-            ]
+            self._harmonic[key] = ColumnEliminator(stacked).nullspace()
         return self._harmonic[key]
 
     def laplacian_block(self, k, w):
@@ -462,20 +458,13 @@ class FiberContext:
         # x != 0 solves (L0 delta0) x = v != 0, so delta0 x != 0
         return None if x is None else dblock.apply_column(*x)
 
-    def harmonic_block(self, k, w):
-        """Matrix whose column j is harmonic_basis(k, w)[j], positional in the block."""
-        index = self.block_index(k, w)
-        harm = self.harmonic_basis(k, w)
-        cols = {j: {index[m]: v for m, v in vec.items()} for j, vec in enumerate(harm)}
-        return SparseMatrix(len(index), len(harm), cols)
-
     def kerdelta_solver(self, k, w):
         """Eliminator of [harmonic basis | delta-block]: a solve on ker delta0
         gives the harmonic coordinates first, as `harmonic_coordinate_block`
         does in one product."""
         key = (k, w)
         if key not in self._kerdelta_solver:
-            harm = self.harmonic_block(k, w)
+            harm = self.harmonic_basis(k, w)
             dblock = self.delta_block(k + 1, w)
             matrix = SparseMatrix(harm.nrows, harm.ncols + dblock.ncols)
             matrix.cols = {**harm.cols, **{harm.ncols + j: c for j, c in dblock.cols.items()}}
@@ -484,7 +473,7 @@ class FiberContext:
 
     def harmonic_coordinate_block(self, k, w):
         """The nharm x n matrix X = (H^T G H)^{-1} H^T G of block (k, w), cached;
-        H = harmonic_block(k, w) and G is the block's Gram matrix (1 for the
+        H = harmonic_basis(k, w) and G is the block's Gram matrix (1 for the
         standard inner product).
 
         On ker delta0 = H + im delta0, X v is the harmonic coordinate vector
@@ -494,7 +483,7 @@ class FiberContext:
         """
         key = (k, w)
         if key not in self._harmonic_coordinates:
-            harm = self.harmonic_block(k, w)
+            harm = self.harmonic_basis(k, w)
             ht = harm.transpose()
             if not self.algebra.inner_product_is_standard():
                 ht = ht @ self._gram_block(k, w)

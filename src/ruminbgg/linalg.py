@@ -26,14 +26,14 @@ goes through one accumulate-and-normalize loop, which accumulates in a
 dict and freezes it once into the two tuples.  `column_from_ratios`
 builds a stored column from (p, q) pairs.  `fractions.Fraction` remains
 only at the boundary: the constructor and `set_column` take
-{row: Fraction} columns, and `column`, `entry`, `trace`, `apply`, `solve`
-and `nullspace` give Fractions back.
+{row: Fraction} columns, and `column`, `entry`, `trace`, `apply` and
+`solve` give Fractions back.
 
 Ranks go to the integer elimination kernel with each column's numerators
-as a {row: int} row.  Kernels and linear solves use a fraction-free column
-eliminator on working dicts: a working column and the combination of
-input columns that produced it share one denominator, and a pivot column
-is stored scaled so that its entry at the pivot row equals its
+as a {row: int} row.  Kernels (as stored columns) and linear solves use a
+fraction-free column eliminator on working dicts: a working column and the
+combination of input columns that produced it share one denominator, and a
+pivot column is stored scaled so that its entry at the pivot row equals its
 denominator.  The pivot is the smallest row index, so every basis it
 produces is canonical for a fixed column order and equals the one
 Fraction elimination with that rule gives.
@@ -361,11 +361,6 @@ class SparseMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def rank(self):
-        if not self.cols:
-            return 0
-        return rank_sparse([dict(zip(rows, nums)) for _, rows, nums in self.cols.values()])
-
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -474,5 +469,7 @@ class ColumnEliminator:
         return None if x is None else _to_fractions(*x)
 
     def nullspace(self):
-        """Deterministic basis of {x : A x = 0} as a list of sparse vectors."""
-        return [_to_fractions(den, combo, combo.values()) for den, combo in self.null_combos]
+        """Deterministic basis of {x : A x = 0}, one column per null_combos entry."""
+        out = SparseMatrix(self.ncols, len(self.null_combos))
+        out.cols = {i: _normal(den, combo) for i, (den, combo) in enumerate(self.null_combos)}
+        return out

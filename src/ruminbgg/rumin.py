@@ -10,6 +10,7 @@ Neumann series sum (-L0^{-1} N)^j L0^{-1}.  From the inverse:
     pi = d q + q d
     iota^{-1} = (1 - q d) lift,  lift = the harmonic representatives
     D  = project_harmonic . d . iota^{-1}
+    E  = ker q cap ker qd = ker pi, spanned by the iota^{-1} columns
 
 Each operator is a product of matrices over stored integer columns,
 immutable (den, rows, nums) tuples (see `linalg`).  Every product or sum
@@ -19,19 +20,18 @@ call of `linalg.combine`, which checks the package budget every 64
 columns.  d comes from the group calculus's cached
 pieces (`GroupContext.d_matrix`).
 V^k = Poly_P (x) Lambda^k is laid out per degree by (polynomial, fiber
-weight) block; delta = 1 (x) delta0, L0 = 1 (x) (d0 delta0 + delta0 d0) and
-the harmonic projection 1 (x) X, X the fiber's harmonic coordinate matrix,
-are the fiber's (k, w) block matrices copied through that layout, every
-copy of a block column sharing its numerator tuple.  N = lap - L0 is held
-only until q at the degree above is built from it.  Only
-L0^{-1} on im delta goes column by column: it splits a column by block and
-solves each piece with the block's cached eliminator.  So no Fraction is
-created from the cached pieces of d and the fiber's blocks and solvers to
-q, iota^{-1}, D.  The package's stored operator entries are written from
-and decoded into integer columns without Fractions as well.  Fractions
-remain where forms meet the matrices, in building those cached pieces, and
-in the stored harmonic bases, which are compared with the canonical
-Fraction ones on load.
+weight) block; delta = 1 (x) delta0, L0 = 1 (x) (d0 delta0 + delta0 d0),
+the lift 1 (x) H and the harmonic projection 1 (x) X, H the fiber's
+harmonic basis and X its coordinate matrix, are the fiber's (k, w) block
+matrices copied through that layout, every copy of a block column sharing
+its numerator tuple.  N = lap - L0 is held only until q at the degree
+above is built from it.  Only L0^{-1} on im delta goes column by column:
+it splits a column by block and solves each piece with the block's cached
+eliminator.  So no Fraction is created from the cached pieces of d and the
+fiber's blocks and solvers to q, iota^{-1}, D.  The package's stored
+operators and harmonic bases are written from and decoded into integer
+columns without Fractions as well.  Fractions remain where forms meet the
+matrices and in building those cached pieces.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
@@ -48,11 +48,11 @@ import io
 import json
 
 from .algebra import algebra_from_json, algebra_to_json
-from .errors import IdentityError, StructureError
+from .errors import BudgetExceededError, IdentityError, StructureError
 from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term
-from .linalg import ColumnEliminator, SparseMatrix, column_from_ratios, combine, sum_columns
-from .scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
+from .linalg import SparseMatrix, column_from_ratios, combine, sum_columns
+from .scalars import ratio_from_str, ratio_to_str
 
 def default_poly_degree(algebra):
     """Spanning-set budget: 3 for dim <= 7, 1 beyond (octonionic scale)."""
@@ -85,7 +85,6 @@ class RuminPackage:
         self._model_keys = {}
         self._D = {}
         self._iota_inv = {}
-        self._E_basis = {}
         self._arrows = None
         self._built = False
 
@@ -201,29 +200,41 @@ class RuminPackage:
         """a @ b, checking the package budget every 64 columns."""
         return combine(a.nrows, b.ncols, [(1, a, b)], self.budget)
 
+    def _layout_positions(self, k):
+        """{(exps, w): the V^k positions of block (exps, w)}."""
+        return {(exps, w): rows for exps, w, rows in self.block_layout(k)[1]}
+
+    def _model_positions(self, k):
+        """{(exps, w): the model^k positions of block (exps, w)'s harmonic forms}."""
+        out = {}
+        for pos, (exps, w, _) in enumerate(self.model_keys(k)):
+            out.setdefault((exps, w), []).append(pos)
+        return out
+
     def _fiberwise(self, k, out_k, block_fn):
         """The V^k -> V^out_k matrix of 1 (x) F, F given per weight w by its
         block block_fn(k, w): (k, w) -> (out_k, w)."""
-        targets = {(exps, w): rows for exps, w, rows in self.block_layout(out_k)[1]}
-        return self._copy_blocks(k, block_fn, self.dim_v(out_k), targets)
+        return self._copy_blocks(
+            k, block_fn, self._layout_positions(k), self._layout_positions(out_k),
+            self.dim_v(out_k), self.dim_v(k),
+        )
 
-    def _copy_blocks(self, k, block_fn, nrows, targets):
-        """A matrix on V^k with nrows rows that maps each fiber block (exps, w)
-        of V^k by block_fn(k, w), built once per weight, into the rows
-        targets[(exps, w)].  Every copy of a block column shares its nums
-        tuple; only the rows are remapped.  The budget is checked every 64
-        columns."""
+    def _copy_blocks(self, k, block_fn, sources, targets, nrows, ncols):
+        """The nrows x ncols matrix holding block_fn(k, w), built once per
+        weight, at columns sources[(exps, w)] and rows targets[(exps, w)] for
+        each block of sources.  Every copy of a block column shares its nums
+        tuple.  The budget is checked every 64 columns."""
         fiber_cols = {w: block_fn(k, w).cols for w in self.fiber.blocks(k)}
-        out = SparseMatrix(nrows, self.dim_v(k))
+        out = SparseMatrix(nrows, ncols)
         n = 0
-        for exps, w, rows in self.block_layout(k)[1]:
+        for (exps, w), cols in sources.items():
             # no target rows means the block has no columns
             out_rows = targets.get((exps, w))
             for j, (den, block_rows, nums) in fiber_cols[w].items():
                 if self.budget is not None and n % 64 == 0:
                     self.budget.check()
                 n += 1
-                out.cols[rows[j]] = (den, tuple([out_rows[i] for i in block_rows]), nums)
+                out.cols[cols[j]] = (den, tuple([out_rows[i] for i in block_rows]), nums)
         return out
 
     def _blockwise(self, k, matrix, nrows, solve):
@@ -338,8 +349,7 @@ class RuminPackage:
             polys = self.group.poly_basis(self.P)
             keys = []
             for w in sorted(self.fiber.blocks(k)):
-                basis = self.fiber.harmonic_basis(k, w)
-                for i in range(len(basis)):
+                for i in range(self.fiber.harmonic_basis(k, w).ncols):
                     for exps in polys:
                         keys.append((exps, w, i))
             self._model_keys[k] = keys
@@ -348,20 +358,16 @@ class RuminPackage:
     def model_dim(self, k):
         """len(model_keys(k)), counted without building the keys."""
         fib = self.fiber
-        harmonic = sum(len(fib.harmonic_basis(k, w)) for w in fib.blocks(k))
+        harmonic = sum(fib.harmonic_basis(k, w).ncols for w in fib.blocks(k))
         return harmonic * len(self.group.poly_basis(self.P))
 
     def lift(self, k):
-        """The model^k -> V^k matrix of harmonic representatives."""
-        self.keys(k)
-        index = self._index[k]
-        harmonic = self.fiber.harmonic_basis
-        mkeys = self.model_keys(k)
-        cols = {
-            j: {index[(exps, m)]: v for m, v in harmonic(k, w)[i].items()}
-            for j, (exps, w, i) in enumerate(mkeys)
-        }
-        return SparseMatrix(len(index), len(mkeys), cols)
+        """The model^k -> V^k matrix of harmonic representatives: model key
+        (exps, w, i) maps to column i of harmonic_basis(k, w) at (exps, w)."""
+        return self._copy_blocks(
+            k, self.fiber.harmonic_basis, self._model_positions(k), self._layout_positions(k),
+            self.dim_v(k), self.model_dim(k),
+        )
 
     def project(self, k, matrix):
         """Fiberwise classes of pointwise-ker-delta V^k columns in the model basis.
@@ -373,11 +379,10 @@ class RuminPackage:
         coordinates as one product.  The budget is checked every 64 columns.
         """
         delta = self.delta_mat(k)
-        mkeys = self.model_keys(k)
-        targets = {}
-        for pos, (exps, w, _) in enumerate(mkeys):
-            targets.setdefault((exps, w), []).append(pos)
-        coords = self._copy_blocks(k, self.fiber.harmonic_coordinate_block, len(mkeys), targets)
+        coords = self._copy_blocks(
+            k, self.fiber.harmonic_coordinate_block, self._layout_positions(k),
+            self._model_positions(k), self.model_dim(k), self.dim_v(k),
+        )
         out = SparseMatrix(coords.nrows, matrix.ncols)
         for n, (j, x) in enumerate(sorted(matrix.cols.items())):
             if self.budget is not None and n % 64 == 0:
@@ -445,13 +450,9 @@ class RuminPackage:
     # -- E = ker delta  cap  ker delta d -------------------------------------------
 
     def E_basis(self, k):
-        """Canonical basis of ker q cap ker qd on V^k (equals ker pi)."""
-        if k not in self._E_basis:
-            q = self.q_mat(k)
-            qd = self._product(self.q_mat(k + 1), self.d_mat(k)) if k < self.algebra.dim else None
-            stacked = q.stack(qd) if qd is not None else q
-            self._E_basis[k] = ColumnEliminator(stacked).nullspace()
-        return self._E_basis[k]
+        """Basis of E = ker q cap ker qd (= ker pi) on V^k: the iota^-1 columns,
+        which span E when the ker_pi_equals_ker_q_ker_qd row holds."""
+        return self.iota_inv(k)
 
     # -- full construction and the identity suite ------------------------------------
 
@@ -484,8 +485,8 @@ class RuminPackage:
         """Run the full identity suite and return its report rows.
 
         A failed identity becomes a row with its witness; callers decide
-        whether to raise.  An exhausted budget is not a row: the
-        BudgetExceededError from the checkpoint before each row propagates.
+        whether to raise.  An exhausted budget is not a row: its
+        BudgetExceededError propagates with the rows so far as its partial.
         Building the package also checks inverse postconditions, so a
         constructed package normally verifies clean.
 
@@ -502,10 +503,13 @@ class RuminPackage:
         memo = {}
 
         def record(name, fn):
-            if self.budget is not None:
-                self.budget.check()
             try:
+                if self.budget is not None:
+                    self.budget.check()
                 fn()
+            except BudgetExceededError as err:
+                err.partial = list(rows)
+                raise
             except IdentityError as err:
                 rows.append(
                     {
@@ -770,12 +774,13 @@ class RuminPackage:
 
         harmonic = {}
         for k in range(self.algebra.dim + 1):
-            for w in sorted(self.fiber.blocks(k)):
+            for w, monos in self.fiber.blocks(k).items():
+                # the block keeps the monomials' lexicographic order
                 basis = self.fiber.harmonic_basis(k, w)
-                if basis:
+                if basis.ncols:
                     harmonic[f"{k},{w}"] = [
-                        [[list(m), fraction_to_str(c)] for m, c in sorted(vec.items())]
-                        for vec in basis
+                        [[list(monos[i]), ratio_to_str(v, den)] for i, v in sorted(zip(rows, nums))]
+                        for _, (den, rows, nums) in sorted(basis.cols.items())
                     ]
         package = {
             "algebra": algebra_to_json(self.algebra),
@@ -824,9 +829,7 @@ class RuminPackage:
         for key, vectors in harmonic.items():
             try:
                 k, w = (int(x) for x in key.split(","))
-                stored = [
-                    {_stored_monomial(m): fraction_from_str(c) for m, c in vec} for vec in vectors
-                ]
+                stored = _decode_harmonic(pkg.fiber.block_index(k, w), vectors)
             except (TypeError, ValueError) as exc:
                 raise StructureError(f"malformed harmonic block {key!r}: {exc}") from exc
             if not 0 <= k <= dim or stored != pkg.fiber.harmonic_basis(k, w):
@@ -846,13 +849,24 @@ class RuminPackage:
         return pkg
 
 
-def _stored_monomial(m):
-    """A stored harmonic monomial as a tuple; anything but a list of ints is
-    a ValueError.  bool is an int subclass and False == 0, so a [false]
-    monomial would otherwise compare equal to (0,)."""
-    if not isinstance(m, list) or any(type(i) is not int for i in m):
-        raise ValueError(f"monomial {m!r} is not a list of integers")
-    return tuple(m)
+def _decode_harmonic(index, vectors):
+    """The matrix of stored harmonic vectors, positional by index, the block's {monomial:
+    position}.  Anything but a monomial of the block as a list of ints (bool is an int
+    subclass, and False == 0), a repeated monomial or a zero coefficient is a ValueError."""
+    out = SparseMatrix(len(index), len(vectors))
+    for n, vec in enumerate(vectors):
+        ratios = {}
+        for m, c in vec:
+            listed = isinstance(m, list) and all(type(x) is int for x in m)
+            i = index.get(tuple(m)) if listed else None
+            if i is None or i in ratios:
+                raise ValueError(f"monomial {m!r} is repeated or not one of the block")
+            ratios[i] = ratio_from_str(c)
+            if not ratios[i][0]:
+                raise ValueError(f"zero coefficient at monomial {m!r}")
+        if ratios:
+            out.cols[n] = column_from_ratios(ratios)
+    return out
 
 
 def _decode_matrix(ops, name, k, shape):
@@ -963,12 +977,11 @@ def build_q(algebra, max_poly_degree=None, budget=None):
 def build_pi_and_E(algebra, max_poly_degree=None, budget=None):
     """pi plus a basis description of E (= ker pi) per degree, as PolyForms."""
     pkg, _ = build_q(algebra, max_poly_degree, budget)
+    basis = {}
     for k in range(algebra.dim + 1):
         pkg.pi_mat(k)
-    basis = {
-        k: [pkg._to_form(k, vec) for vec in pkg.E_basis(k)]
-        for k in range(algebra.dim + 1)
-    }
+        E = pkg.E_basis(k)
+        basis[k] = [pkg._to_form(k, E.column(j)) for j in range(E.ncols)]
     return pkg, OperatorOnForms(pkg, pkg.pi_mat, 0), basis
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ruminbgg import _kernel
 from ruminbgg.algebra import builtin
 
 # the environment of a `python -m ruminbgg.cli` child: pytest's `pythonpath`
@@ -45,6 +46,14 @@ def assert_normal_form(matrix):
         assert len(set(rows)) == len(rows)
         assert all(type(v) is int and v for v in nums)
         assert math.gcd(den, *nums) == 1
+
+
+def kernel_rank(matrix):
+    """Exact rank of a SparseMatrix by the integer kernel: each column's
+    numerators as one row (rank is symmetric, and a column's denominator
+    does not change it)."""
+    rows = [dict(zip(rows, nums)) for _, rows, nums in matrix.cols.values()]
+    return _kernel.rank_sparse(rows) if rows else 0
 
 
 def dense_rank(rows):

@@ -244,6 +244,33 @@ def _bool_harmonic_monomial(pkg):
     raise AssertionError("no harmonic monomial holds index 0")
 
 
+def _duplicate_harmonic_monomial(pkg):
+    # the repeat comes first with a wrong coefficient, so a decoder that keeps
+    # the last entry per monomial would still match the canonical basis
+    vec = next(iter(pkg["harmonic"].values()))[0]
+    mono, _ = vec[0]
+    vec.insert(0, [list(mono), "17"])
+
+
+def _zero_harmonic_entry(pkg):
+    # an explicit zero at a block monomial that the vector does not hold
+    for vectors in pkg["harmonic"].values():
+        monos = [m for vec in vectors for m, _ in vec]
+        for vec in vectors:
+            extra = [m for m in monos if m not in [held for held, _ in vec]]
+            if extra:
+                vec.append([list(extra[0]), "0"])
+                return
+    raise AssertionError("no harmonic block has two monomials")
+
+
+def _harmonic_monomial_outside_block(pkg):
+    blocks = list(pkg["harmonic"].values())
+    first, last = blocks[0][0][0], blocks[-1][0][0]
+    assert first[0] != last[0]
+    first[0] = list(last[0])
+
+
 def _grow_D_block(pkg):
     pkg["operators"]["D"]["0"]["rows"] += 1
 
@@ -279,6 +306,9 @@ MALFORMED_PACKAGES = {
     "harmonic_zero_denominator": lambda pkg: _set_harmonic_entry(pkg, "1/0"),
     "harmonic_not_rational": lambda pkg: _set_harmonic_entry(pkg, "abc"),
     "harmonic_monomial_bool": _bool_harmonic_monomial,
+    "harmonic_duplicated": _duplicate_harmonic_monomial,
+    "harmonic_zero_entry": _zero_harmonic_entry,
+    "harmonic_monomial_outside_block": _harmonic_monomial_outside_block,
     "missing_max_poly_degree": lambda pkg: pkg.pop("max_poly_degree"),
     "D_entry_outside_shape": _far_D_row,
     "max_poly_degree_bool": lambda pkg: pkg.update(max_poly_degree=True),
@@ -380,6 +410,54 @@ def test_calculus_budget_partial_report(capsys):
     assert payload["budget"]["exceeded"]
     assert "partial" in payload
     assert all(r["status"] == "ok" for r in payload["partial"])
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_rumin_budget_partial_report(command, h2_package, tmp_path, monkeypatch, capsys):
+    # the budget runs out at a fixed checkpoint inside the identity suite;
+    # the exit-3 payload keeps the rows evaluated before it
+    argv = ["rumin", "build", "heisenberg:2", "--max-poly-degree", "1"]
+    if command == "verify":
+        path = tmp_path / "pkg.json"
+        path.write_text(json.dumps(h2_package))
+        argv = ["rumin", "verify", str(path)]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    full = json.loads(out)["report"]
+    verify = RuminPackage.verify
+    # checks are counted, and the one at call number stop raises, inside verify only
+    state = {"active": False, "calls": 0, "stop": None}
+
+    def check(budget):
+        if state["active"]:
+            state["calls"] += 1
+            if state["calls"] == state["stop"]:
+                raise BudgetExceededError("wall-clock budget exhausted")
+
+    def counted_verify(pkg):
+        state.update(active=True, calls=0)
+        try:
+            return verify(pkg)
+        finally:
+            state["active"] = False
+
+    monkeypatch.setattr(Budget, "check", check)
+    monkeypatch.setattr(RuminPackage, "verify", counted_verify)
+    assert run_cli(argv, capsys)[0] == 0
+    total = state["calls"]
+    assert total > len(full)
+    partials = []
+    for stop in range(1, total + 1):
+        state["stop"] = stop
+        code, out = run_cli(argv, capsys)
+        assert code == 3, stop
+        payload = json.loads(out)
+        assert payload["budget"]["exceeded"]
+        partials.append(payload["partial"])
+    # the first checkpoint comes before the first row, the last before the last row
+    assert partials[0] == [] and partials[-1] == full[:-1]
+    for before, after in zip(partials, partials[1:]):
+        assert after[: len(before)] == before and after == full[: len(after)]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -23,7 +23,7 @@ from ruminbgg.fiber import (
 )
 from ruminbgg.linalg import SparseMatrix, accumulate
 
-from conftest import dense_rank, random_fraction, sparse_to_dense
+from conftest import dense_rank, kernel_rank, random_fraction, sparse_to_dense
 
 
 def random_fiber_form(rng, alg, ctx, k, nterms=4):
@@ -258,7 +258,7 @@ def test_d0_blocks_of_a_dual_pair_are_signed_transposes(octo):
                         sign = (-1) ** (k + 1) * s_src * s_dst
                         want.setdefault(cols[dst_c], {})[rows[src_c]] = sign * v
                 assert dual == SparseMatrix(len(src), len(dst), want), (alg.name, k, w)
-                assert dual.rank() == block.rank(), (alg.name, k, w)
+                assert kernel_rank(dual) == kernel_rank(block), (alg.name, k, w)
 
 
 # well-formed algebras, built without `validate`, whose bracket leaves the grading
@@ -351,7 +351,7 @@ def test_harmonic_dims_match_bgg(h3):
         by[(k, w)] = r
     for k in range(h3.dim + 1):
         for w in ctx.blocks(k):
-            assert len(ctx.harmonic_basis(k, w)) == by.get((k, w), 0)
+            assert ctx.harmonic_basis(k, w).ncols == by.get((k, w), 0)
 
 
 # -- forms and the custom inner product ------------------------------------------

@@ -21,7 +21,7 @@ from ruminbgg.linalg import (
 from ruminbgg.rumin import _decode_matrix
 from ruminbgg.scalars import ratio_to_str
 
-from conftest import assert_normal_form, dense_rank, random_fraction, sparse_to_dense
+from conftest import assert_normal_form, dense_rank, kernel_rank, random_fraction, sparse_to_dense
 
 
 def random_sparse(rng, nrows, ncols, fill=0.3):
@@ -44,7 +44,7 @@ def test_rank_kernels_match_dense_oracle():
         m = random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8), fill=0.4)
         expected = dense_rank(sparse_to_dense(m))
         columns = [m.column(j) for j in m.cols]
-        assert rank_of_columns(columns) == m.rank() == expected
+        assert rank_of_columns(columns) == kernel_rank(m) == expected
         # the kernel itself on integer-cleared columns
         rows = []
         for col in columns:
@@ -146,7 +146,7 @@ def test_accumulate_and_axpy_match_inline_loop():
 
 def test_rank_rational_entries():
     m = SparseMatrix(2, 3, {0: {0: Fraction(1, 2)}, 1: {0: Fraction(1, 3), 1: Fraction(2)}, 2: {1: Fraction(4)}})
-    assert m.rank() == 2
+    assert kernel_rank(m) == 2
 
 
 def test_matmul_and_apply():
@@ -183,12 +183,15 @@ def test_eliminator_solve_and_nullspace():
         m = random_sparse(rng, rng.randint(1, 7), rng.randint(1, 7))
         elim = ColumnEliminator(m)
         # rank consistency
-        assert elim.rank == m.rank()
-        # every nullspace vector is exactly annihilated
+        assert elim.rank == kernel_rank(m)
+        # every nullspace vector is nonzero and exactly annihilated
         null = elim.nullspace()
-        assert len(null) == m.ncols - elim.rank
-        for vec in null:
-            assert m.apply(vec) == {}
+        assert null.shape() == (m.ncols, m.ncols - elim.rank)
+        assert len(null.cols) == null.ncols
+        assert_normal_form(null)
+        assert (m @ null).is_zero()
+        for j in null.cols:
+            assert m.apply(null.column(j)) == {}
         # solving A x = A e_j must succeed and reproduce the column
         for j in list(m.cols)[:3]:
             b = m.column(j)
@@ -209,7 +212,10 @@ def test_nullspace_is_deterministic():
     )
     first = ColumnEliminator(m).nullspace()
     second = ColumnEliminator(m).nullspace()
-    assert first == second
+    assert first == second and first.cols == second.cols
+    # column 1 - 2 column 0 and column 3 - column 0 - column 2
+    want = {0: {0: Fraction(-2), 1: Fraction(1)}, 1: {0: Fraction(-1), 2: Fraction(-1), 3: 1}}
+    assert first == SparseMatrix(4, 2, want)
 
 
 # -- the integer column representation against Fraction oracles ----------------
@@ -314,8 +320,11 @@ def test_eliminator_matches_fraction_oracle():
         assert_normal_form(m)
         want = FractionEliminator(m)
         got = ColumnEliminator(m)
-        assert got.rank == want.rank == m.rank() == dense_rank(sparse_to_dense(m)), trial
-        assert got.nullspace() == want.nullspace(), trial
+        assert got.rank == want.rank == kernel_rank(m) == dense_rank(sparse_to_dense(m)), trial
+        null, want_null = got.nullspace(), want.nullspace()
+        assert null == SparseMatrix(m.ncols, len(want_null), dict(enumerate(want_null))), trial
+        assert len(null.cols) == null.ncols, trial
+        assert_normal_form(null)
         # each pivot is stored in normal form with its pivot entry equal to den
         for r, (den, col, combo) in got.pivots.items():
             assert den > 0 and col[r] == den and min(col) == r, trial
@@ -589,10 +598,10 @@ def test_integer_paths_create_no_fraction(monkeypatch):
         for i, v in zip(rows, nums)
     ]}
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    a @ b, a + a2, a - a2, a.rank(), a.transpose(), a.stack(a2)
+    a @ b, a + a2, a - a2, kernel_rank(a), a.transpose(), a.stack(a2)
     combine(7, 6, [(-3, a, None)]), combine(7, 6, [(f.numerator, a, f_scalar)])
     rank_of_columns(columns)
-    ColumnEliminator(a.stack(a2))
+    ColumnEliminator(a.stack(a2)).nullspace()
     a.apply_column(*b.cols[min(b.cols)]), sum_columns([a.cols[j] for j in a.cols])
     combine(7, 8, [(2, a, b), (-1, a2, b), (1, a @ b, None), (-2, a2 @ b, None)])
     elim.solve_column(*a.cols[min(a.cols)])

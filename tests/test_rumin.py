@@ -11,7 +11,7 @@ from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError, IdentityError, StructureError
 from ruminbgg.fiber import FiberContext, monomial_weight
 from ruminbgg.groupcalc import PolyForm, format_term, operator_matrix, term_weight
-from ruminbgg.linalg import SparseMatrix, accumulate, axpy, rank_of_columns
+from ruminbgg.linalg import ColumnEliminator, SparseMatrix, accumulate, axpy, rank_of_columns
 from ruminbgg.rumin import (
     RuminPackage,
     _decode_matrix,
@@ -22,7 +22,7 @@ from ruminbgg.rumin import (
 )
 from ruminbgg.scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
-from conftest import SUITE_ROWS, assert_normal_form
+from conftest import SUITE_ROWS, assert_normal_form, kernel_rank
 from test_fiber import RATIONAL
 
 
@@ -138,11 +138,17 @@ def _oracle_q(pkg, k):
     return q, max(used for used, _ in runs.values())
 
 
+def _harmonic_vector(fib, k, w, i):
+    """Column i of harmonic_basis(k, w) as {monomial: Fraction}."""
+    monos = fib.block(k, w)
+    return {monos[r]: c for r, c in fib.harmonic_basis(k, w).column(i).items()}
+
+
 def _oracle_iota_columns(pkg, k):
     """(1 - q d) applied to each harmonic lift, with the package's q and d."""
     out = []
     for exps, w, i in pkg.model_keys(k):
-        hvec = pkg.fiber.harmonic_basis(k, w)[i]
+        hvec = _harmonic_vector(pkg.fiber, k, w, i)
         v = {pkg._index[k][(exps, m)]: c for m, c in hvec.items()}
         if k < pkg.algebra.dim:
             axpy(v, pkg.q_mat(k + 1).apply(pkg.d_mat(k).apply(v)), -1)
@@ -352,14 +358,15 @@ def test_fiberwise_operators_match_per_key_oracle(name, P):
         for w, monos in fib.blocks(k).items():
             # the harmonic forms lie in ker d0, so the fiber-level BGG map
             # proj d0 (1 - q0 d0) is zero and D vanishes on constants
-            assert (fib.d0_block(k, w) @ fib.harmonic_block(k, w)).is_zero(), (k, w)
+            harm = fib.harmonic_basis(k, w)
+            assert (fib.d0_block(k, w) @ harm).is_zero(), (k, w)
             # ker delta0 = H + im delta0, which the projection's domain check needs
             elim, _ = fib.kerdelta_solver(k, w)
-            assert elim.rank == len(monos) - fib.delta_block(k, w).rank(), (k, w)
+            assert elim.rank == len(monos) - kernel_rank(fib.delta_block(k, w)), (k, w)
             # so the harmonic coordinates on ker delta0 are fixed by X H = 1
             # and X delta0 = 0
             X = fib.harmonic_coordinate_block(k, w)
-            assert X @ fib.harmonic_block(k, w) == SparseMatrix.identity(X.nrows), (k, w)
+            assert X @ harm == SparseMatrix.identity(X.nrows), (k, w)
             assert (X @ fib.delta_block(k + 1, w)).is_zero(), (k, w)
             assert_normal_form(X)
     assert pkg.delta_mat(0).shape() == (0, pkg.dim_v(0))
@@ -414,18 +421,19 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     alg = _algebra(name)
     pkg = RuminPackage(alg, P)
     fib = pkg.fiber
-    # the pieces of d and the Hodge data are Fraction-built caches; delta
-    # and N are too under a non-standard inner product, whose Gram blocks
-    # come from Fraction determinants
+    # the pieces of d are Fraction-built caches; so are delta, N and the Hodge
+    # data under a non-standard inner product, whose Gram blocks come from
+    # Fraction determinants.  With the standard one the fiber's harmonic
+    # bases, solvers and coordinate blocks are built in the window below.
     gram = not alg.inner_product_is_standard()
     pkg.group.field_matrices(P)
     for k in range(alg.dim + 1):
-        pkg.group.coframe_pieces(k), pkg.model_keys(k)
+        pkg.group.coframe_pieces(k)
         if gram:
-            pkg.delta_mat(k), pkg.n_mat(k)
-        for w in fib.blocks(k):
-            fib.imdelta_solver(k, w), fib.kerdelta_solver(k, w)
-            fib.harmonic_coordinate_block(k, w)
+            pkg.model_keys(k), pkg.delta_mat(k), pkg.n_mat(k)
+            for w in fib.blocks(k):
+                fib.imdelta_solver(k, w), fib.kerdelta_solver(k, w)
+                fib.harmonic_coordinate_block(k, w)
     # N may have been built from d; d is built again below, from its cached pieces
     pkg._d.clear()
     created = []
@@ -440,15 +448,19 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
         pkg.d_mat(k)
     for k in range(alg.dim + 1):
         pkg.delta_mat(k), pkg.n_mat(k)
+        for w in fib.blocks(k):
+            fib.harmonic_basis(k, w)
     for k in range(alg.dim + 1):
         pkg.q_mat(k)
     for k in range(alg.dim + 1):
-        pkg.iota_inv(k)
+        pkg.lift(k), pkg.iota_inv(k)
     for k in range(alg.dim):
         pkg.D_mat(k)
     monkeypatch.undo()
     assert created == []
     assert pkg.neumann_terms >= 1 and any(not pkg.D_mat(k).is_zero() for k in range(alg.dim))
+    if not gram:
+        assert fib._harmonic and fib._imdelta_solver and fib._harmonic_coordinates
 
 
 # -- q -------------------------------------------------------------------------
@@ -527,6 +539,19 @@ def test_identity_suite_quaternionic(q2):
     suite_ok(RuminPackage(q2, 1).build())
 
 
+def _ker_q_ker_qd(pkg, k):
+    """The canonical basis of ker q cap ker qd on V^k, by elimination of the
+    stacked [q; qd]: the oracle for E_basis, which reads the iota^-1 columns."""
+    q = pkg.q_mat(k)
+    if k < pkg.algebra.dim:
+        q = q.stack(pkg.q_mat(k + 1) @ pkg.d_mat(k))
+    return ColumnEliminator(q).nullspace()
+
+
+def _columns(matrix):
+    return [matrix.column(j) for j in range(matrix.ncols)]
+
+
 @pytest.mark.parametrize("model,n,P", [("heisenberg", 2, 2), ("heisenberg", 3, 1), ("abelian", 3, 2)])
 def test_direct_forms_of_the_pi_lemmas(model, n, P):
     # the suite checks pi through d, q, trace(pi) and the iota^-1 columns;
@@ -540,11 +565,12 @@ def test_direct_forms_of_the_pi_lemmas(model, n, P):
         if k < alg.dim:
             assert pkg.pi_mat(k + 1) @ pkg.d_mat(k) == pkg.d_mat(k) @ pi
         dim_v, model_dim = pkg.dim_v(k), pkg.model_dim(k)
-        E = pkg.E_basis(k)
-        assert dim_v - pi.rank() == dim_v - pi.trace() == model_dim == len(E)
-        iota_inv = pkg.iota_inv(k)
-        assert iota_inv.ncols == model_dim
-        assert rank_of_columns(E + [iota_inv.column(j) for j in iota_inv.cols]) == model_dim
+        E = _columns(pkg.E_basis(k))
+        old = _ker_q_ker_qd(pkg, k)
+        assert dim_v - kernel_rank(pi) == dim_v - pi.trace() == model_dim == len(E) == old.ncols
+        assert rank_of_columns(E) == model_dim
+        assert rank_of_columns(_columns(old) + E) == model_dim
+        assert not any(pi.apply(v) for v in E)
 
 
 PI_ROWS = (
@@ -695,9 +721,10 @@ def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
                 assert not pkg.q_mat(k).apply(v), seed
                 if k < dim:
                     assert not pkg.q_mat(k + 1).apply(d[k].apply(v)), seed
-            E = pkg.E_basis(k)
-            assert pkg.dim_v(k) - pi[k].rank() == len(E) == pkg.model_dim(k), seed
-            assert not any(pi[k].apply(v) for v in E), seed
+            E, old = _columns(pkg.E_basis(k)), _columns(_ker_q_ker_qd(pkg, k))
+            assert pkg.dim_v(k) - kernel_rank(pi[k]) == len(old) == len(E) == pkg.model_dim(k), seed
+            assert rank_of_columns(old + E) == rank_of_columns(E) == len(E), seed
+            assert not any(pi[k].apply(v) for v in old + E), seed
 
 
 def test_verify_reports_every_row_when_an_early_row_stops(h2):
@@ -749,8 +776,8 @@ def test_E_constant_dimensions_match_betti(h2):
         pkg.keys(k)
         idx = pkg._index[k]
         const = {idx[(zero, m)] for m in pkg.fiber.mons(k)}
-        vecs = [v for v in pkg.E_basis(k) if set(v) <= const]
-        assert len(vecs) == expected
+        for basis in map(_columns, (pkg.E_basis(k), _ker_q_ker_qd(pkg, k))):
+            assert len([v for v in basis if set(v) <= const]) == expected
 
 
 def test_E_stable_under_d(h2):
@@ -760,7 +787,7 @@ def test_E_stable_under_d(h2):
         d = pkg.d_mat(k)
         q = pkg.q_mat(k + 1)
         qd_next = pkg.q_mat(k + 2) @ pkg.d_mat(k + 1) if k + 1 < h2.dim else None
-        for vec in pkg.E_basis(k):
+        for vec in _columns(pkg.E_basis(k)) + _columns(_ker_q_ker_qd(pkg, k)):
             dv = d.apply(vec)
             assert q.apply(dv) == {}
             if qd_next is not None:
@@ -799,7 +826,7 @@ def test_abelian_D_is_de_rham():
         # compare through the harmonic identification, lifted by hand
         lifted = {}
         for j, (exps, w, i) in enumerate(mk):
-            hvec = pkg.fiber.harmonic_basis(k, w)[i]
+            hvec = _harmonic_vector(pkg.fiber, k, w, i)
             lifted[j] = {pkg._index[k][(exps, m)]: c for m, c in hvec.items()}
         lifted = SparseMatrix(pkg.dim_v(k), len(mk), lifted)
         assert pkg.project(k + 1, pkg.d_mat(k) @ lifted) == pkg.D_mat(k)
@@ -836,6 +863,22 @@ def test_pi_E_wrapper(h2):
 # -- serialization ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name,P", ORACLE_CASES)
+def test_harmonic_bases_are_block_columns_in_normal_form(name, P):
+    pkg = RuminPackage(_algebra(name), P).build()
+    fib = pkg.fiber
+    assert fib._harmonic
+    for (k, w), harm in fib._harmonic.items():
+        assert_normal_form(harm)
+        assert harm.nrows == len(fib.block(k, w)) and len(harm.cols) == harm.ncols, (k, w)
+        assert (fib.delta_block(k, w) @ harm).is_zero() and kernel_rank(harm) == harm.ncols
+    # the lift shares each block column's numerators across its polynomial copies
+    for k in range(pkg.algebra.dim + 1):
+        lift = pkg.lift(k)
+        for j, (exps, w, i) in enumerate(pkg.model_keys(k)):
+            assert lift.cols[j][2] is fib.harmonic_basis(k, w).cols[i][2], (k, j)
+
+
 def _package_dict(pkg):
     """The package as a dict, built in full: the reference for `write_json`.
 
@@ -856,10 +899,11 @@ def _package_dict(pkg):
     for k in range(pkg.algebra.dim + 1):
         for w in sorted(pkg.fiber.blocks(k)):
             basis = pkg.fiber.harmonic_basis(k, w)
-            if basis:
+            vectors = [_harmonic_vector(pkg.fiber, k, w, i) for i in range(basis.ncols)]
+            if vectors:
                 harmonic[f"{k},{w}"] = [
                     [[list(m), fraction_to_str(c)] for m, c in sorted(vec.items())]
-                    for vec in basis
+                    for vec in vectors
                 ]
     return {
         "algebra": algebra_to_json(pkg.algebra),
