@@ -430,7 +430,7 @@ class FiberContext:
         key = (k, w)
         if key not in self._harmonic:
             stacked = self.d0_block(k, w).stack(self.delta_block(k, w))
-            self._harmonic[key] = ColumnEliminator(stacked).nullspace()
+            self._harmonic[key] = ColumnEliminator(stacked, self.budget).nullspace()
         return self._harmonic[key]
 
     def laplacian_block(self, k, w):
@@ -447,7 +447,7 @@ class FiberContext:
         if key not in self._imdelta_solver:
             lap = self.laplacian_block(k, w)
             dblock = self.delta_block(k + 1, w)
-            self._imdelta_solver[key] = (ColumnEliminator(lap @ dblock), dblock)
+            self._imdelta_solver[key] = (ColumnEliminator(lap @ dblock, self.budget), dblock)
         return self._imdelta_solver[key]
 
     def l0_inverse_column(self, k, w, den, rows, nums):
@@ -479,7 +479,8 @@ class FiberContext:
         On ker delta0 = H + im delta0, X v is the harmonic coordinate vector
         of v, as the ker-delta solve gives it: X H = 1, and H^T G delta0 = 0
         since delta0 is the G-adjoint of d0 and d0 H = 0.  Off ker delta0, X v
-        means nothing, so callers check delta0 v = 0 first.
+        means nothing, so callers check delta0 v = 0 first.  The budget is
+        checked every 64 columns of the elimination and of the solves.
         """
         key = (k, w)
         if key not in self._harmonic_coordinates:
@@ -488,9 +489,12 @@ class FiberContext:
             if not self.algebra.inner_product_is_standard():
                 ht = ht @ self._gram_block(k, w)
             # H^T G H is the Gram matrix of the harmonic basis, so invertible
-            elim = ColumnEliminator(ht @ harm)
+            elim = ColumnEliminator(ht @ harm, self.budget)
             out = SparseMatrix(harm.ncols, harm.nrows)
-            out.cols = {j: elim.solve_column(*col) for j, col in ht.cols.items()}
+            for n, (j, col) in enumerate(ht.cols.items()):
+                if self.budget is not None and n % 64 == 0:
+                    self.budget.check()
+                out.cols[j] = elim.solve_column(*col)
             self._harmonic_coordinates[key] = out
         return self._harmonic_coordinates[key]
 

@@ -380,16 +380,19 @@ class ColumnEliminator:
     Every working column is kept together with the combination of input
     columns that produced it, over one shared denominator, so a reduction
     of a target vector to zero yields a solution of A x = b directly.
+    budget, if given, is checked every 64 columns of the reduction.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, budget=None):
         self.nrows = matrix.nrows
         self.ncols = matrix.ncols
         # row -> (den, column, combo) with column[row] == den
         self.pivots = {}
         # (den, combo) per kernel vector
         self.null_combos = [(1, {j: 1}) for j in range(matrix.ncols) if j not in matrix.cols]
-        for j in sorted(matrix.cols):
+        for n, j in enumerate(sorted(matrix.cols)):
+            if budget is not None and n % 64 == 0:
+                budget.check()
             den, rows, nums = matrix.cols[j]
             den, col, combo = self._reduce(den, dict(zip(rows, nums)), {j: den})
             if not col:

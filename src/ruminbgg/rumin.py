@@ -4,7 +4,8 @@ Everything happens on the exactly invariant space of polynomial forms
 with coefficient degree <= P.  The degree-zero operator d delta + delta d
 splits as L0 + N with L0 the fiberwise part (invertible on im delta) and
 N strictly weight-raising, so its inverse on im delta is the terminating
-Neumann series sum (-L0^{-1} N)^j L0^{-1}.  From the inverse:
+Neumann series sum (-L0^{-1} N)^j L0^{-1}, summed by exact residual
+correction.  From the inverse:
 
     q  = (d delta + delta d)^{-1} delta
     pi = d q + q d
@@ -14,24 +15,23 @@ Neumann series sum (-L0^{-1} N)^j L0^{-1}.  From the inverse:
 
 Each operator is a product of matrices over stored integer columns,
 immutable (den, rows, nums) tuples (see `linalg`).  Every product or sum
-of products (the Laplacian, the Neumann steps and the inverse's
-residual, pi, iota^{-1}, D and the identity suite's residuals) is one
-call of `linalg.combine`, which checks the package budget every 64
-columns.  d comes from the group calculus's cached
-pieces (`GroupContext.d_matrix`).
+of products (the Laplacian, the inverse's residuals, pi, iota^{-1}, D and
+the identity suite's residuals) is one call of `linalg.combine`, which
+checks the package budget every 64 columns.  d comes from the group
+calculus's cached pieces (`GroupContext.d_matrix`).
 V^k = Poly_P (x) Lambda^k is laid out per degree by (polynomial, fiber
-weight) block; delta = 1 (x) delta0, L0 = 1 (x) (d0 delta0 + delta0 d0),
-the lift 1 (x) H and the harmonic projection 1 (x) X, H the fiber's
-harmonic basis and X its coordinate matrix, are the fiber's (k, w) block
-matrices copied through that layout, every copy of a block column sharing
-its numerator tuple.  N = lap - L0 is held only until q at the degree
-above is built from it.  Only L0^{-1} on im delta goes column by column:
-it splits a column by block and solves each piece with the block's cached
-eliminator.  So no Fraction is created from the cached pieces of d and the
-fiber's blocks and solvers to q, iota^{-1}, D.  The package's stored
-operators and harmonic bases are written from and decoded into integer
-columns without Fractions as well.  Fractions remain where forms meet the
-matrices and in building those cached pieces.
+weight) block; delta = 1 (x) delta0, the lift 1 (x) H and the harmonic
+projection 1 (x) X, H the fiber's harmonic basis and X its coordinate
+matrix, are the fiber's (k, w) block matrices copied through that
+layout, every copy of a block column sharing its numerator tuple.  Only
+L0^{-1} on im delta, L0 = 1 (x) (d0 delta0 + delta0 d0), goes column by
+column: it splits a column by block and solves each piece with the
+block's cached eliminator, so neither L0 nor N is formed.  No Fraction
+is created from the cached pieces of d and the fiber's blocks and
+solvers to q, iota^{-1}, D.  The package's stored operators and harmonic
+bases are written from and decoded into integer columns without
+Fractions as well.  Fractions remain where forms meet the matrices and
+in building those cached pieces.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
@@ -79,7 +79,6 @@ class RuminPackage:
         self._d = {}
         self._delta = {}
         self._lap = {}
-        self._n = {}
         self._q = {}
         self._pi = {}
         self._model_keys = {}
@@ -159,19 +158,9 @@ class RuminPackage:
     def l0_mat(self, k):
         """Fiberwise graded part of lap_mat: acts on the coframe only.
 
-        Not cached: only n_mat reads it, once per degree.
+        Not cached: the package solves L0 block by block and never reads it.
         """
         return self._fiberwise(k, k, self.fiber.laplacian_block)
-
-    def n_mat(self, k):
-        """N = lap - L0, the strictly weight-raising part of lap_mat.
-
-        Held only until q_mat(k + 1) is built, the one inverse at degree k
-        that a package build needs; a later call recomputes it.
-        """
-        if k not in self._n:
-            self._n[k] = self.lap_mat(k) - self.l0_mat(k)
-        return self._n[k]
 
     # -- the filtered inverse ---------------------------------------------------
 
@@ -237,17 +226,18 @@ class RuminPackage:
                 out.cols[cols[j]] = (den, tuple([out_rows[i] for i in block_rows]), nums)
         return out
 
-    def _blockwise(self, k, matrix, nrows, solve):
-        """Map each column of a V^k matrix piece by fiber block.
+    def _l0_inverse(self, k, matrix):
+        """L0^{-1} on im delta per column of a V^k matrix: the columns u in
+        im delta with L0 u = the column.
 
-        solve(block, den, rows, nums) maps the piece (nums at rows) / den,
-        positional in the block, to a stored column over nrows rows.  Columns
-        go in ascending order and blocks by number, so a failing solve is the
-        first failing block of the first failing column.  The budget is
-        checked every 64 columns.
+        A column is split by fiber block and each piece solved with the
+        block's im-delta eliminator.  Columns go in ascending order and
+        blocks by number (weight, then polynomial), so a piece outside im
+        delta is reported at the first such block of the first such column.
+        The budget is checked every 64 columns.
         """
         where, blocks = self.block_layout(k)
-        out = SparseMatrix(nrows, matrix.ncols)
+        out = SparseMatrix(matrix.nrows, matrix.ncols)
         for n, (j, (den, rows, nums)) in enumerate(sorted(matrix.cols.items())):
             if self.budget is not None and n % 64 == 0:
                 self.budget.check()
@@ -255,9 +245,17 @@ class RuminPackage:
             for pos, v in zip(rows, nums):
                 b, i = where[pos]
                 pieces.setdefault(b, {})[i] = v
-            col = sum_columns([
-                solve(blocks[b], den, pieces[b].keys(), pieces[b].values()) for b in sorted(pieces)
-            ])
+            solved = []
+            for b in sorted(pieces):
+                _, w, block_rows = blocks[b]
+                u = self.fiber.l0_inverse_column(k, w, den, pieces[b].keys(), pieces[b].values())
+                # L0 is invertible on im delta0, so only a piece off it has no solve
+                if u is None:
+                    raise StructureError(
+                        f"vector outside im delta at the block (degree {k}, weight {w})"
+                    )
+                solved.append((u[0], tuple([block_rows[i] for i in u[1]]), u[2]))
+            col = sum_columns(solved)
             if col:
                 out.cols[j] = col
         return out
@@ -265,24 +263,15 @@ class RuminPackage:
     def inverse_apply(self, k, matrix):
         """(d delta + delta d)^{-1} on im delta at degree k, per column of a V^k matrix.
 
-        The series sums (-L0^{-1} N)^j L0^{-1} B; L0^{-1} on im delta goes
-        block by block through the fiber's im-delta eliminators.
+        Exact residual correction with L0^{-1} as the step: from rhs = B, add
+        term = L0^{-1} rhs to the total and set rhs to rhs - lap term, until
+        rhs = 0.  L0 term = rhs exactly, so the new rhs is -N term, and the
+        terms are those of the Neumann series sum (-L0^{-1} N)^j L0^{-1} B.
         """
-
-        def l0_solve(block, den, piece_rows, nums):
-            exps, w, rows = block
-            u = self.fiber.l0_inverse_column(k, w, den, piece_rows, nums)
-            if u is None:
-                raise StructureError(
-                    f"graded part d0 delta0 + delta0 d0 is singular on the "
-                    f"im-delta block (degree {k}, weight {w})"
-                )
-            return u[0], tuple([rows[i] for i in u[1]]), u[2]
-
         total = SparseMatrix(matrix.nrows, matrix.ncols)
         if matrix.is_zero():
             return total
-        n = self.n_mat(k)
+        lap = self.lap_mat(k)
         # N strictly raises total weight, so this terminates
         limit = 2 * (sum(self.algebra.layers) + self.P) + 4
         rhs, terms_used = matrix, 0
@@ -295,14 +284,14 @@ class RuminPackage:
                     witness=f"degree {k}",
                     detail="filtered Neumann series failed to terminate",
                 )
-            term = self._blockwise(k, rhs, rhs.nrows, l0_solve)
-            sign = -1 if terms_used % 2 else 1
-            total = combine(total.nrows, total.ncols, [(1, total, None), (sign, term, None)])
+            term = self._l0_inverse(k, rhs)
+            total = combine(total.nrows, total.ncols, [(1, total, None), (1, term, None)])
             terms_used += 1
-            rhs = combine(n.nrows, term.ncols, [(1, n, term)], self.budget)
+            rhs = combine(rhs.nrows, rhs.ncols, [(1, rhs, None), (-1, lap, term)], self.budget)
         if terms_used > self.neumann_terms:
             self.neumann_terms = terms_used
-        residual = [(1, self.lap_mat(k), total), (-1, matrix, None)]
+        # rhs = 0 already gives lap total = B; this guards the sums themselves
+        residual = [(1, lap, total), (-1, matrix, None)]
         if combine(matrix.nrows, matrix.ncols, residual, self.budget).cols:
             raise IdentityError(
                 "inverse_on_im_delta",
@@ -317,7 +306,6 @@ class RuminPackage:
         if k not in self._q:
             if 0 < k <= self.algebra.dim:
                 self._q[k] = self.inverse_apply(k - 1, self.delta_mat(k))
-                self._n.pop(k - 1, None)
             else:
                 self._q[k] = SparseMatrix(self.dim_v(k - 1), self.dim_v(k))
         return self._q[k]

@@ -376,6 +376,16 @@ def test_budget_overshoot_is_bounded(capsys):
     assert time.monotonic() - start < 1.5
 
 
+def test_truncate_budget_overshoot_is_bounded(capsys):
+    # the fiber blocks, their eliminators and q's L0 steps check the budget
+    # often enough to stop truncate quaternionic:3 well within a second past 1 s
+    start = time.monotonic()
+    code, out = run_cli(["truncate", "quaternionic:3", "--budget-seconds", "1"], capsys)
+    assert code == 3
+    assert json.loads(out)["budget"]["exceeded"]
+    assert time.monotonic() - start < 2.0
+
+
 @pytest.mark.parametrize(
     "flags,env",
     [

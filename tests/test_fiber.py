@@ -24,6 +24,7 @@ from ruminbgg.fiber import (
 from ruminbgg.linalg import SparseMatrix, accumulate
 
 from conftest import dense_rank, kernel_rank, random_fraction, sparse_to_dense
+from test_linalg import _CountingBudget
 
 
 def random_fiber_form(rng, alg, ctx, k, nterms=4):
@@ -32,6 +33,25 @@ def random_fiber_form(rng, alg, ctx, k, nterms=4):
     for _ in range(nterms):
         terms[monos[rng.randrange(len(monos))]] = random_fraction(rng)
     return FiberForm(alg, terms)
+
+
+def test_hodge_eliminators_check_the_budget():
+    # block (6, 8) of quaternionic:3 has 210 monomials, 99 harmonic, and
+    # block (7, 8) 84; eliminators and coordinate solves check every 64 columns
+    budget = _CountingBudget()
+    ctx = FiberContext(builtin("quaternionic", 3), budget)
+    assert len(ctx.block(6, 8)) == 210 and len(ctx.block(7, 8)) == 84
+    for k in (5, 6, 7):
+        ctx.d0_block(k, 8), ctx.delta_block(k, 8)
+    ctx.delta_block(8, 8), ctx.laplacian_block(6, 8)
+    # the [d0; delta0] kernel (210 columns), L0 delta0 (84 columns), and
+    # H^T H (99 columns) plus its 210 solves
+    for build, checks in [
+        ("harmonic_basis", 4), ("imdelta_solver", 2), ("harmonic_coordinate_block", 2 + 4),
+    ]:
+        before = budget.checks
+        getattr(ctx, build)(6, 8)
+        assert budget.checks - before == checks, build
 
 
 # -- d0 ------------------------------------------------------------------

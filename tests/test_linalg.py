@@ -537,6 +537,9 @@ class _CountingBudget:
     def check(self):
         self.checks += 1
 
+    def count_monomials(self, n):
+        self.check()
+
 
 def test_combine_checks_the_budget_every_64_columns():
     n = 130
@@ -553,6 +556,19 @@ def test_combine_checks_the_budget_every_64_columns():
         combine(n, n, [(1, a, b), (-1, b, None)], exhausted)
     # `@` and `+` take no budget
     assert a @ b == b and (a @ b) - b == SparseMatrix(n, n)
+
+
+def test_column_eliminator_checks_the_budget_every_64_columns():
+    n = 130
+    m = SparseMatrix(n, n, {j: {j: Fraction(j + 1), (j + 1) % n: 1} for j in range(n)})
+    budget = _CountingBudget()
+    elim = ColumnEliminator(m, budget)
+    assert budget.checks == 3  # input columns 0, 64 and 128
+    assert elim.rank == ColumnEliminator(m).rank == n
+    exhausted = Budget(seconds=0.001)
+    time.sleep(0.01)
+    with pytest.raises(BudgetExceededError):
+        ColumnEliminator(m, exhausted)
 
 
 def test_columns_are_written_in_normal_form():

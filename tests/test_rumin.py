@@ -99,8 +99,9 @@ def _oracle_l0_inverse(pkg, k, vec):
 
 
 def _oracle_inverse(pkg, k, vec):
-    """(terms used, (d delta + delta d)^{-1} vec) by the Neumann series."""
-    n = pkg.n_mat(k)
+    """(terms used, (d delta + delta d)^{-1} vec) by the Neumann series,
+    term by term through N = lap - L0."""
+    n = pkg.lap_mat(k) - pkg.l0_mat(k)
     term = _oracle_l0_inverse(pkg, k, vec)
     total = dict(term)
     used = 1
@@ -266,17 +267,44 @@ def test_cached_and_decoded_operators_are_in_normal_form(name, P):
             assert m == getattr(pkg, cache)[k], (cache, k)
 
 
-def test_n_is_dropped_once_q_is_built(h2):
-    pkg = RuminPackage(h2, 2)
+def test_build_and_verify_never_form_l0(monkeypatch, h2):
+    def no_l0(pkg, k):
+        raise AssertionError(f"V^{k}-wide L0 formed")
+
+    monkeypatch.setattr(RuminPackage, "l0_mat", no_l0)
+    pkg = RuminPackage(h2, 2).build()
+    suite_ok(pkg)
+    # the inverse recomputed from the cached Laplacian gives q again
     for k in range(1, h2.dim + 1):
-        pkg.q_mat(k)
-        assert pkg._n == {}, k
-    pkg.build()
-    assert pkg._n == {}
-    # n_mat recomputes N on demand, and the inverse through it gives q again
-    for k in range(1, h2.dim + 1):
-        assert pkg.n_mat(k - 1) == pkg.lap_mat(k - 1) - pkg.l0_mat(k - 1)
         assert pkg.inverse_apply(k - 1, pkg.delta_mat(k)) == pkg.q_mat(k)
+
+
+@pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1)])
+def test_systematic_l0_fault_is_caught(monkeypatch, name, P):
+    # every L0 step solves for 2v: the residual's lowest weight part only
+    # changes sign, so the loop never ends, or the total is wrong
+    solve = FiberContext.l0_inverse_column
+
+    def doubled(fib, k, w, den, rows, nums):
+        return solve(fib, k, w, den, list(rows), [2 * v for v in nums])
+
+    monkeypatch.setattr(FiberContext, "l0_inverse_column", doubled)
+    pkg = RuminPackage(_algebra(name), P)
+    with pytest.raises(IdentityError) as err:
+        pkg.build()
+    assert err.value.identity in ("neumann_termination", "inverse_on_im_delta")
+
+
+def test_form_outside_im_delta_names_its_block(h2):
+    # theta^1 is harmonic (d0 and delta0 kill it), so it lies off im delta,
+    # where L0 is invertible
+    pkg, inverse = invert_on_im_delta(h2, 1)
+    theta1 = PolyForm.from_monomial(h2, (0,) * h2.dim, (0,))
+    with pytest.raises(StructureError, match=r"outside im delta.*\(degree 1, weight 1\)"):
+        inverse(theta1)
+    # a form in im delta inverts
+    image = pkg._to_form(1, pkg.delta_mat(2).column(min(pkg.delta_mat(2).cols)))
+    assert not inverse(image).is_zero()
 
 
 # -- the per-key oracle of the fiberwise operators --------------------------------
@@ -421,7 +449,7 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     alg = _algebra(name)
     pkg = RuminPackage(alg, P)
     fib = pkg.fiber
-    # the pieces of d are Fraction-built caches; so are delta, N and the Hodge
+    # the pieces of d are Fraction-built caches; so are delta, lap and the Hodge
     # data under a non-standard inner product, whose Gram blocks come from
     # Fraction determinants.  With the standard one the fiber's harmonic
     # bases, solvers and coordinate blocks are built in the window below.
@@ -430,11 +458,11 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     for k in range(alg.dim + 1):
         pkg.group.coframe_pieces(k)
         if gram:
-            pkg.model_keys(k), pkg.delta_mat(k), pkg.n_mat(k)
+            pkg.model_keys(k), pkg.delta_mat(k), pkg.lap_mat(k)
             for w in fib.blocks(k):
                 fib.imdelta_solver(k, w), fib.kerdelta_solver(k, w)
                 fib.harmonic_coordinate_block(k, w)
-    # N may have been built from d; d is built again below, from its cached pieces
+    # lap may have been built from d; d is built again below, from its cached pieces
     pkg._d.clear()
     created = []
     new = Fraction.__new__
@@ -447,7 +475,7 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     for k in range(alg.dim + 1):
         pkg.d_mat(k)
     for k in range(alg.dim + 1):
-        pkg.delta_mat(k), pkg.n_mat(k)
+        pkg.delta_mat(k), pkg.lap_mat(k)
         for w in fib.blocks(k):
             fib.harmonic_basis(k, w)
     for k in range(alg.dim + 1):
