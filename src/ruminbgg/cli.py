@@ -8,6 +8,7 @@ report carries a "budget" marker).
 """
 
 import argparse
+import copy
 import csv
 import io
 import json
@@ -77,12 +78,14 @@ def load_algebra(source, require_valid=True):
 
 
 def read_json(path):
-    """Parse a JSON file; invalid JSON is an input error."""
+    """Parse a JSON file; invalid JSON or text that is not UTF-8 is an input error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise StructureError(f"invalid JSON in {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise StructureError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def emit(text, out_path):
@@ -224,7 +227,13 @@ def cmd_rumin_build(args, config):
 
 
 def cmd_rumin_verify(args, config):
-    pkg = RuminPackage.from_json(read_json(args.package), budget=config.budget)
+    with open(args.package, "r", encoding="utf-8") as fh:
+        # on a copy, so that a streamed read that gives up leaves the monomial
+        # count for the fallback as it was; the clock runs on in both
+        pkg = RuminPackage.read_json(fh, budget=copy.copy(config.budget))
+    if pkg is None:
+        # not exactly the writer's layout, or a fault in it: from_json reports
+        pkg = RuminPackage.from_json(read_json(args.package), budget=config.budget)
     report = pkg.verify()
     ok = all(r["status"] == "ok" for r in report)
     payload = {

@@ -35,6 +35,10 @@ in building those cached pieces.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
+`read_json` reads that layout back one operator degree block at a time,
+and `from_json` decodes any parsed package; both check the stored
+harmonic bases against the canonical ones and every entry's shape, type
+and range, and each ratio string is parsed once per load.
 
 The construction asserts every operator identity exactly and names a
 witness basis element on failure.  The identity suite (`verify`) pins a
@@ -801,13 +805,87 @@ class RuminPackage:
         for key in ("algebra", "max_poly_degree", "operators"):
             if key not in data:
                 raise StructureError(f"package is missing {key!r}")
+        ratios = {}
+        pkg = cls._from_head(data, budget, ratios)
+        ops = data["operators"]
+        for k in range(pkg.algebra.dim + 1):
+            pkg._q[k] = _decode_matrix(ops, "q", k, pkg._stored_shape("q", k), ratios)
+            pkg._pi[k] = _decode_matrix(ops, "pi", k, pkg._stored_shape("pi", k), ratios)
+        for k in range(pkg.algebra.dim):
+            pkg._D[k] = _decode_matrix(ops, "D", k, pkg._stored_shape("D", k), ratios)
+        pkg._built = True
+        return pkg
+
+    @classmethod
+    def read_json(cls, fh, budget=None):
+        """Load a package from the text file fh, one operator degree block at a
+        time, if fh holds exactly the layout `write_json` writes; else None.
+
+        The head, everything before the operators, is parsed once and checked
+        as `from_json` checks it.  The operators section must then be the
+        writer's skeleton: every degree block of D, pi and q in key order, each
+        opened by a `      "k": {` line and closed by a `      }` line, and
+        nothing after the final brace.  Each block is cut out of fixed-size
+        chunks, parsed and decoded before the next is read, so neither the
+        file's text nor its parsed tree is ever held whole.  Any deviation, a
+        StructureError or a ValueError (invalid JSON or UTF-8 among them) gives
+        None, and the caller's `from_json` then reports the fault.  A
+        BudgetExceededError propagates.
+        """
+        text = _Chunks(fh)
+        marker = ',\n  "operators": {\n'
+        try:
+            if not text.starts('{\n  "algebra": {\n'):
+                return None
+            head = text.until(marker)
+            if head is None:
+                return None
+            data = json.loads(head[: -len(marker)] + "}")
+            del head
+            if not (isinstance(data, dict) and "algebra" in data and "max_poly_degree" in data):
+                return None
+            ratios = {}
+            pkg = cls._from_head(data, budget, ratios)
+            del data
+            dim = pkg.algebra.dim
+            # in the file's key order, "D" < "pi" < "q", each with its degree count
+            ops = [("D", pkg._D, dim), ("pi", pkg._pi, dim + 1), ("q", pkg._q, dim + 1)]
+            for name, cache, count in ops:
+                if not text.skip(f'    "{name}": {{\n'):
+                    return None
+                keys = sorted(map(str, range(count)))
+                for key in keys:
+                    if not text.skip(f'      "{key}": '):
+                        return None
+                    block = text.until("\n      }")
+                    if block is None or not text.skip("\n" if key == keys[-1] else ",\n"):
+                        return None
+                    if budget is not None:
+                        budget.check()
+                    k = int(key)
+                    tree = {name: {key: json.loads(block)}}
+                    del block
+                    cache[k] = _decode_matrix(tree, name, k, pkg._stored_shape(name, k), ratios)
+                    del tree
+                if not text.skip("    }\n" if name == "q" else "    },\n"):
+                    return None
+            if not (text.skip("  }\n}\n") and text.at_end()):
+                return None
+        except ValueError:
+            return None
+        pkg._built = True
+        return pkg
+
+    @classmethod
+    def _from_head(cls, data, budget, ratios):
+        """The package of a JSON object's algebra and P, with its stored harmonic
+        bases checked against the canonical ones; no operator is installed."""
         P = data["max_poly_degree"]
         # bool is an int subclass, so isinstance(True, int) holds
         if type(P) is not int:
             raise StructureError(f"max_poly_degree must be an integer, got {P!r}")
         algebra = algebra_from_json(data["algebra"])
         pkg = cls(algebra, P, budget=budget)
-        dim = algebra.dim
 
         # stored harmonic bases must match the canonical recomputation;
         # instead of trusting them, install after an exact comparison
@@ -817,48 +895,52 @@ class RuminPackage:
         for key, vectors in harmonic.items():
             try:
                 k, w = (int(x) for x in key.split(","))
-                stored = _decode_harmonic(pkg.fiber.block_index(k, w), vectors)
+                stored = _decode_harmonic(pkg.fiber.block_index(k, w), vectors, ratios)
             except (TypeError, ValueError) as exc:
                 raise StructureError(f"malformed harmonic block {key!r}: {exc}") from exc
-            if not 0 <= k <= dim or stored != pkg.fiber.harmonic_basis(k, w):
+            if not 0 <= k <= algebra.dim or stored != pkg.fiber.harmonic_basis(k, w):
                 raise StructureError(
                     f"stored harmonic basis at block ({k}, {w}) does not match "
                     "the canonical one"
                 )
-
-        ops = data["operators"]
-        for k in range(dim + 1):
-            pkg._q[k] = _decode_matrix(ops, "q", k, (pkg.dim_v(k - 1), pkg.dim_v(k)))
-            pkg._pi[k] = _decode_matrix(ops, "pi", k, (pkg.dim_v(k), pkg.dim_v(k)))
-        for k in range(dim):
-            shape = (pkg.model_dim(k + 1), pkg.model_dim(k))
-            pkg._D[k] = _decode_matrix(ops, "D", k, shape)
-        pkg._built = True
         return pkg
 
+    def _stored_shape(self, name, k):
+        """(rows, cols) of the stored operator name, "q", "pi" or "D", at degree k."""
+        if name == "q":
+            return self.dim_v(k - 1), self.dim_v(k)
+        if name == "pi":
+            return self.dim_v(k), self.dim_v(k)
+        return self.model_dim(k + 1), self.model_dim(k)
 
-def _decode_harmonic(index, vectors):
+
+def _decode_harmonic(index, vectors, ratios):
     """The matrix of stored harmonic vectors, positional by index, the block's {monomial:
     position}.  Anything but a monomial of the block as a list of ints (bool is an int
-    subclass, and False == 0), a repeated monomial or a zero coefficient is a ValueError."""
+    subclass, and False == 0), a repeated monomial or a zero coefficient is a ValueError.
+    ratios memoizes `ratio_from_str` by string across the calls of one load."""
     out = SparseMatrix(len(index), len(vectors))
     for n, vec in enumerate(vectors):
-        ratios = {}
+        column = {}
         for m, c in vec:
             listed = isinstance(m, list) and all(type(x) is int for x in m)
             i = index.get(tuple(m)) if listed else None
-            if i is None or i in ratios:
+            if i is None or i in column:
                 raise ValueError(f"monomial {m!r} is repeated or not one of the block")
-            ratios[i] = ratio_from_str(c)
-            if not ratios[i][0]:
+            value = ratios.get(c) if type(c) is str else None
+            if value is None:
+                value = ratios[c] = ratio_from_str(c)
+            if not value[0]:
                 raise ValueError(f"zero coefficient at monomial {m!r}")
-        if ratios:
-            out.cols[n] = column_from_ratios(ratios)
+            column[i] = value
+        if column:
+            out.cols[n] = column_from_ratios(column)
     return out
 
 
-def _decode_matrix(ops, name, k, shape):
-    """Stored operator block ops[name][k], checked against the expected shape."""
+def _decode_matrix(ops, name, k, shape, ratios=None):
+    """Stored operator block ops[name][k], checked against the expected shape.
+    ratios memoizes `ratio_from_str` by string across the calls of one load."""
     what = f"{name} at degree {k}"
     try:
         blob = ops[name][str(k)]
@@ -874,11 +956,16 @@ def _decode_matrix(ops, name, k, shape):
         raise StructureError(
             f"stored {what} has shape {declared[0]!r}x{declared[1]!r}, expected {nrows}x{ncols}"
         )
+    if ratios is None:
+        ratios = {}
     cols = {}
     for entry in entries:
         try:
             i, j, c = entry
-            value = ratio_from_str(c)
+            # only a str is looked up: any other entry keeps ratio_from_str's error
+            value = ratios.get(c) if type(c) is str else None
+            if value is None:
+                value = ratios[c] = ratio_from_str(c)
         except (TypeError, ValueError) as exc:
             raise StructureError(f"malformed entry {entry!r} in stored {what}: {exc}") from exc
         if not (type(i) is int and type(j) is int and 0 <= i < nrows and 0 <= j < ncols):
@@ -890,11 +977,63 @@ def _decode_matrix(ops, name, k, shape):
             raise StructureError(f"entry ({i}, {j}) appears twice in stored {what}")
         col[i] = value
     out = SparseMatrix(nrows, ncols)
-    for j, ratios in cols.items():
-        col = column_from_ratios(ratios)
+    for j, column in cols.items():
+        col = column_from_ratios(column)
         if col:
             out.cols[j] = col
     return out
+
+
+class _Chunks:
+    """The unread text of a file, read in fixed-size chunks and cut at literals.
+
+    Only the newly read text is searched for a marker, and the pieces of a
+    cut are joined once, so reading a file costs time linear in its size.
+    """
+
+    SIZE = 64 * 1024
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.rest = ""
+
+    def starts(self, literal):
+        """Whether the unread text starts with literal."""
+        while len(self.rest) < len(literal):
+            chunk = self.fh.read(self.SIZE)
+            if not chunk:
+                break
+            self.rest += chunk
+        return self.rest.startswith(literal)
+
+    def skip(self, literal):
+        """Consume literal if the unread text starts with it; whether it did."""
+        if not self.starts(literal):
+            return False
+        self.rest = self.rest[len(literal):]
+        return True
+
+    def until(self, marker):
+        """Consume and return the text up to and including the next marker;
+        None if no marker follows."""
+        parts = []
+        buf = self.rest
+        while (at := buf.find(marker)) < 0:
+            chunk = self.fh.read(self.SIZE)
+            if not chunk:
+                return None
+            # a marker may straddle the cut: keep its length less one
+            cut = max(len(buf) - len(marker) + 1, 0)
+            parts.append(buf[:cut])
+            buf = buf[cut:] + chunk
+        end = at + len(marker)
+        parts.append(buf[:end])
+        self.rest = buf[end:]
+        return "".join(parts)
+
+    def at_end(self):
+        """Whether no text is left."""
+        return not self.rest and not self.fh.read(1)
 
 
 def _stream_json(write, value, depth):

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import errno
+import io
 import json
 import os
 import stat
@@ -319,17 +321,160 @@ MALFORMED_PACKAGES = {
 }
 
 
+def written_layout(pkg):
+    """pkg as `RuminPackage.write_json` lays out a package."""
+    return json.dumps(pkg, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_PACKAGES))
 def test_rumin_verify_malformed_package_exit2(case, h2_package, tmp_path, capsys):
     pkg = copy.deepcopy(h2_package)
     MALFORMED_PACKAGES[case](pkg)
     pkg_path = tmp_path / "pkg.json"
-    pkg_path.write_text(json.dumps(pkg))
-    assert main(["rumin", "verify", str(pkg_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "Traceback" not in captured.err
+    errors = []
+    # compact, then the writer's layout, which the streamed reader reads first
+    for text in (json.dumps(pkg), written_layout(pkg)):
+        pkg_path.write_text(text)
+        assert main(["rumin", "verify", str(pkg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+
+
+def test_malformed_written_package_is_counted_once_against_the_budget(h2_package, tmp_path,
+                                                                     capsys):
+    # the streamed read gives up at the bad entry, after enumerating every
+    # spanning set; the fallback's count starts afresh, so a cap that one
+    # load fits under still reports the fault, not an exhausted budget
+    budget = Budget(max_monomials=10**6)
+    RuminPackage.from_json(h2_package, budget=budget)
+    cap = str(budget._monomials * 3 // 2)
+    pkg = copy.deepcopy(h2_package)
+    _set_q_entry(pkg, "1/0")
+    path = tmp_path / "pkg.json"
+    path.write_text(written_layout(pkg))
+    assert main(["rumin", "verify", str(path), "--max-monomials", cap]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed entry")
+
+
+def test_written_layout_is_the_writers(h2_package, tmp_path, capsys):
+    path = tmp_path / "pkg.json"
+    assert run_cli(["rumin", "build", "heisenberg:2", "--max-poly-degree", "1",
+                    "--out", str(path)], capsys)[0] == 0
+    assert path.read_text() == written_layout(h2_package)
+
+
+@pytest.fixture(scope="module")
+def written_package(tmp_path_factory):
+    """The text `rumin build --out` writes for quaternionic:2 at P=1."""
+    path = tmp_path_factory.mktemp("written") / "pkg.json"
+    args = ["rumin", "build", "quaternionic:2", "--max-poly-degree", "1", "--out", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    return path.read_text()
+
+
+def _refuse_json_load(monkeypatch):
+    """Make the whole-file decoder unusable, so only the streamed reader can load."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.load was called")
+
+    monkeypatch.setattr(json, "load", refuse)
+
+
+def test_rumin_verify_streams_the_written_package(written_package, tmp_path, monkeypatch,
+                                                  capsys):
+    path = tmp_path / "pkg.json"
+    path.write_text(written_package)
+    parsed = []
+    loads = json.loads
+
+    def recorded_loads(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    _refuse_json_load(monkeypatch)
+    monkeypatch.setattr(json, "loads", recorded_loads)
+    code, out = run_cli(["rumin", "verify", str(path)], capsys)
+    monkeypatch.undo()
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert [r["identity"] for r in report] == SUITE_ROWS
+    assert all(r["status"] == "ok" for r in report)
+    # one parse of the head, then one per degree block of q, pi (0..dim) and D
+    # (0..dim-1), and none of them sees more than one block's text
+    dim = builtin("quaternionic", 2).dim
+    assert [t.count('"entries"') for t in parsed] == [0] + [1] * (3 * dim + 2)
+    assert sum(map(len, parsed)) < len(written_package)
+
+
+def test_rumin_verify_truncated_or_trailing_text_exit2(written_package, tmp_path, capsys):
+    path = tmp_path / "pkg.json"
+    truncated = written_package[: written_package.rstrip("\n").rindex("\n") + 1]
+    for text in (truncated, written_package + "{}\n", written_package + "x"):
+        path.write_text(text)
+        assert main(["rumin", "verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid JSON in {path}")
+
+
+def test_non_utf8_file_is_input_error(written_package, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"a": "\xff"}')
+    # a byte that is not UTF-8 deep inside the operators of a written package
+    at = written_package.rindex('"entries"')
+    written = tmp_path / "written.json"
+    written.write_bytes(
+        written_package[:at].encode() + b"\xff" + written_package[at:].encode()
+    )
+    for argv in (["rumin", "verify", str(bad)], ["algebra", "validate", str(bad)],
+                 ["rumin", "verify", str(written)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {argv[-1]} is not UTF-8 text")
+
+
+def test_budget_trips_inside_the_streamed_decode_exit3(written_package, tmp_path,
+                                                       monkeypatch, capsys):
+    # every budget checkpoint of the streamed load stops the command with exit
+    # 3; none of them turns into the fallback to the whole-file decoder
+    path = tmp_path / "pkg.json"
+    path.write_text(written_package)
+    read_json = RuminPackage.read_json.__func__
+    state = {"active": False, "calls": 0, "stop": None}
+
+    def check(budget):
+        if state["active"]:
+            state["calls"] += 1
+            if state["calls"] == state["stop"]:
+                raise BudgetExceededError("wall-clock budget exhausted")
+
+    def counted_read_json(cls, fh, budget=None):
+        state.update(active=True, calls=0)
+        try:
+            return read_json(cls, fh, budget)
+        finally:
+            state["active"] = False
+
+    _refuse_json_load(monkeypatch)
+    monkeypatch.setattr(Budget, "check", check)
+    monkeypatch.setattr(RuminPackage, "read_json", classmethod(counted_read_json))
+    assert run_cli(["rumin", "verify", str(path)], capsys)[0] == 0
+    total = state["calls"]
+    # at least one checkpoint per operator degree block
+    assert total >= 3 * builtin("quaternionic", 2).dim + 2
+    for stop in range(1, total + 1):
+        state["stop"] = stop
+        code, out = run_cli(["rumin", "verify", str(path)], capsys)
+        assert code == 3, stop
+        payload = json.loads(out)
+        assert payload["budget"]["exceeded"] and "partial" not in payload
 
 
 def test_truncate_json(capsys):

@@ -1,11 +1,13 @@
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from ruminbgg import rumin
 from ruminbgg.algebra import algebra_from_json, algebra_to_json, builtin
 from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError, IdentityError, StructureError
@@ -14,6 +16,7 @@ from ruminbgg.groupcalc import PolyForm, format_term, operator_matrix, term_weig
 from ruminbgg.linalg import ColumnEliminator, SparseMatrix, accumulate, axpy, rank_of_columns
 from ruminbgg.rumin import (
     RuminPackage,
+    _Chunks,
     _decode_matrix,
     build_iota_and_D,
     build_pi_and_E,
@@ -1029,6 +1032,114 @@ def test_decoded_matrix_matches_fraction_decoder():
     with pytest.raises(StructureError, match="has shape 3xTrue"):
         _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 1))
     assert ratio_from_str(" -4/-6 ") == (2, 3) and ratio_from_str("0/-5") == (0, 1)
+
+
+def _read(text):
+    return RuminPackage.read_json(io.StringIO(text))
+
+
+def _assert_same_operators(got, want):
+    assert got is not None
+    assert (got.algebra.name, got.P) == (want.algebra.name, want.P)
+    for cache in ("_q", "_pi", "_D"):
+        stored = getattr(got, cache)
+        assert stored == getattr(want, cache), cache
+        for m in stored.values():
+            assert_normal_form(m)
+
+
+@pytest.mark.parametrize("P", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted({name for name, _ in ORACLE_CASES}))
+def test_streamed_read_matches_from_json(name, P):
+    pkg = RuminPackage(_algebra(name), P)
+    text = io.StringIO()
+    pkg.write_json(text)
+    _assert_same_operators(_read(text.getvalue()), RuminPackage.from_json(text.getvalue()))
+
+
+@pytest.mark.parametrize("size", [1, 7, 100])
+def test_streamed_read_cuts_blocks_across_chunk_edges(monkeypatch, size):
+    # a chunk as short as one character still finds every marker that
+    # straddles two chunks
+    text = io.StringIO()
+    RuminPackage(builtin("quaternionic", 2), 1).write_json(text)
+    want = RuminPackage.from_json(text.getvalue())
+    monkeypatch.setattr(_Chunks, "SIZE", size)
+    _assert_same_operators(_read(text.getvalue()), want)
+
+
+def test_each_ratio_string_is_parsed_once_per_load(monkeypatch):
+    text = io.StringIO()
+    RuminPackage(builtin("quaternionic", 2), 1).write_json(text)
+    data = json.loads(text.getvalue())
+    strings = {c for blocks in data["operators"].values() for blob in blocks.values()
+               for _, _, c in blob["entries"]}
+    strings |= {c for vectors in data["harmonic"].values() for vec in vectors for _, c in vec}
+    parsed = []
+
+    def counted(c):
+        parsed.append(c)
+        return ratio_from_str(c)
+
+    monkeypatch.setattr(rumin, "ratio_from_str", counted)
+    for load in (lambda: _read(text.getvalue()), lambda: RuminPackage.from_json(data)):
+        parsed.clear()
+        assert load() is not None
+        assert sorted(parsed) == sorted(strings)
+    # an entry that is not a string is not memoized and keeps the parser's error
+    for bad in (5, ["1"]):
+        blob = {"rows": 1, "cols": 1, "entries": [[0, 0, bad]]}
+        with pytest.raises(StructureError, match=f"not a rational string: {re.escape(repr(bad))}$"):
+            _decode_matrix({"m": {"0": blob}}, "m", 0, (1, 1))
+
+
+def _drop_block(text, op, k):
+    """text without the degree-k block of op and the separator next to it."""
+    start = text.index(f'\n    "{op}": {{\n')
+    at = text.index(f'\n      "{k}": {{\n', start)
+    end = text.index("\n      }", at) + len("\n      }")
+    if text[end] == ",":
+        return text[:at] + text[end + 1:]
+    return text[: text.rindex(",", 0, at)] + text[end:]
+
+
+def test_streamed_read_gives_up_off_the_writers_layout(h2):
+    pkg = RuminPackage(h2, 1)
+    buf = io.StringIO()
+    pkg.write_json(buf)
+    text = buf.getvalue()
+    data = json.loads(text)
+    assert _read(text) is not None
+    extra = text.replace('\n    "pi": {\n      "0": {\n',
+                         '\n    "pi": {\n      "00": {"rows": 0},\n      "0": {\n', 1)
+    deviations = {
+        "compact": json.dumps(data),
+        "no final newline": text[:-1],
+        "trailing text": text + "{}\n",
+        "trailing whitespace": text + "\n",
+        "truncated": text[: text.rstrip("\n").rindex("\n") + 1],
+        "missing first block": _drop_block(text, "D", "0"),
+        "missing last block": _drop_block(text, "q", str(h2.dim)),
+        "extra block": extra,
+        "operators first": json.dumps(
+            {"operators": data["operators"], **data}, indent=2
+        ) + "\n",
+        "not utf-8 inside a block": text.replace('"entries"', '"entries\udcff"', 1),
+        "malformed entry": text.replace('"1/2"', '"1/0"', 1),
+        "head without P": json.dumps(
+            {key: v for key, v in data.items() if key != "max_poly_degree"},
+            indent=2, sort_keys=True,
+        ) + "\n",
+    }
+    for case, bad in deviations.items():
+        assert bad != text, case
+        got = RuminPackage.read_json(
+            io.TextIOWrapper(io.BytesIO(bad.encode("utf-8", "surrogateescape")), "utf-8")
+        )
+        assert got is None, case
+    # the whole-file decoder still accepts the layouts that are valid packages
+    for case in ("compact", "no final newline", "trailing whitespace", "operators first"):
+        _assert_same_operators(RuminPackage.from_json(deviations[case]), pkg)
 
 
 def test_package_round_trip(h2):

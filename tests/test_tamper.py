@@ -4,7 +4,9 @@ Each non-empty operator block of a heisenberg:2 P=2 package gets two
 tampers at its first stored entry and two at its last: the entry is
 perturbed, or every entry of its column is dropped.  A tampered package
 must exit 1 with at least one failed row that names a counterexample.
-Which rows fail is not pinned.
+Which rows fail is not pinned.  Every tamper is written twice: compact,
+and in the layout `rumin build --out` writes, so both the whole-file
+decoder and the streamed reader load tampered packages.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from ruminbgg.cli import main
+from ruminbgg.rumin import RuminPackage
 
 BLOCKS = [("q", "2"), ("pi", "1"), ("pi", "2"), ("D", "0"), ("D", "1"), ("D", "2")]
 
@@ -39,15 +42,26 @@ UNSEEN = {
 }
 
 
+# a tampered package is written compact, which only the whole-file decoder
+# reads, and in the writer's layout, which the streamed reader reads
+LAYOUTS = {
+    "compact": json.dumps,
+    "written": lambda blob: json.dumps(blob, indent=2, sort_keys=True) + "\n",
+}
+
+
 def _cases():
-    for position in ("first", "last"):
-        for op, k in BLOCKS:
-            for kind in ("perturb_entry", "drop_column"):
-                marks = [CHAIN_MAP_GAP] if (op, k, kind, position) in UNSEEN else []
-                suffix = "" if position == "first" else "-last"
-                yield pytest.param(
-                    op, k, kind, position, marks=marks, id=f"{op}{k}-{kind}{suffix}"
-                )
+    for layout in LAYOUTS:
+        for position in ("first", "last"):
+            for op, k in BLOCKS:
+                for kind in ("perturb_entry", "drop_column"):
+                    marks = [CHAIN_MAP_GAP] if (op, k, kind, position) in UNSEEN else []
+                    suffix = "" if position == "first" else "-last"
+                    suffix += "" if layout == "compact" else f"-{layout}"
+                    yield pytest.param(
+                        op, k, kind, position, layout, marks=marks,
+                        id=f"{op}{k}-{kind}{suffix}",
+                    )
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +85,7 @@ def test_blocks_are_every_nonempty_block(package_blob):
     assert sorted(nonempty) == sorted(BLOCKS)
 
 
-@pytest.mark.parametrize("op,k,kind,position", list(_cases()))
-def test_tampered_package_fails_with_witness(
-    package_blob, tmp_path, capsys, op, k, kind, position
-):
+def _tampered(package_blob, op, k, kind, position):
     blob = copy.deepcopy(package_blob)
     entries = blob["operators"][op][k]["entries"]
     at = 0 if position == "first" else -1
@@ -83,9 +94,24 @@ def test_tampered_package_fails_with_witness(
         entries[at][2] = str(Fraction(value) + 1)
     else:
         entries[:] = [e for e in entries if e[1] != column]
+    return blob
+
+
+@pytest.mark.parametrize("op,k,kind,position,layout", list(_cases()))
+def test_tampered_package_fails_with_witness(
+    package_blob, tmp_path, capsys, op, k, kind, position, layout
+):
     path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(blob))
+    path.write_text(LAYOUTS[layout](_tampered(package_blob, op, k, kind, position)))
     code = main(["rumin", "verify", str(path)])
     report = json.loads(capsys.readouterr().out)["report"]
     assert code == 1
     assert any(r["status"] == "fail" and r.get("counterexample") for r in report), report
+
+
+def test_written_tampers_load_through_the_streamed_reader(package_blob):
+    # every tampered package in the writer's layout is read by the streamed
+    # reader, not handed to the whole-file decoder
+    for op, k, kind, position, _ in (p.values for p in _cases()):
+        text = LAYOUTS["written"](_tampered(package_blob, op, k, kind, position))
+        assert RuminPackage.read_json(io.StringIO(text)) is not None, (op, k, kind, position)

@@ -18,8 +18,10 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 BUILD = ["rumin", "build", "heisenberg:2", "--max-poly-degree", "1"]
-# PACKAGE stands for a package that BUILD writes first; `rumin verify` is the
-# one path through the tracer's from_json wrapper and its `json` stand-in
+# PACKAGE stands for a package that BUILD writes first.  `rumin verify` reads
+# it with the streamed `RuminPackage.read_json`, so the tracer's from_json
+# wrapper and its `json` stand-in are installed but not called; only a package
+# outside the writer's layout goes through them
 PACKAGE = "{package}"
 COMMANDS = [
     ["bgg", "heisenberg:2"],
