@@ -169,6 +169,7 @@ class FiberContext:
         self.budget = budget
         self._mons = {}
         self._blocks = {}
+        self._block_positions = {}
         self._block_index = {}
         self._d0 = None
         self._delta = None
@@ -201,6 +202,19 @@ class FiberContext:
                 by_w.setdefault(monomial_weight(self.algebra, m), []).append(m)
             self._blocks[k] = dict(sorted(by_w.items()))
         return self._blocks[k]
+
+    def block_positions(self, k):
+        """(positions, where) of degree k, built once apart from `blocks(k)`, which
+        the rank paths read alone; callers must not change them.  positions[w][i]
+        is the `mons(k)` position f of block(k, w)[i], and where[f] = (w, i)."""
+        if k not in self._block_positions:
+            positions, where = {}, []
+            for f, m in enumerate(self.mons(k)):
+                w = monomial_weight(self.algebra, m)
+                where.append((w, len(positions.setdefault(w, []))))
+                positions[w].append(f)
+            self._block_positions[k] = (dict(sorted(positions.items())), where)
+        return self._block_positions[k]
 
     def block(self, k, w):
         return self.blocks(k).get(w, [])
@@ -445,9 +459,10 @@ class FiberContext:
         """Eliminator of L0 @ delta-block; solves L0 u = v inside im delta."""
         key = (k, w)
         if key not in self._imdelta_solver:
-            lap = self.laplacian_block(k, w)
             dblock = self.delta_block(k + 1, w)
-            self._imdelta_solver[key] = (ColumnEliminator(lap @ dblock, self.budget), dblock)
+            # L0 delta0 = d0 delta0 delta0 + delta0 d0 delta0, whose first term is 0
+            matrix = dblock @ (self.d0_block(k, w) @ dblock)
+            self._imdelta_solver[key] = (ColumnEliminator(matrix, self.budget), dblock)
         return self._imdelta_solver[key]
 
     def l0_inverse_column(self, k, w, den, rows, nums):

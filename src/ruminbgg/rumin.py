@@ -19,19 +19,20 @@ of products (the Laplacian, the inverse's residuals, pi, iota^{-1}, D and
 the identity suite's residuals) is one call of `linalg.combine`, which
 checks the package budget every 64 columns.  d comes from the group
 calculus's cached pieces (`GroupContext.d_matrix`).
-V^k = Poly_P (x) Lambda^k is laid out per degree by (polynomial, fiber
-weight) block; delta = 1 (x) delta0, the lift 1 (x) H and the harmonic
-projection 1 (x) X, H the fiber's harmonic basis and X its coordinate
-matrix, are the fiber's (k, w) block matrices copied through that
-layout, every copy of a block column sharing its numerator tuple.  Only
-L0^{-1} on im delta, L0 = 1 (x) (d0 delta0 + delta0 d0), goes column by
-column: it splits a column by block and solves each piece with the
-block's cached eliminator, so neither L0 nor N is formed.  No Fraction
-is created from the cached pieces of d and the fiber's blocks and
-solvers to q, iota^{-1}, D.  The package's stored operators and harmonic
-bases are written from and decoded into integer columns without
-Fractions as well.  Fractions remain where forms meet the matrices and
-in building those cached pieces.
+V^k = Poly_P (x) Lambda^k is addressed by Kronecker arithmetic: fiber
+position f with polynomial e is f * npoly + e, and in the model harmonic
+form h with e is h * npoly + e.  delta = 1 (x) delta0, the lift 1 (x) H
+and the harmonic projection 1 (x) X, H the fiber's harmonic basis and X
+its coordinate matrix, copy the fiber's (k, w) block matrices to those
+positions, every copy of a block column sharing its numerator tuple.
+Only L0^{-1} on im delta, L0 = 1 (x) (d0 delta0 + delta0 d0), goes column
+by column: it splits a column by (weight, polynomial) block and solves
+each piece with the weight's cached eliminator, so neither L0 nor N is
+formed.  No Fraction is created from the cached pieces of d and the
+fiber's blocks and solvers to q, iota^{-1}, D.  The package's stored
+operators and harmonic bases are written from and decoded into integer
+columns without Fractions as well.  Fractions remain where forms meet
+the matrices and in building those cached pieces.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
@@ -50,6 +51,7 @@ materialized pi.
 
 import io
 import json
+from math import comb
 
 from .algebra import algebra_from_json, algebra_to_json
 from .errors import BudgetExceededError, IdentityError, StructureError
@@ -76,10 +78,11 @@ class RuminPackage:
         self.budget = budget
         self.fiber = FiberContext(algebra, budget)
         self.group = GroupContext(algebra, self.fiber)
+        # len(group.poly_basis(P)): the monomials of degree <= P in dim variables
+        self.npoly = comb(algebra.dim + self.P, self.P)
         self.neumann_terms = 0  # max Neumann length seen while inverting
         self._keys = {}
         self._index = {}
-        self._block_layout = {}
         self._d = {}
         self._delta = {}
         self._lap = {}
@@ -128,6 +131,11 @@ class RuminPackage:
         keys = self.keys(k)
         return PolyForm(self.algebra, {keys[i]: c for i, c in vec.items()})
 
+    def _rows(self, k):
+        """The V^k positions as the spanning index's own int objects, for columns to share."""
+        self.keys(k)
+        return list(self._index[k].values())
+
     # -- operator matrices ----------------------------------------------------
 
     def d_mat(self, k):
@@ -144,7 +152,8 @@ class RuminPackage:
         if k not in self._delta:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
-            self._delta[k] = self._fiberwise(k, k - 1, self.fiber.delta_block)
+            src, dst = self.fiber.block_positions(k)[0], self.fiber.block_positions(k - 1)[0]
+            self._delta[k] = self._kron(k, self.fiber.delta_block, src, dst, self._rows(k - 1))
         return self._delta[k]
 
     def lap_mat(self, k):
@@ -164,101 +173,69 @@ class RuminPackage:
 
         Not cached: the package solves L0 block by block and never reads it.
         """
-        return self._fiberwise(k, k, self.fiber.laplacian_block)
+        positions = self.fiber.block_positions(k)[0]
+        return self._kron(k, self.fiber.laplacian_block, positions, positions, self._rows(k))
+
+    def _kron(self, k, block_fn, src, dst, rows):
+        """1 (x) F, F given per weight w by its block block_fn(k, w): the copy of
+        block column j for polynomial e is column src[w][j] * npoly + e, with
+        row i at rows[dst[w][i] * npoly + e].  Each block is built once and
+        every copy of its column shares its nums tuple; the budget is checked
+        every 64 columns."""
+        npoly = self.npoly
+        out = SparseMatrix(len(rows), npoly * sum(map(len, src.values())))
+        for w, cols in src.items():
+            # a block with columns has rows, so dst[w] is read only then
+            block = [
+                (cols[j] * npoly, den, [dst[w][i] * npoly for i in block_rows], nums)
+                for j, (den, block_rows, nums) in block_fn(k, w).cols.items()
+            ]
+            for e in range(npoly):
+                for j, den, base, nums in block:
+                    if self.budget is not None and len(out.cols) % 64 == 0:
+                        self.budget.check()
+                    out.cols[j + e] = (den, tuple([rows[b + e] for b in base]), nums)
+        return out
 
     # -- the filtered inverse ---------------------------------------------------
-
-    def block_layout(self, k):
-        """(where, blocks) for V^k, built once; callers must not change it.
-
-        blocks[b] = (exps, w, rows), numbered by weight, then polynomial, has
-        rows[i] = the V^k position of (exps, fiber.block(k, w)[i]), and
-        where[rows[i]] = (b, i).
-        """
-        if k not in self._block_layout:
-            self.keys(k)
-            index = self._index[k]
-            where = [None] * len(index)
-            blocks = []
-            for w, monos in self.fiber.blocks(k).items():
-                for exps in self.group.poly_basis(self.P):
-                    rows = [index[(exps, m)] for m in monos]
-                    for i, pos in enumerate(rows):
-                        where[pos] = (len(blocks), i)
-                    blocks.append((exps, w, rows))
-            self._block_layout[k] = (where, blocks)
-        return self._block_layout[k]
 
     def _product(self, a, b):
         """a @ b, checking the package budget every 64 columns."""
         return combine(a.nrows, b.ncols, [(1, a, b)], self.budget)
 
-    def _layout_positions(self, k):
-        """{(exps, w): the V^k positions of block (exps, w)}."""
-        return {(exps, w): rows for exps, w, rows in self.block_layout(k)[1]}
-
-    def _model_positions(self, k):
-        """{(exps, w): the model^k positions of block (exps, w)'s harmonic forms}."""
-        out = {}
-        for pos, (exps, w, _) in enumerate(self.model_keys(k)):
-            out.setdefault((exps, w), []).append(pos)
-        return out
-
-    def _fiberwise(self, k, out_k, block_fn):
-        """The V^k -> V^out_k matrix of 1 (x) F, F given per weight w by its
-        block block_fn(k, w): (k, w) -> (out_k, w)."""
-        return self._copy_blocks(
-            k, block_fn, self._layout_positions(k), self._layout_positions(out_k),
-            self.dim_v(out_k), self.dim_v(k),
-        )
-
-    def _copy_blocks(self, k, block_fn, sources, targets, nrows, ncols):
-        """The nrows x ncols matrix holding block_fn(k, w), built once per
-        weight, at columns sources[(exps, w)] and rows targets[(exps, w)] for
-        each block of sources.  Every copy of a block column shares its nums
-        tuple.  The budget is checked every 64 columns."""
-        fiber_cols = {w: block_fn(k, w).cols for w in self.fiber.blocks(k)}
-        out = SparseMatrix(nrows, ncols)
-        n = 0
-        for (exps, w), cols in sources.items():
-            # no target rows means the block has no columns
-            out_rows = targets.get((exps, w))
-            for j, (den, block_rows, nums) in fiber_cols[w].items():
-                if self.budget is not None and n % 64 == 0:
-                    self.budget.check()
-                n += 1
-                out.cols[cols[j]] = (den, tuple([out_rows[i] for i in block_rows]), nums)
-        return out
-
     def _l0_inverse(self, k, matrix):
         """L0^{-1} on im delta per column of a V^k matrix: the columns u in
         im delta with L0 u = the column.
 
-        A column is split by fiber block and each piece solved with the
-        block's im-delta eliminator.  Columns go in ascending order and
-        blocks by number (weight, then polynomial), so a piece outside im
-        delta is reported at the first such block of the first such column.
-        The budget is checked every 64 columns.
+        A column is split by block, V^k position f * npoly + e lying in block
+        (where[f] weight, e), and each piece solved with the weight's im-delta
+        eliminator.  Columns go in ascending order and blocks by weight, then
+        polynomial, so a piece outside im delta is reported at the first such
+        block of the first such column.  The budget is checked every 64 columns.
         """
-        where, blocks = self.block_layout(k)
+        npoly = self.npoly
+        positions, where = self.fiber.block_positions(k)
+        index_rows = self._rows(k)
         out = SparseMatrix(matrix.nrows, matrix.ncols)
         for n, (j, (den, rows, nums)) in enumerate(sorted(matrix.cols.items())):
             if self.budget is not None and n % 64 == 0:
                 self.budget.check()
             pieces = {}
             for pos, v in zip(rows, nums):
-                b, i = where[pos]
-                pieces.setdefault(b, {})[i] = v
+                f, e = divmod(pos, npoly)
+                w, i = where[f]
+                pieces.setdefault((w, e), {})[i] = v
             solved = []
-            for b in sorted(pieces):
-                _, w, block_rows = blocks[b]
-                u = self.fiber.l0_inverse_column(k, w, den, pieces[b].keys(), pieces[b].values())
+            for w, e in sorted(pieces):
+                piece = pieces[(w, e)]
+                u = self.fiber.l0_inverse_column(k, w, den, piece.keys(), piece.values())
                 # L0 is invertible on im delta0, so only a piece off it has no solve
                 if u is None:
                     raise StructureError(
                         f"vector outside im delta at the block (degree {k}, weight {w})"
                     )
-                solved.append((u[0], tuple([block_rows[i] for i in u[1]]), u[2]))
+                block = positions[w]
+                solved.append((u[0], tuple([index_rows[block[i] * npoly + e] for i in u[1]]), u[2]))
             col = sum_columns(solved)
             if col:
                 out.cols[j] = col
@@ -336,29 +313,36 @@ class RuminPackage:
     # -- the bigraded model and D -------------------------------------------------
 
     def model_keys(self, k):
-        """Basis (exps, weight, i) of Poly x harmonic block, deterministic."""
+        """Basis (exps, weight, i) of Poly x harmonic block: key h * npoly + e
+        holds poly_basis(P)[e] and the h-th harmonic form, counted by weight."""
         if k not in self._model_keys:
             polys = self.group.poly_basis(self.P)
-            keys = []
-            for w in sorted(self.fiber.blocks(k)):
-                for i in range(self.fiber.harmonic_basis(k, w).ncols):
-                    for exps in polys:
-                        keys.append((exps, w, i))
-            self._model_keys[k] = keys
+            self._model_keys[k] = [
+                (exps, w, i)
+                for w, hs in self._harmonic_positions(k).items()
+                for i in range(len(hs))
+                for exps in polys
+            ]
         return self._model_keys[k]
 
     def model_dim(self, k):
         """len(model_keys(k)), counted without building the keys."""
-        fib = self.fiber
-        harmonic = sum(fib.harmonic_basis(k, w).ncols for w in fib.blocks(k))
-        return harmonic * len(self.group.poly_basis(self.P))
+        return self.npoly * sum(map(len, self._harmonic_positions(k).values()))
+
+    def _harmonic_positions(self, k):
+        """{w: the positions h of block (k, w)'s harmonic forms among all of degree k}."""
+        out, h = {}, 0
+        for w in self.fiber.blocks(k):
+            out[w] = range(h, h + self.fiber.harmonic_basis(k, w).ncols)
+            h = out[w].stop
+        return out
 
     def lift(self, k):
         """The model^k -> V^k matrix of harmonic representatives: model key
-        (exps, w, i) maps to column i of harmonic_basis(k, w) at (exps, w)."""
-        return self._copy_blocks(
-            k, self.fiber.harmonic_basis, self._model_positions(k), self._layout_positions(k),
-            self.dim_v(k), self.model_dim(k),
+        (exps, w, i) maps to column i of harmonic_basis(k, w) at exps."""
+        return self._kron(
+            k, self.fiber.harmonic_basis, self._harmonic_positions(k),
+            self.fiber.block_positions(k)[0], self._rows(k),
         )
 
     def project(self, k, matrix):
@@ -366,14 +350,14 @@ class RuminPackage:
 
         Each column must lie in ker delta; otherwise projection_domain names
         the smallest such column's lowest weight where delta of it is nonzero.
-        On ker delta the fiber blocks' harmonic coordinate matrices, copied
-        through the block layout and rebuilt per call, give the model
-        coordinates as one product.  The budget is checked every 64 columns.
+        On ker delta 1 (x) X, X the fiber blocks' harmonic coordinate
+        matrices, rebuilt per call, gives the model coordinates as one
+        product.  The budget is checked every 64 columns.
         """
         delta = self.delta_mat(k)
-        coords = self._copy_blocks(
-            k, self.fiber.harmonic_coordinate_block, self._layout_positions(k),
-            self._model_positions(k), self.model_dim(k), self.dim_v(k),
+        coords = self._kron(
+            k, self.fiber.harmonic_coordinate_block, self.fiber.block_positions(k)[0],
+            self._harmonic_positions(k), list(range(self.model_dim(k))),
         )
         out = SparseMatrix(coords.nrows, matrix.ncols)
         for n, (j, x) in enumerate(sorted(matrix.cols.items())):
@@ -381,8 +365,8 @@ class RuminPackage:
                 self.budget.check()
             off = delta.apply_column(*x)
             if off:
-                where, blocks = self.block_layout(k - 1)
-                w = min(blocks[where[i][0]][1] for i in off[1])
+                where = self.fiber.block_positions(k - 1)[1]
+                w = min(where[i // self.npoly][0] for i in off[1])
                 raise IdentityError(
                     "projection_domain",
                     witness=f"degree {k}, weight {w}",

@@ -413,19 +413,85 @@ def test_d_matrix_matches_per_key_oracle(name, P):
         assert_normal_form(got)
 
 
+@pytest.mark.parametrize("P", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted({name for name, _ in ORACLE_CASES}))
+def test_v_and_model_are_addressed_by_kronecker_positions(name, P):
+    # the package copies fiber blocks and splits columns by this arithmetic
+    # alone, so the bases must be laid out exactly so
+    pkg = RuminPackage(_algebra(name), P)
+    fib, npoly = pkg.fiber, pkg.npoly
+    polys = pkg.group.poly_basis(P)
+    assert npoly == len(polys)
+    for k in range(pkg.algebra.dim + 1):
+        mons = fib.mons(k)
+        keys = pkg.keys(k)
+        assert len(keys) == len(mons) * npoly
+        for f, mono in enumerate(mons):
+            for e, exps in enumerate(polys):
+                assert keys[f * npoly + e] == (exps, mono), (k, f, e)
+        # the harmonic forms of degree k in weight order
+        harmonic = [
+            (w, i) for w in sorted(fib.blocks(k)) for i in range(fib.harmonic_basis(k, w).ncols)
+        ]
+        model = pkg.model_keys(k)
+        assert len(model) == len(harmonic) * npoly == pkg.model_dim(k)
+        for h, (w, i) in enumerate(harmonic):
+            for e, exps in enumerate(polys):
+                assert model[h * npoly + e] == (exps, w, i), (k, h, e)
+        positions, where = fib.block_positions(k)
+        assert list(positions) == list(fib.blocks(k))
+        assert len(where) == len(mons)
+        for w, monos in fib.blocks(k).items():
+            assert [mons[f] for f in positions[w]] == monos, (k, w)
+            index = fib.block_index(k, w)
+            for i, f in enumerate(positions[w]):
+                assert where[f] == (w, i) and index[mons[f]] == i, (k, w, i)
+
+
+def test_copies_share_the_index_ints_and_block_tuples(q2):
+    # the copies' row numbers are the spanning index's own int objects, and
+    # the polynomial copies of a block column hold one nums tuple, which
+    # keeps the frontier's peak memory down
+    pkg = RuminPackage(q2, 1).build()
+    fib, npoly = pkg.fiber, pkg.npoly
+    index_rows = {k: list(pkg._index[k].values()) for k in range(-1, q2.dim + 1)}
+
+    def rows_shared(k, col):
+        return all(index_rows[k][r] is r for r in col[1])
+
+    for k in range(q2.dim + 1):
+        delta, lift = pkg.delta_mat(k), pkg.lift(k)
+        for j, col in delta.cols.items():
+            assert rows_shared(k - 1, col), (k, j)
+            assert col[2] is delta.cols[j - j % npoly][2], (k, j)
+        for j, col in lift.cols.items():
+            _, w, i = pkg.model_keys(k)[j]
+            assert rows_shared(k, col), (k, j)
+            assert col[2] is fib.harmonic_basis(k, w).cols[i][2], (k, j)
+    # q's rows come from the L0 solves through sums of products; take the
+    # column that reaches the highest row, since ints up to 256 are shared
+    # by the interpreter anyway
+    top, k, j = max(
+        (max(col[1]), k, j) for k in range(1, q2.dim + 1) for j, col in pkg.q_mat(k).cols.items()
+    )
+    assert top > 256
+    assert rows_shared(k - 1, pkg.q_mat(k).cols[j]), (k, j)
+    assert max(max(col[1]) for col in pkg.delta_mat(4).cols.values()) > 256
+
+
 @pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1), ("weighted-h3", 2)])
 def test_project_names_the_oracle_weight_off_ker_delta(name, P):
     alg = _algebra(name)
     pkg = RuminPackage(alg, P)
     checked = 0
     for k in range(1, alg.dim + 1):
-        where, blocks = pkg.block_layout(k)
+        where = pkg.fiber.block_positions(k)[1]
         delta = pkg.delta_mat(k)
         # one V^k column outside ker delta per weight, each in its own block,
         # so that no sum of them is in ker delta
         off = {}
         for j in sorted(delta.cols):
-            off.setdefault(blocks[where[j][0]][1], j)
+            off.setdefault(where[j // pkg.npoly][0], j)
         if not off:
             continue
         highest = {off[max(off)]: Fraction(1)}
