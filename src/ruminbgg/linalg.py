@@ -20,7 +20,8 @@ for sums of products: it forms sum c * (A @ B) over (c, A, B) terms
 (B = None for a plain summand A) column by column, as in Gustavson's
 sparse product, gathering every term's contribution to a column and
 normalizing it once.  `@`, `+` and `-` are single calls of it, so a sum of
-products never builds and normalizes the products on their own.  Every
+products never builds and normalizes the products on their own.
+`trace_of_product` reads trace(A @ B) off the two factors.  Every
 column sum, in the kernel, `apply_column`, `sum_columns` and `stack`,
 goes through one accumulate-and-normalize loop, which accumulates in a
 dict and freezes it once into the two tuples.  `column_from_ratios`
@@ -222,6 +223,27 @@ def combine(nrows, ncols, terms, budget=None):
             if col:
                 out_cols[j] = col
     return out
+
+
+def trace_of_product(a, b):
+    """trace(a @ b) as a Fraction, without forming the product.
+
+    Walks b's columns: entry (i, j) of b meets entry (j, i) of a, read off
+    a's column i.  The terms are summed as ints per denominator, over their
+    lcm once.
+    """
+    if a.ncols != b.nrows or a.nrows != b.ncols:
+        raise ValueError(f"shape mismatch: trace of {a.shape()} @ {b.shape()}")
+    acols = a.cols
+    sums = {}
+    for j, (den, rows, nums) in b.cols.items():
+        for i, v in zip(rows, nums):
+            hit = acols.get(i)
+            if hit is not None and j in hit[1]:
+                key = den * hit[0]
+                sums[key] = sums.get(key, 0) + v * hit[2][hit[1].index(j)]
+    L = lcm(*sums)
+    return Fraction(sum(v * (L // den) for den, v in sums.items()), L)
 
 
 def _same_column(x, y):

@@ -34,6 +34,14 @@ operators and harmonic bases are written from and decoded into integer
 columns without Fractions as well.  Fractions remain where forms meet
 the matrices and in building those cached pieces.
 
+A built package holds d, delta, q, iota^{-1} and D per degree, but neither
+pi nor the Laplacian: each is a sum of products of the held matrices, and
+is formed where it is read.  The Laplacian is formed once per inverse and
+once per degree by verify's q_laplacian_is_delta row.  `pi_mat` forms
+pi(k) per call, which `rumin build` does only when `write_json` reaches
+the degree's block, dropping it after the block.  Only a loaded package
+holds a pi, the one its file stored.
+
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
 `read_json` reads that layout back one operator degree block at a time,
@@ -44,9 +52,9 @@ and range, and each ratio string is parsed once per load.
 The construction asserts every operator identity exactly and names a
 witness basis element on failure.  The identity suite (`verify`) pins a
 stored pi by dq + qd - pi = 0, then evaluates the other pi identities as
-residual sums of products of the sparse d and q, and ker pi through
-trace(pi) and the iota^{-1} columns, never composing with the
-materialized pi.
+residual sums of products of the sparse d and q, and ker pi through the
+trace of dq + qd, read off d and q (`linalg.trace_of_product`), and the
+iota^{-1} columns, never composing with pi.
 """
 
 import io
@@ -57,7 +65,7 @@ from .algebra import algebra_from_json, algebra_to_json
 from .errors import BudgetExceededError, IdentityError, StructureError
 from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term
-from .linalg import SparseMatrix, column_from_ratios, combine, sum_columns
+from .linalg import SparseMatrix, column_from_ratios, combine, sum_columns, trace_of_product
 from .scalars import ratio_from_str, ratio_to_str
 
 def default_poly_degree(algebra):
@@ -85,7 +93,6 @@ class RuminPackage:
         self._index = {}
         self._d = {}
         self._delta = {}
-        self._lap = {}
         self._q = {}
         self._pi = {}
         self._model_keys = {}
@@ -157,16 +164,18 @@ class RuminPackage:
         return self._delta[k]
 
     def lap_mat(self, k):
-        """d delta + delta d on degree k."""
-        if k not in self._lap:
-            terms = []
-            if k > 0:
-                terms.append((1, self.d_mat(k - 1), self.delta_mat(k)))
-            if k < self.algebra.dim:
-                terms.append((1, self.delta_mat(k + 1), self.d_mat(k)))
-            n = self.dim_v(k)
-            self._lap[k] = combine(n, n, terms, self.budget)
-        return self._lap[k]
+        """d delta + delta d on degree k.
+
+        Not cached: a build reads it once per inverse, for q(k + 1), and
+        verify's q_laplacian_is_delta row once per degree.
+        """
+        terms = []
+        if k > 0:
+            terms.append((1, self.d_mat(k - 1), self.delta_mat(k)))
+        if k < self.algebra.dim:
+            terms.append((1, self.delta_mat(k + 1), self.d_mat(k)))
+        n = self.dim_v(k)
+        return combine(n, n, terms, self.budget)
 
     def l0_mat(self, k):
         """Fiberwise graded part of lap_mat: acts on the coframe only.
@@ -292,9 +301,11 @@ class RuminPackage:
         return self._q[k]
 
     def pi_mat(self, k):
-        if k not in self._pi:
-            self._pi[k] = self._dq_plus_qd(k)
-        return self._pi[k]
+        """The stored pi(k) if there is one (a loaded package's, or one a
+        caller installed in _pi); else d q + q d, formed per call and not
+        cached, so a built package holds no pi."""
+        stored = self._pi.get(k)
+        return self._dq_plus_qd(k) if stored is None else stored
 
     def _dq_plus_qd(self, k, minus=None):
         """d q + q d on degree k, from the q and d matrices, less the matrix
@@ -438,7 +449,6 @@ class RuminPackage:
                 if self.budget is not None:
                     self.budget.check()
                 self.q_mat(k)
-                self.pi_mat(k)
             for k in range(self.algebra.dim):
                 self.D_mat(k)
             self._built = True
@@ -466,13 +476,16 @@ class RuminPackage:
         Building the package also checks inverse postconditions, so a
         constructed package normally verifies clean.
 
-        pi is pinned by F(k) = d q + q d: every pi row fails, with the
-        first differing column as witness, unless the stored pi(k) equals
-        F(k) on every degree.  Given that, the rows evaluate the other pi
-        identities through products of the sparse q and d, and ker pi
-        through trace(pi) and the iota^-1 columns, instead of composing
-        with pi.  Products and verdicts shared between rows are memoized
-        for this call only.
+        A stored pi (a loaded package's) is pinned by F(k) = d q + q d:
+        every pi row fails, with the first differing column as witness,
+        unless each stored pi(k) equals F(k).  A pi(k) not stored is F(k)
+        by definition and is never formed here.  Given the pin, the rows
+        evaluate the other pi identities through products of the sparse q
+        and d, and ker pi through the trace of F, read off d and q, and
+        the iota^-1 columns, instead of composing with pi.  The Laplacian
+        is formed one degree at a time, for q_laplacian_is_delta.
+        Products and verdicts shared between rows are memoized for this
+        call only.
         """
         rows = []
         dim = self.algebra.dim
@@ -529,9 +542,13 @@ class RuminPackage:
             return once(("dd", k), lambda: product(self.d_mat(k), self.d_mat(k - 1)))
 
         def pinned(k):
-            # the stored pi(k) equals F(k) = d q + q d
+            # a stored pi(k) equals F(k) = d q + q d; with none stored, pi(k)
+            # is F(k) by definition and there is nothing to compare
+            if k not in self._pi:
+                return
+
             def compare():
-                residual = self._dq_plus_qd(k, minus=self.pi_mat(k))
+                residual = self._dq_plus_qd(k, minus=self._pi[k])
                 self._check_zero("pi_is_dq_plus_qd", k, residual)
 
             once(("pinned", k), compare)
@@ -571,7 +588,9 @@ class RuminPackage:
             # ker q cap ker qd lies in ker pi because pi = F.  The model_dim(k)
             # iota^-1 columns, independent by iota_inverse_right, lie in
             # ker q cap ker qd, and dim ker pi = n - trace(pi) because pi is
-            # idempotent; equal dimensions close both inclusions.
+            # idempotent; equal dimensions close both inclusions.  trace(pi)
+            # = trace(F) is trace(d q) at k plus trace(d q) at k + 1, since
+            # trace(q d) = trace(d q), read off d and q without forming F.
             def run():
                 pinned(k)
                 idempotent(k)
@@ -585,7 +604,11 @@ class RuminPackage:
                     raise IdentityError(
                         "ker_pi_equals_ker_q_ker_qd", witness=model_witness(k, min(wrong))
                     )
-                nullity_pi = self.dim_v(k) - self.pi_mat(k).trace()
+                trace = sum(
+                    trace_of_product(self.d_mat(j - 1), self.q_mat(j))
+                    for j in (k, k + 1) if 0 < j <= dim
+                )
+                nullity_pi = self.dim_v(k) - trace
                 if nullity_pi != self.model_dim(k):
                     raise IdentityError(
                         "ker_pi_equals_ker_q_ker_qd",
@@ -716,16 +739,20 @@ class RuminPackage:
         This is the package format.  Operator entries go straight from the
         stored integer columns to text, one write per column, so the text is
         never held whole; the text of each distinct numerator over a
-        denominator is made once per write.  The budget is checked every 64
-        columns.
+        denominator is made once per write.  Each operator block's shape
+        comes from the bases, and its matrix is asked for only when the
+        writer reaches its entries, so a pi(k) that is not stored is formed
+        there and dropped before the next block.  The budget is checked
+        every 64 columns.
         """
         self.build()
         budget = self.budget
         ratio_text = {}
 
-        def encode(matrix):
+        def encode(name, k, form):
             def entries(write, depth):
-                """The [i, j, "p/q"] entry list, one write per column."""
+                """The [i, j, "p/q"] entry list of form(k), one write per column."""
+                matrix = form(k)
                 outer = "\n" + "  " * depth
                 pad = outer + "  "
                 inner = pad + "  "
@@ -746,7 +773,8 @@ class RuminPackage:
                     sep = ","
                 write("[]" if sep == "[" else outer + "]")
 
-            return {"rows": matrix.nrows, "cols": matrix.ncols, "entries": entries}
+            nrows, ncols = self._stored_shape(name, k)
+            return {"rows": nrows, "cols": ncols, "entries": entries}
 
         harmonic = {}
         for k in range(self.algebra.dim + 1):
@@ -758,15 +786,18 @@ class RuminPackage:
                         [[list(monos[i]), ratio_to_str(v, den)] for i, v in sorted(zip(rows, nums))]
                         for _, (den, rows, nums) in sorted(basis.cols.items())
                     ]
+        dim = self.algebra.dim
+        operators = {
+            "q": (self.q_mat, dim + 1), "pi": (self.pi_mat, dim + 1), "D": (self.D_mat, dim),
+        }
         package = {
             "algebra": algebra_to_json(self.algebra),
             "max_poly_degree": self.P,
             "neumann_terms": self.neumann_terms,
             "harmonic": harmonic,
             "operators": {
-                "q": {str(k): encode(self.q_mat(k)) for k in range(self.algebra.dim + 1)},
-                "pi": {str(k): encode(self.pi_mat(k)) for k in range(self.algebra.dim + 1)},
-                "D": {str(k): encode(self.D_mat(k)) for k in range(self.algebra.dim)},
+                name: {str(k): encode(name, k, form) for k in range(count)}
+                for name, (form, count) in operators.items()
             },
             "arrows": self.arrows(),
         }
@@ -1088,12 +1119,12 @@ def build_q(algebra, max_poly_degree=None, budget=None):
 def build_pi_and_E(algebra, max_poly_degree=None, budget=None):
     """pi plus a basis description of E (= ker pi) per degree, as PolyForms."""
     pkg, _ = build_q(algebra, max_poly_degree, budget)
-    basis = {}
+    pi, basis = {}, {}
     for k in range(algebra.dim + 1):
-        pkg.pi_mat(k)
+        pi[k] = pkg.pi_mat(k)
         E = pkg.E_basis(k)
         basis[k] = [pkg._to_form(k, E.column(j)) for j in range(E.ncols)]
-    return pkg, OperatorOnForms(pkg, pkg.pi_mat, 0), basis
+    return pkg, OperatorOnForms(pkg, pi.__getitem__, 0), basis
 
 
 def build_iota_and_D(algebra, max_poly_degree=None, budget=None):

@@ -17,6 +17,7 @@ from ruminbgg.linalg import (
     combine,
     rank_of_columns,
     sum_columns,
+    trace_of_product,
 )
 from ruminbgg.rumin import _decode_matrix
 from ruminbgg.scalars import ratio_to_str
@@ -395,6 +396,28 @@ def test_matrix_operations_match_dense_oracle():
         vec = {j: _hard_value(rng) for j in rng.sample(range(k), rng.randint(0, k))}
         want = {i: v for i, row in enumerate(da) if (v := sum(row[j] * x for j, x in vec.items()))}
         assert a.apply(vec) == want
+
+
+def test_trace_of_product_matches_the_formed_product():
+    # non-square factors with empty, zero and dependent columns and mixed
+    # denominators, some with every column's rows reordered
+    rng = random.Random(53)
+    nonsquare = 0
+    for trial in range(200):
+        n, k = rng.randint(1, 7), rng.randint(1, 7)
+        nonsquare += n != k
+        a = _hard_sparse(rng, n, k) if rng.random() < 0.9 else SparseMatrix(n, k)
+        b = _hard_sparse(rng, k, n) if rng.random() < 0.9 else SparseMatrix(k, n)
+        if rng.random() < 0.5:
+            a, b = _reordered(a, rng), _reordered(b, rng)
+        got = trace_of_product(a, b)
+        assert type(got) is Fraction
+        dense = _dense_product(sparse_to_dense(a), sparse_to_dense(b))
+        assert got == sum((dense[i][i] for i in range(n)), Fraction(0)), trial
+        assert got == (a @ b).trace() == trace_of_product(b, a), trial
+    assert nonsquare > 100
+    with pytest.raises(ValueError, match="shape mismatch"):
+        trace_of_product(SparseMatrix(2, 3), SparseMatrix(3, 3))
 
 
 def _reordered(m, rng):

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -13,7 +15,14 @@ from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError, IdentityError, StructureError
 from ruminbgg.fiber import FiberContext, monomial_weight
 from ruminbgg.groupcalc import PolyForm, format_term, operator_matrix, term_weight
-from ruminbgg.linalg import ColumnEliminator, SparseMatrix, accumulate, axpy, rank_of_columns
+from ruminbgg.linalg import (
+    ColumnEliminator,
+    SparseMatrix,
+    accumulate,
+    axpy,
+    rank_of_columns,
+    trace_of_product,
+)
 from ruminbgg.rumin import (
     RuminPackage,
     _Chunks,
@@ -256,18 +265,24 @@ def _cached_matrices(*owners):
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
 def test_cached_and_decoded_operators_are_in_normal_form(name, P):
     pkg = RuminPackage(_algebra(name), P).build()
+    # a built package holds no pi
+    assert pkg._pi == {}
     cached = _cached_matrices(pkg, pkg.fiber, pkg.group)
-    # d, delta, the Laplacian, q, pi, iota^-1 per degree and D, at least
-    assert len(cached) > 6 * pkg.algebra.dim
+    # d, delta, q, iota^-1 per degree and D, at least
+    assert len(cached) > 5 * pkg.algebra.dim
     for m in cached:
         assert_normal_form(m)
     decoded = RuminPackage.from_json(pkg.to_json())
-    for cache in ("_q", "_pi", "_D"):
+    for cache in ("_q", "_D"):
         stored = getattr(decoded, cache)
         assert stored.keys() == getattr(pkg, cache).keys()
         for k, m in stored.items():
             assert_normal_form(m)
             assert m == getattr(pkg, cache)[k], (cache, k)
+    assert decoded._pi.keys() == set(range(pkg.algebra.dim + 1))
+    for k, m in decoded._pi.items():
+        assert_normal_form(m)
+        assert m == pkg.pi_mat(k), ("_pi", k)
 
 
 def test_build_and_verify_never_form_l0(monkeypatch, h2):
@@ -277,7 +292,7 @@ def test_build_and_verify_never_form_l0(monkeypatch, h2):
     monkeypatch.setattr(RuminPackage, "l0_mat", no_l0)
     pkg = RuminPackage(h2, 2).build()
     suite_ok(pkg)
-    # the inverse recomputed from the cached Laplacian gives q again
+    # the inverse recomputed, with the Laplacian formed again, gives q again
     for k in range(1, h2.dim + 1):
         assert pkg.inverse_apply(k - 1, pkg.delta_mat(k)) == pkg.q_mat(k)
 
@@ -682,7 +697,8 @@ PI_ROWS = (
 
 def test_every_pi_row_fails_unless_pi_is_dq_plus_qd(h2):
     pkg = RuminPackage(h2, 2).build()
-    pi = pkg.pi_mat(1)
+    # a built package stores no pi: the tampered one is installed
+    pi = pkg._pi[1] = pkg.pi_mat(1)
     j = min(pi.cols)
     col = pi.column(j)
     col[min(col)] += 1
@@ -694,6 +710,119 @@ def test_every_pi_row_fails_unless_pi_is_dq_plus_qd(h2):
             "status": "fail",
             "counterexample": pkg._witness(1, j),
         }
+
+
+@pytest.mark.parametrize("name,P", ORACLE_CASES)
+def test_build_and_verify_never_form_pi(monkeypatch, name, P):
+    # a built package stores no pi, so nothing pins it and no pi row reads
+    # it; the Laplacians formed are dropped, none cached
+    def no_pi(pkg, k, minus=None):
+        raise AssertionError(f"pi({k}) formed")
+
+    laps = []
+    lap_mat = RuminPackage.lap_mat
+
+    def kept(pkg, k):
+        laps.append(lap_mat(pkg, k))
+        return laps[-1]
+
+    monkeypatch.setattr(RuminPackage, "_dq_plus_qd", no_pi)
+    monkeypatch.setattr(RuminPackage, "lap_mat", kept)
+    pkg = RuminPackage(_algebra(name), P).build()
+    rows = {r["identity"]: r for r in suite_ok(pkg)}
+    assert all(rows[row]["status"] == "ok" for row in PI_ROWS)
+    assert pkg._pi == {}
+    assert laps
+    held = {id(m) for m in _cached_matrices(pkg, pkg.fiber, pkg.group)}
+    assert not any(id(m) in held for m in laps)
+
+
+@pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1), ("weighted-h3", 2)])
+def test_a_stored_pi_off_dq_plus_qd_fails_every_pi_row(name, P):
+    # a stored pi(k) that differs from d q + q d in its last column's last
+    # row fails every pi row at that column, at whichever degree it is
+    # stored, while no pi is stored at the other degrees
+    pkg = RuminPackage(_algebra(name), P).build()
+    tampered = 0
+    for k in range(pkg.algebra.dim + 1):
+        pi = pkg.pi_mat(k)
+        if not pi.cols:
+            continue
+        j = max(pi.cols)
+        col = pi.column(j)
+        col[max(col)] += Fraction(1, 3)
+        pi.set_column(j, col)
+        pkg._pi = {k: pi}
+        rows = {r["identity"]: r for r in pkg.verify()}
+        for row in PI_ROWS:
+            assert rows[row] == {
+                "identity": row,
+                "status": "fail",
+                "counterexample": pkg._witness(k, j),
+            }, (k, row)
+        tampered += 1
+    assert tampered >= 2
+
+
+# sha256 of the package text that write_json gave before pi was formed at
+# the writer, when a built package held every pi(k)
+WRITTEN_DIGESTS = {
+    ("heisenberg:2", 1): "580279cf2556887c2bac0db97548b97e2c011525496626c963a108bb4bbcaf3c",
+    ("heisenberg:2", 2): "2f53b22b203a998eb2e7e852558b9e80fe619b41727cbe80a5cad059af743e30",
+    ("heisenberg:3", 1): "4893327ed5ea93ce06c792b15fc700d2a04234db9c9bb30156f3bb6c08bd0f12",
+    ("heisenberg:3", 2): "b56d96f295efe182ffaf49234f27f5529c21e2916ed6cac4419bf1361b78ae6d",
+    ("quaternionic:2", 1): "6eecd9bdac4241a36e4b7bc9f071f12b011a079306243da22a287b654e8c5ee5",
+    ("quaternionic:2", 2): "354b2278ce88f4345f23931905a7e335b5cc6b06371b8fb6e56858480c3b8195",
+}
+
+
+@pytest.mark.parametrize("name,P", sorted(WRITTEN_DIGESTS))
+def test_writer_holds_one_pi_at_a_time(monkeypatch, name, P):
+    # each pi(k) is formed once, when the writer reaches its block, and
+    # nothing but this wrapper refers to it when the next one is asked for
+    pkg = RuminPackage(_algebra(name), P).build()
+    formed, last = [], []
+    pi_mat = RuminPackage.pi_mat
+
+    def referrers():
+        # less the list's reference and getrefcount's own argument; counted
+        # outside an assert, whose rewriting would hold one more
+        return sys.getrefcount(last[0]) - 2
+
+    def watched(self, k):
+        if last:
+            held = referrers()
+            assert held == 0, f"pi({formed[-1]}) still referred to"
+            last.clear()
+        formed.append(k)
+        last.append(pi_mat(self, k))
+        return last[0]
+
+    monkeypatch.setattr(RuminPackage, "pi_mat", watched)
+    text = io.StringIO()
+    pkg.write_json(text)
+    held = referrers()
+    assert held == 0
+    monkeypatch.undo()
+    assert sorted(formed) == list(range(pkg.algebra.dim + 1))
+    assert pkg._pi == {}
+    written = text.getvalue()
+    assert hashlib.sha256(written.encode()).hexdigest() == WRITTEN_DIGESTS[(name, P)]
+    assert written == _dict_text(pkg)
+
+
+@pytest.mark.parametrize("name,P", ORACLE_CASES)
+def test_trace_of_pi_is_read_off_d_and_q(name, P):
+    # the ker_pi row counts n - trace(pi) through trace(d q) at k and k + 1
+    pkg = RuminPackage(_algebra(name), P).build()
+    dim = pkg.algebra.dim
+    for k in range(dim + 1):
+        parts = [
+            trace_of_product(pkg.d_mat(j - 1), pkg.q_mat(j)) for j in (k, k + 1) if 0 < j <= dim
+        ]
+        if k < dim:
+            assert parts[-1] == trace_of_product(pkg.q_mat(k + 1), pkg.d_mat(k)), k
+        assert sum(parts) == pkg.pi_mat(k).trace() == pkg.dim_v(k) - pkg.model_dim(k), k
 
 
 def store_matching_pi(pkg):
@@ -1105,13 +1234,19 @@ def _read(text):
 
 
 def _assert_same_operators(got, want):
+    """got, a loaded package, holds want's q, pi and D; want's pi is
+    compared through pi_mat, since a built package stores none."""
     assert got is not None
     assert (got.algebra.name, got.P) == (want.algebra.name, want.P)
-    for cache in ("_q", "_pi", "_D"):
+    for cache in ("_q", "_D"):
         stored = getattr(got, cache)
         assert stored == getattr(want, cache), cache
         for m in stored.values():
             assert_normal_form(m)
+    assert got._pi.keys() == set(range(want.algebra.dim + 1))
+    for k, m in got._pi.items():
+        assert m == want.pi_mat(k), ("_pi", k)
+        assert_normal_form(m)
 
 
 @pytest.mark.parametrize("P", [0, 1, 2])
