@@ -47,10 +47,6 @@ class GradedNilpotentLieAlgebra:
     def layer_of(self, index):
         return self._layer_of[index]
 
-    def layer_range(self, layer):
-        start = sum(self.layers[: layer - 1])
-        return range(start, start + self.layers[layer - 1])
-
     def bracket_of(self, a, b):
         """Structure constants of [e_a, e_b] as {k: coefficient}."""
         return dict(self.bracket.get((a, b), {}))

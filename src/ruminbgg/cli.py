@@ -232,7 +232,8 @@ def cmd_rumin_verify(args, config):
         # count for the fallback as it was; the clock runs on in both
         pkg = RuminPackage.read_json(fh, budget=copy.copy(config.budget))
     if pkg is None:
-        # not exactly the writer's layout, or a fault in it: from_json reports
+        # not exactly the writer's layout, or text that does not parse: the
+        # whole file is read, and json.load or from_json reports any fault
         pkg = RuminPackage.from_json(read_json(args.package), budget=config.budget)
     report = pkg.verify()
     ok = all(r["status"] == "ok" for r in report)

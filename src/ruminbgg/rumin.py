@@ -34,27 +34,29 @@ operators and harmonic bases are written from and decoded into integer
 columns without Fractions as well.  Fractions remain where forms meet
 the matrices and in building those cached pieces.
 
-A built package holds d, delta, q, iota^{-1} and D per degree, but neither
-pi nor the Laplacian: each is a sum of products of the held matrices, and
-is formed where it is read.  The Laplacian is formed once per inverse and
-once per degree by verify's q_laplacian_is_delta row.  `pi_mat` forms
-pi(k) per call, which `rumin build` does only when `write_json` reaches
-the degree's block, dropping it after the block.  Only a loaded package
-holds a pi, the one its file stored.
+A package, built or loaded, holds d, delta, q, iota^{-1} and D per degree,
+but neither pi nor the Laplacian: each is a sum of products of the held
+matrices, and is formed where it is read.  The Laplacian is formed once
+per inverse and once per degree by verify's q_laplacian_is_delta row.
+`pi_mat` forms pi(k) per call, which `rumin build` does only when
+`write_json` reaches the degree's block, dropping it after the block.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
 `read_json` reads that layout back one operator degree block at a time,
-and `from_json` decodes any parsed package; both check the stored
+and `from_json` decodes any parsed package.  Both check the stored
 harmonic bases against the canonical ones and every entry's shape, type
-and range, and each ratio string is parsed once per load.
+and range, install the operator blocks in the file's order (`_sections`),
+parse each ratio string once per load and finish the same way: each
+stored pi(k) is compared once with dq + qd, when q is in, and dropped.
 
 The construction asserts every operator identity exactly and names a
-witness basis element on failure.  The identity suite (`verify`) pins a
-stored pi by dq + qd - pi = 0, then evaluates the other pi identities as
-residual sums of products of the sparse d and q, and ker pi through the
-trace of dq + qd, read off d and q (`linalg.trace_of_product`), and the
-iota^{-1} columns, never composing with pi.
+witness basis element on failure.  The identity suite (`verify`) fails
+every pi row where a stored pi differed from dq + qd when it was read,
+then evaluates the other pi identities as residual sums of products of
+the sparse d and q, and ker pi through the trace of dq + qd, read off d
+and q (`linalg.trace_of_product`), and the iota^{-1} columns, never
+composing with pi.
 """
 
 import io
@@ -94,7 +96,8 @@ class RuminPackage:
         self._d = {}
         self._delta = {}
         self._q = {}
-        self._pi = {}
+        # {k: witness} where a loaded package's stored pi(k) was not d q + q d
+        self._pi_witness = {}
         self._model_keys = {}
         self._D = {}
         self._iota_inv = {}
@@ -300,16 +303,9 @@ class RuminPackage:
                 self._q[k] = SparseMatrix(self.dim_v(k - 1), self.dim_v(k))
         return self._q[k]
 
-    def pi_mat(self, k):
-        """The stored pi(k) if there is one (a loaded package's, or one a
-        caller installed in _pi); else d q + q d, formed per call and not
-        cached, so a built package holds no pi."""
-        stored = self._pi.get(k)
-        return self._dq_plus_qd(k) if stored is None else stored
-
-    def _dq_plus_qd(self, k, minus=None):
-        """d q + q d on degree k, from the q and d matrices, less the matrix
-        minus if one is given."""
+    def pi_mat(self, k, minus=None):
+        """pi(k) = d q + q d, less the matrix minus if one is given; formed
+        per call and not cached, so no package holds a pi."""
         dim = self.algebra.dim
         terms = []
         if 0 < k <= dim:
@@ -476,14 +472,14 @@ class RuminPackage:
         Building the package also checks inverse postconditions, so a
         constructed package normally verifies clean.
 
-        A stored pi (a loaded package's) is pinned by F(k) = d q + q d:
-        every pi row fails, with the first differing column as witness,
-        unless each stored pi(k) equals F(k).  A pi(k) not stored is F(k)
-        by definition and is never formed here.  Given the pin, the rows
-        evaluate the other pi identities through products of the sparse q
-        and d, and ker pi through the trace of F, read off d and q, and
-        the iota^-1 columns, instead of composing with pi.  The Laplacian
-        is formed one degree at a time, for q_laplacian_is_delta.
+        pi(k) is F(k) = d q + q d by definition and is never formed here.
+        A loaded package's stored pi(k) was compared with F(k) when it was
+        read: every pi row fails, with the first differing column as
+        witness, unless each stored pi(k) equaled F(k).  Given that pin,
+        the rows evaluate the other pi identities through products of the
+        sparse q and d, and ker pi through the trace of F, read off d and
+        q, and the iota^-1 columns, instead of composing with pi.  The
+        Laplacian is formed one degree at a time, for q_laplacian_is_delta.
         Products and verdicts shared between rows are memoized for this
         call only.
         """
@@ -542,16 +538,10 @@ class RuminPackage:
             return once(("dd", k), lambda: product(self.d_mat(k), self.d_mat(k - 1)))
 
         def pinned(k):
-            # a stored pi(k) equals F(k) = d q + q d; with none stored, pi(k)
-            # is F(k) by definition and there is nothing to compare
-            if k not in self._pi:
-                return
-
-            def compare():
-                residual = self._dq_plus_qd(k, minus=self._pi[k])
-                self._check_zero("pi_is_dq_plus_qd", k, residual)
-
-            once(("pinned", k), compare)
+            # pi(k) is F(k) = d q + q d by definition; only a stored pi(k)
+            # that differed from F(k) when it was read leaves a witness
+            if k in self._pi_witness:
+                raise IdentityError("pi_is_dq_plus_qd", witness=self._pi_witness[k])
 
         def pin_all():
             for k in range(dim + 1):
@@ -741,18 +731,20 @@ class RuminPackage:
         never held whole; the text of each distinct numerator over a
         denominator is made once per write.  Each operator block's shape
         comes from the bases, and its matrix is asked for only when the
-        writer reaches its entries, so a pi(k) that is not stored is formed
-        there and dropped before the next block.  The budget is checked
+        writer reaches its entries, so each pi(k) is formed there and
+        dropped before the next block.  The budget is checked
         every 64 columns.
         """
         self.build()
         budget = self.budget
         ratio_text = {}
 
-        def encode(name, k, form):
+        forms = {"D": self.D_mat, "pi": self.pi_mat, "q": self.q_mat}
+
+        def encode(name, k):
             def entries(write, depth):
-                """The [i, j, "p/q"] entry list of form(k), one write per column."""
-                matrix = form(k)
+                """The [i, j, "p/q"] entry list of forms[name](k), one write per column."""
+                matrix = forms[name](k)
                 outer = "\n" + "  " * depth
                 pad = outer + "  "
                 inner = pad + "  "
@@ -786,18 +778,14 @@ class RuminPackage:
                         [[list(monos[i]), ratio_to_str(v, den)] for i, v in sorted(zip(rows, nums))]
                         for _, (den, rows, nums) in sorted(basis.cols.items())
                     ]
-        dim = self.algebra.dim
-        operators = {
-            "q": (self.q_mat, dim + 1), "pi": (self.pi_mat, dim + 1), "D": (self.D_mat, dim),
-        }
         package = {
             "algebra": algebra_to_json(self.algebra),
             "max_poly_degree": self.P,
             "neumann_terms": self.neumann_terms,
             "harmonic": harmonic,
             "operators": {
-                name: {str(k): encode(name, k, form) for k in range(count)}
-                for name, (form, count) in operators.items()
+                name: {key: encode(name, int(key)) for key in keys}
+                for name, keys in self._sections()
             },
             "arrows": self.arrows(),
         }
@@ -812,23 +800,25 @@ class RuminPackage:
 
     @classmethod
     def from_json(cls, data, budget=None):
-        """Load a package; any malformed part raises StructureError."""
+        """Load a parsed package (or its text); any malformed part raises
+        StructureError, the first in the file's order.
+
+        The operator blocks are decoded in the file's order (`_sections`),
+        and the load finishes as `read_json`'s does (`_finish_load`).
+        """
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict):
             raise StructureError("package must be a JSON object")
-        for key in ("algebra", "max_poly_degree", "operators"):
-            if key not in data:
-                raise StructureError(f"package is missing {key!r}")
         ratios = {}
         pkg = cls._from_head(data, budget, ratios)
-        ops = data["operators"]
-        for k in range(pkg.algebra.dim + 1):
-            pkg._q[k] = _decode_matrix(ops, "q", k, pkg._stored_shape("q", k), ratios)
-            pkg._pi[k] = _decode_matrix(ops, "pi", k, pkg._stored_shape("pi", k), ratios)
-        for k in range(pkg.algebra.dim):
-            pkg._D[k] = _decode_matrix(ops, "D", k, pkg._stored_shape("D", k), ratios)
-        pkg._built = True
+        if "operators" not in data:
+            raise StructureError("package is missing 'operators'")
+        stored_pi = {}
+        for name, keys in pkg._sections():
+            for key in keys:
+                pkg._install(data["operators"], name, int(key), ratios, stored_pi)
+        pkg._finish_load(stored_pi)
         return pkg
 
     @classmethod
@@ -838,14 +828,18 @@ class RuminPackage:
 
         The head, everything before the operators, is parsed once and checked
         as `from_json` checks it.  The operators section must then be the
-        writer's skeleton: every degree block of D, pi and q in key order, each
-        opened by a `      "k": {` line and closed by a `      }` line, and
-        nothing after the final brace.  Each block is cut out of fixed-size
-        chunks, parsed and decoded before the next is read, so neither the
-        file's text nor its parsed tree is ever held whole.  Any deviation, a
-        StructureError or a ValueError (invalid JSON or UTF-8 among them) gives
-        None, and the caller's `from_json` then reports the fault.  A
-        BudgetExceededError propagates.
+        writer's skeleton: every degree block of D, pi and q in the file's
+        order (`_sections`), each opened by a `      "k": {` line and closed
+        by a `      }` line, and nothing after the final brace.  Each block is
+        cut out of fixed-size chunks, parsed and decoded before the next is
+        read, so neither the file's text nor its parsed tree is ever held
+        whole.  Only after the final layout check does the load finish as
+        `from_json`'s does (`_finish_load`).  A deviation from the layout, or
+        text that does not parse (a ValueError that is not a StructureError:
+        invalid JSON or UTF-8), gives None, and the caller reads the file
+        whole.  A fault in the layout's content raises the StructureError
+        `from_json` raises for the same file, and a BudgetExceededError
+        propagates.
         """
         text = _Chunks(fh)
         marker = ',\n  "operators": {\n'
@@ -855,20 +849,16 @@ class RuminPackage:
             head = text.until(marker)
             if head is None:
                 return None
+            # a JSON object whose first key is "algebra", if it parses
             data = json.loads(head[: -len(marker)] + "}")
             del head
-            if not (isinstance(data, dict) and "algebra" in data and "max_poly_degree" in data):
-                return None
             ratios = {}
             pkg = cls._from_head(data, budget, ratios)
             del data
-            dim = pkg.algebra.dim
-            # in the file's key order, "D" < "pi" < "q", each with its degree count
-            ops = [("D", pkg._D, dim), ("pi", pkg._pi, dim + 1), ("q", pkg._q, dim + 1)]
-            for name, cache, count in ops:
+            stored_pi = {}
+            for name, keys in pkg._sections():
                 if not text.skip(f'    "{name}": {{\n'):
                     return None
-                keys = sorted(map(str, range(count)))
                 for key in keys:
                     if not text.skip(f'      "{key}": '):
                         return None
@@ -877,24 +867,30 @@ class RuminPackage:
                         return None
                     if budget is not None:
                         budget.check()
-                    k = int(key)
                     tree = {name: {key: json.loads(block)}}
                     del block
-                    cache[k] = _decode_matrix(tree, name, k, pkg._stored_shape(name, k), ratios)
+                    pkg._install(tree, name, int(key), ratios, stored_pi)
                     del tree
                 if not text.skip("    }\n" if name == "q" else "    },\n"):
                     return None
             if not (text.skip("  }\n}\n") and text.at_end()):
                 return None
+        except StructureError:
+            raise
         except ValueError:
             return None
-        pkg._built = True
+        pkg._finish_load(stored_pi)
         return pkg
 
     @classmethod
     def _from_head(cls, data, budget, ratios):
         """The package of a JSON object's algebra and P, with its stored harmonic
-        bases checked against the canonical ones; no operator is installed."""
+        bases checked against the canonical ones: exactly the blocks with a
+        harmonic form, each equal to its canonical basis.  No operator is
+        installed."""
+        for key in ("algebra", "harmonic", "max_poly_degree"):
+            if key not in data:
+                raise StructureError(f"package is missing {key!r}")
         P = data["max_poly_degree"]
         # bool is an int subclass, so isinstance(True, int) holds
         if type(P) is not int:
@@ -904,21 +900,55 @@ class RuminPackage:
 
         # stored harmonic bases must match the canonical recomputation;
         # instead of trusting them, install after an exact comparison
-        harmonic = data.get("harmonic", {})
+        harmonic = data["harmonic"]
         if not isinstance(harmonic, dict):
             raise StructureError("package harmonic section must be an object")
+        fiber = pkg.fiber
         for key, vectors in harmonic.items():
             try:
                 k, w = (int(x) for x in key.split(","))
-                stored = _decode_harmonic(pkg.fiber.block_index(k, w), vectors, ratios)
+                stored = _decode_harmonic(fiber.block_index(k, w), vectors, ratios)
             except (TypeError, ValueError) as exc:
                 raise StructureError(f"malformed harmonic block {key!r}: {exc}") from exc
-            if not 0 <= k <= algebra.dim or stored != pkg.fiber.harmonic_basis(k, w):
+            if not 0 <= k <= algebra.dim or stored != fiber.harmonic_basis(k, w):
                 raise StructureError(
                     f"stored harmonic basis at block ({k}, {w}) does not match "
                     "the canonical one"
                 )
+        # and the blocks stored are exactly those with a harmonic form
+        canonical = {
+            f"{k},{w}" for k in range(algebra.dim + 1) for w in fiber.blocks(k)
+            if fiber.harmonic_basis(k, w).ncols
+        }
+        for key in sorted(canonical.symmetric_difference(harmonic)):
+            if key in canonical:
+                raise StructureError(f"package harmonic section lacks block {key!r}")
+            raise StructureError(
+                f"package harmonic section holds {key!r}, not a block with harmonic forms"
+            )
         return pkg
+
+    def _sections(self):
+        """(name, degree keys) of each stored operator section in the file's
+        order: D, pi, q, each by sorted string key ("10" before "2")."""
+        dim = self.algebra.dim
+        counts = {"D": dim, "pi": dim + 1, "q": dim + 1}
+        return [(name, sorted(map(str, range(count)))) for name, count in counts.items()]
+
+    def _install(self, ops, name, k, ratios, stored_pi):
+        """Decode the stored block ops[name][str(k)]: q and D into the package,
+        a pi(k) into stored_pi, for `_finish_load` to compare."""
+        matrix = _decode_matrix(ops, name, k, self._stored_shape(name, k), ratios)
+        {"D": self._D, "pi": stored_pi, "q": self._q}[name][k] = matrix
+
+    def _finish_load(self, stored_pi):
+        """Compare each stored pi(k) with d q + q d, now that q is in, and drop
+        it; a difference keeps its first column's witness for verify."""
+        for k in sorted(stored_pi):
+            residual = self.pi_mat(k, minus=stored_pi.pop(k))
+            if residual.cols:
+                self._pi_witness[k] = self._witness(k, min(residual.cols))
+        self._built = True
 
     def _stored_shape(self, name, k):
         """(rows, cols) of the stored operator name, "q", "pi" or "D", at degree k."""

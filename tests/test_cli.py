@@ -302,22 +302,63 @@ def _set_bracket_coefficient(pkg, text):
     pkg["algebra"]["brackets"][0]["terms"][0]["c"] = text
 
 
+def _drop_harmonic_block(pkg):
+    del pkg["harmonic"]["1,1"]
+
+
+def _harmonic_block_without_forms(pkg):
+    # block (1, 2) of heisenberg:2 holds theta^3 alone, which d0 does not kill
+    assert "1,2" not in pkg["harmonic"]
+    pkg["harmonic"]["1,2"] = []
+
+
+# each case's change to the heisenberg:2 P=1 package, and the message that
+# `rumin verify` prints after "error: " in either layout
 MALFORMED_PACKAGES = {
-    "D_block_wrong_shape": _grow_D_block,
-    "q_entry_zero_denominator": lambda pkg: _set_q_entry(pkg, "1/0"),
-    "harmonic_zero_denominator": lambda pkg: _set_harmonic_entry(pkg, "1/0"),
-    "harmonic_not_rational": lambda pkg: _set_harmonic_entry(pkg, "abc"),
-    "harmonic_monomial_bool": _bool_harmonic_monomial,
-    "harmonic_duplicated": _duplicate_harmonic_monomial,
-    "harmonic_zero_entry": _zero_harmonic_entry,
-    "harmonic_monomial_outside_block": _harmonic_monomial_outside_block,
-    "missing_max_poly_degree": lambda pkg: pkg.pop("max_poly_degree"),
-    "D_entry_outside_shape": _far_D_row,
-    "max_poly_degree_bool": lambda pkg: pkg.update(max_poly_degree=True),
-    "pi_entry_bool_row": _bool_pi_row,
-    "pi_entry_duplicated": _duplicate_pi_entry,
-    "q_block_bool_rows": _bool_q_rows,
-    "algebra_zero_denominator": lambda pkg: _set_bracket_coefficient(pkg, "1/0"),
+    "D_block_wrong_shape": (
+        _grow_D_block, "stored D at degree 0 has shape 9x4, expected 8x4"),
+    "q_entry_zero_denominator": (
+        lambda pkg: _set_q_entry(pkg, "1/0"),
+        "malformed entry [8, 0, '1/0'] in stored q at degree 2: zero denominator in '1/0'"),
+    "harmonic_zero_denominator": (
+        lambda pkg: _set_harmonic_entry(pkg, "1/0"),
+        "malformed harmonic block '0,0': zero denominator in '1/0'"),
+    "harmonic_not_rational": (
+        lambda pkg: _set_harmonic_entry(pkg, "abc"),
+        "malformed harmonic block '0,0': invalid literal for int() with base 10: 'abc'"),
+    "harmonic_monomial_bool": (
+        _bool_harmonic_monomial,
+        "malformed harmonic block '1,1': monomial [False] is repeated or not one of the block"),
+    "harmonic_duplicated": (
+        _duplicate_harmonic_monomial,
+        "malformed harmonic block '0,0': monomial [] is repeated or not one of the block"),
+    "harmonic_zero_entry": (
+        _zero_harmonic_entry, "malformed harmonic block '1,1': zero coefficient at monomial [1]"),
+    "harmonic_monomial_outside_block": (
+        _harmonic_monomial_outside_block,
+        "malformed harmonic block '0,0': monomial [0, 1, 2] is repeated or not one of the block"),
+    "harmonic_block_missing": (
+        _drop_harmonic_block, "package harmonic section lacks block '1,1'"),
+    "harmonic_section_missing": (
+        lambda pkg: pkg.pop("harmonic"), "package is missing 'harmonic'"),
+    "harmonic_block_without_forms": (
+        _harmonic_block_without_forms,
+        "package harmonic section holds '1,2', not a block with harmonic forms"),
+    "missing_max_poly_degree": (
+        lambda pkg: pkg.pop("max_poly_degree"), "package is missing 'max_poly_degree'"),
+    "D_entry_outside_shape": (
+        _far_D_row, "entry (1000000, 0) lies outside the 8x4 stored D at degree 0"),
+    "max_poly_degree_bool": (
+        lambda pkg: pkg.update(max_poly_degree=True),
+        "max_poly_degree must be an integer, got True"),
+    "pi_entry_bool_row": (
+        _bool_pi_row, "entry (False, 0) lies outside the 12x12 stored pi at degree 2"),
+    "pi_entry_duplicated": (
+        _duplicate_pi_entry, "entry (0, 0) appears twice in stored pi at degree 2"),
+    "q_block_bool_rows": (
+        _bool_q_rows, "stored q at degree 0 has shape Falsex4, expected 0x4"),
+    "algebra_zero_denominator": (
+        lambda pkg: _set_bracket_coefficient(pkg, "1/0"), "non-rational coefficient '1/0'"),
 }
 
 
@@ -329,7 +370,8 @@ def written_layout(pkg):
 @pytest.mark.parametrize("case", sorted(MALFORMED_PACKAGES))
 def test_rumin_verify_malformed_package_exit2(case, h2_package, tmp_path, capsys):
     pkg = copy.deepcopy(h2_package)
-    MALFORMED_PACKAGES[case](pkg)
+    mutate, message = MALFORMED_PACKAGES[case]
+    mutate(pkg)
     pkg_path = tmp_path / "pkg.json"
     errors = []
     # compact, then the writer's layout, which the streamed reader reads first
@@ -342,22 +384,54 @@ def test_rumin_verify_malformed_package_exit2(case, h2_package, tmp_path, capsys
         assert "Traceback" not in captured.err
         errors.append(captured.err)
     assert errors[0] == errors[1]
+    assert errors[0] == f"error: {message}\n"
 
 
-def test_malformed_written_package_is_counted_once_against_the_budget(h2_package, tmp_path,
-                                                                     capsys):
-    # the streamed read gives up at the bad entry, after enumerating every
-    # spanning set; the fallback's count starts afresh, so a cap that one
-    # load fits under still reports the fault, not an exhausted budget
-    budget = Budget(max_monomials=10**6)
-    RuminPackage.from_json(h2_package, budget=budget)
-    cap = str(budget._monomials * 3 // 2)
+def test_first_fault_in_file_order_is_reported_in_both_layouts(h2_package, tmp_path, capsys):
+    # D precedes q in the file, so D(0)'s fault is the one reported, whichever
+    # reader finds it
+    pkg = copy.deepcopy(h2_package)
+    _grow_D_block(pkg)
+    pkg["operators"]["q"]["1"]["rows"] += 1
+    path = tmp_path / "pkg.json"
+    for text in (json.dumps(pkg), written_layout(pkg)):
+        path.write_text(text)
+        assert main(["rumin", "verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: stored D at degree 0 has shape 9x4, expected 8x4\n"
+        )
+
+
+def test_faulty_written_package_is_parsed_once(h2_package, tmp_path, monkeypatch, capsys):
+    # the streamed reader reports a fault in the writer's layout itself, so
+    # the file is never read whole
     pkg = copy.deepcopy(h2_package)
     _set_q_entry(pkg, "1/0")
     path = tmp_path / "pkg.json"
     path.write_text(written_layout(pkg))
+    _refuse_json_load(monkeypatch)
+    assert main(["rumin", "verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {MALFORMED_PACKAGES['q_entry_zero_denominator'][1]}\n"
+
+
+def test_malformed_written_package_is_counted_once_against_the_budget(h2_package, tmp_path,
+                                                                     capsys):
+    # without its last q block the file is off the writer's layout, so the
+    # streamed read gives up there, after enumerating every spanning set;
+    # the fallback's count starts afresh, so a cap that one load fits under
+    # still reports the fault, not an exhausted budget
+    budget = Budget(max_monomials=10**6)
+    RuminPackage.from_json(h2_package, budget=budget)
+    cap = str(budget._monomials * 3 // 2)
+    pkg = copy.deepcopy(h2_package)
+    last = max(pkg["operators"]["q"], key=int)
+    del pkg["operators"]["q"][last]
+    path = tmp_path / "pkg.json"
+    path.write_text(written_layout(pkg))
     assert main(["rumin", "verify", str(path), "--max-monomials", cap]) == 2
-    assert capsys.readouterr().err.startswith("error: malformed entry")
+    assert capsys.readouterr().err == f"error: package is missing q at degree {last}\n"
 
 
 def test_written_layout_is_the_writers(h2_package, tmp_path, capsys):
@@ -473,6 +547,35 @@ def test_budget_trips_inside_the_streamed_decode_exit3(written_package, tmp_path
         state["stop"] = stop
         code, out = run_cli(["rumin", "verify", str(path)], capsys)
         assert code == 3, stop
+        payload = json.loads(out)
+        assert payload["budget"]["exceeded"] and "partial" not in payload
+
+
+def test_budget_trips_inside_the_pi_comparison_exit3(h2_package, tmp_path, monkeypatch,
+                                                     capsys):
+    # each reader compares the stored pi with d q + q d as the load finishes,
+    # so a budget that runs out there stops the load, before any row
+    finish_load = RuminPackage._finish_load
+    state = {"active": False}
+
+    def check(budget):
+        if state["active"]:
+            raise BudgetExceededError("wall-clock budget exhausted")
+
+    def watched(pkg, stored_pi):
+        state["active"] = True
+        try:
+            return finish_load(pkg, stored_pi)
+        finally:
+            state["active"] = False
+
+    monkeypatch.setattr(Budget, "check", check)
+    monkeypatch.setattr(RuminPackage, "_finish_load", watched)
+    path = tmp_path / "pkg.json"
+    for text in (json.dumps(h2_package), written_layout(h2_package)):
+        path.write_text(text)
+        code, out = run_cli(["rumin", "verify", str(path)], capsys)
+        assert code == 3
         payload = json.loads(out)
         assert payload["budget"]["exceeded"] and "partial" not in payload
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import io
 import json
@@ -262,11 +263,29 @@ def _cached_matrices(*owners):
     return found
 
 
+def _dq_plus_qd(pkg, k):
+    """d q + q d on degree k, formed with @ and + from the package's d and q."""
+    dim = pkg.algebra.dim
+    parts = []
+    if k > 0:
+        parts.append(pkg.d_mat(k - 1) @ pkg.q_mat(k))
+    if k < dim:
+        parts.append(pkg.q_mat(k + 1) @ pkg.d_mat(k))
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+
+
+def _assert_holds_no_pi(pkg):
+    """No matrix held by pkg, its fiber or its group calculus is a nonzero pi(k)."""
+    pis = [pi for pi in (_dq_plus_qd(pkg, k) for k in range(pkg.algebra.dim + 1)) if pi.cols]
+    held = _cached_matrices(pkg, pkg.fiber, pkg.group)
+    assert not any(m == pi for m in held for pi in pis)
+
+
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
 def test_cached_and_decoded_operators_are_in_normal_form(name, P):
     pkg = RuminPackage(_algebra(name), P).build()
     # a built package holds no pi
-    assert pkg._pi == {}
+    _assert_holds_no_pi(pkg)
     cached = _cached_matrices(pkg, pkg.fiber, pkg.group)
     # d, delta, q, iota^-1 per degree and D, at least
     assert len(cached) > 5 * pkg.algebra.dim
@@ -279,10 +298,12 @@ def test_cached_and_decoded_operators_are_in_normal_form(name, P):
         for k, m in stored.items():
             assert_normal_form(m)
             assert m == getattr(pkg, cache)[k], (cache, k)
-    assert decoded._pi.keys() == set(range(pkg.algebra.dim + 1))
-    for k, m in decoded._pi.items():
+    # nor does a loaded one: its pi(k) is formed from the decoded q
+    _assert_holds_no_pi(decoded)
+    for k in range(pkg.algebra.dim + 1):
+        m = decoded.pi_mat(k)
         assert_normal_form(m)
-        assert m == pkg.pi_mat(k), ("_pi", k)
+        assert m == pkg.pi_mat(k), ("pi", k)
 
 
 def test_build_and_verify_never_form_l0(monkeypatch, h2):
@@ -695,26 +716,38 @@ PI_ROWS = (
 )
 
 
+def _loaded_with_stored_pi(data, k, pi):
+    """The package data, with the matrix pi stored as its pi(k), loaded by
+    each reader: {reader name: package}."""
+    data = copy.deepcopy(data)
+    data["operators"]["pi"][str(k)]["entries"] = [
+        [i, j, fraction_to_str(v)] for j in sorted(pi.cols) for i, v in sorted(pi.column(j).items())
+    ]
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return {"from_json": RuminPackage.from_json(data), "read_json": _read(text)}
+
+
 def test_every_pi_row_fails_unless_pi_is_dq_plus_qd(h2):
     pkg = RuminPackage(h2, 2).build()
-    # a built package stores no pi: the tampered one is installed
-    pi = pkg._pi[1] = pkg.pi_mat(1)
+    # a package holds no pi: the tampered one is stored in the file and loaded
+    pi = pkg.pi_mat(1)
     j = min(pi.cols)
     col = pi.column(j)
     col[min(col)] += 1
     pi.set_column(j, col)
-    rows = {r["identity"]: r for r in pkg.verify()}
-    for name in PI_ROWS:
-        assert rows[name] == {
-            "identity": name,
-            "status": "fail",
-            "counterexample": pkg._witness(1, j),
-        }
+    for reader, loaded in _loaded_with_stored_pi(pkg.to_json(), 1, pi).items():
+        rows = {r["identity"]: r for r in loaded.verify()}
+        for name in PI_ROWS:
+            assert rows[name] == {
+                "identity": name,
+                "status": "fail",
+                "counterexample": pkg._witness(1, j),
+            }, (reader, name)
 
 
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
 def test_build_and_verify_never_form_pi(monkeypatch, name, P):
-    # a built package stores no pi, so nothing pins it and no pi row reads
+    # a built package holds no pi, so nothing pins it and no pi row forms
     # it; the Laplacians formed are dropped, none cached
     def no_pi(pkg, k, minus=None):
         raise AssertionError(f"pi({k}) formed")
@@ -726,12 +759,13 @@ def test_build_and_verify_never_form_pi(monkeypatch, name, P):
         laps.append(lap_mat(pkg, k))
         return laps[-1]
 
-    monkeypatch.setattr(RuminPackage, "_dq_plus_qd", no_pi)
+    monkeypatch.setattr(RuminPackage, "pi_mat", no_pi)
     monkeypatch.setattr(RuminPackage, "lap_mat", kept)
     pkg = RuminPackage(_algebra(name), P).build()
     rows = {r["identity"]: r for r in suite_ok(pkg)}
     assert all(rows[row]["status"] == "ok" for row in PI_ROWS)
-    assert pkg._pi == {}
+    monkeypatch.undo()
+    _assert_holds_no_pi(pkg)
     assert laps
     held = {id(m) for m in _cached_matrices(pkg, pkg.fiber, pkg.group)}
     assert not any(id(m) in held for m in laps)
@@ -741,8 +775,10 @@ def test_build_and_verify_never_form_pi(monkeypatch, name, P):
 def test_a_stored_pi_off_dq_plus_qd_fails_every_pi_row(name, P):
     # a stored pi(k) that differs from d q + q d in its last column's last
     # row fails every pi row at that column, at whichever degree it is
-    # stored, while no pi is stored at the other degrees
+    # stored, while the stored pi is d q + q d at the other degrees; the
+    # loaded package keeps the witness, not the pi
     pkg = RuminPackage(_algebra(name), P).build()
+    data = pkg.to_json()
     tampered = 0
     for k in range(pkg.algebra.dim + 1):
         pi = pkg.pi_mat(k)
@@ -752,14 +788,15 @@ def test_a_stored_pi_off_dq_plus_qd_fails_every_pi_row(name, P):
         col = pi.column(j)
         col[max(col)] += Fraction(1, 3)
         pi.set_column(j, col)
-        pkg._pi = {k: pi}
-        rows = {r["identity"]: r for r in pkg.verify()}
-        for row in PI_ROWS:
-            assert rows[row] == {
-                "identity": row,
-                "status": "fail",
-                "counterexample": pkg._witness(k, j),
-            }, (k, row)
+        for reader, loaded in _loaded_with_stored_pi(data, k, pi).items():
+            rows = {r["identity"]: r for r in loaded.verify()}
+            for row in PI_ROWS:
+                assert rows[row] == {
+                    "identity": row,
+                    "status": "fail",
+                    "counterexample": pkg._witness(k, j),
+                }, (reader, k, row)
+            _assert_holds_no_pi(loaded)
         tampered += 1
     assert tampered >= 2
 
@@ -805,7 +842,7 @@ def test_writer_holds_one_pi_at_a_time(monkeypatch, name, P):
     assert held == 0
     monkeypatch.undo()
     assert sorted(formed) == list(range(pkg.algebra.dim + 1))
-    assert pkg._pi == {}
+    _assert_holds_no_pi(pkg)
     written = text.getvalue()
     assert hashlib.sha256(written.encode()).hexdigest() == WRITTEN_DIGESTS[(name, P)]
     assert written == _dict_text(pkg)
@@ -823,18 +860,6 @@ def test_trace_of_pi_is_read_off_d_and_q(name, P):
         if k < dim:
             assert parts[-1] == trace_of_product(pkg.q_mat(k + 1), pkg.d_mat(k)), k
         assert sum(parts) == pkg.pi_mat(k).trace() == pkg.dim_v(k) - pkg.model_dim(k), k
-
-
-def store_matching_pi(pkg):
-    """Replace every stored pi(k) by d q + q d of the package's current q."""
-    dim = pkg.algebra.dim
-    for k in range(dim + 1):
-        parts = []
-        if k > 0:
-            parts.append(pkg.d_mat(k - 1) @ pkg.q_mat(k))
-        if k < dim:
-            parts.append(pkg.q_mat(k + 1) @ pkg.d_mat(k))
-        pkg._pi[k] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
 
 
 def _first_nonzero(pkg, mats):
@@ -903,8 +928,8 @@ def _oracle_iota_rows(pkg):
 
 @pytest.mark.parametrize("model,n", [("heisenberg", 2), ("heisenberg", 3)])
 def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
-    # one q entry changed and pi stored as the d q + q d it implies, so the
-    # pin holds and each row must find the fault through its own identity
+    # one q entry changed after the load, and pi is the d q + q d it implies,
+    # so the pin holds and each row must find the fault through its own identity
     alg = builtin(model, n)
     blob = json.loads(json.dumps(RuminPackage(alg, 1).build().to_json()))
     dim = alg.dim
@@ -916,7 +941,6 @@ def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
         col = block.column(j)
         col[i] = col.get(i, 0) + Fraction(rng.choice([1, -1, 2]), rng.choice([1, 3]))
         block.set_column(j, col)
-        store_matching_pi(pkg)
         rows = {r["identity"]: r for r in pkg.verify()}
         status = {name: r["status"] for name, r in rows.items()}
         pi = [pkg.pi_mat(k) for k in range(dim + 1)]
@@ -954,15 +978,15 @@ def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
 
 
 def test_verify_reports_every_row_when_an_early_row_stops(h2):
-    # a q fault stored with its matching pi stops the iota rows at degree 1;
-    # fiber_restriction must still build the model bases it reads
+    # a q fault made after the load, with pi the d q + q d it implies, stops
+    # the iota rows at degree 1; fiber_restriction must still build the
+    # model bases it reads
     blob = json.dumps(RuminPackage(h2, 1).build().to_json())
     pkg = RuminPackage.from_json(json.loads(blob))
     q = pkg.q_mat(2)
     col = q.column(0)
     col[6] = col.get(6, 0) + 1
     q.set_column(0, col)
-    store_matching_pi(pkg)
     report = pkg.verify()
     assert [r["identity"] for r in report] == SUITE_ROWS
     assert any(r["status"] == "fail" for r in report)
@@ -975,7 +999,6 @@ def test_ker_pi_row_counts_the_kernel_against_the_model(h2):
     pkg = RuminPackage(h2, 1).build()
     for k in range(h2.dim + 1):
         pkg._q[k] = SparseMatrix(pkg.dim_v(k - 1), pkg.dim_v(k))
-        pkg._pi[k] = SparseMatrix(pkg.dim_v(k), pkg.dim_v(k))
     pkg._iota_inv.clear()
     rows = {r["identity"]: r for r in pkg.verify()}
     assert rows["pi_idempotent"]["status"] == "ok"
@@ -1234,8 +1257,9 @@ def _read(text):
 
 
 def _assert_same_operators(got, want):
-    """got, a loaded package, holds want's q, pi and D; want's pi is
-    compared through pi_mat, since a built package stores none."""
+    """got, a loaded package, holds want's q and D, and no stored pi of it
+    differed from d q + q d; pi is compared through pi_mat, since no
+    package holds one."""
     assert got is not None
     assert (got.algebra.name, got.P) == (want.algebra.name, want.P)
     for cache in ("_q", "_D"):
@@ -1243,9 +1267,10 @@ def _assert_same_operators(got, want):
         assert stored == getattr(want, cache), cache
         for m in stored.values():
             assert_normal_form(m)
-    assert got._pi.keys() == set(range(want.algebra.dim + 1))
-    for k, m in got._pi.items():
-        assert m == want.pi_mat(k), ("_pi", k)
+    assert got._pi_witness == {}
+    for k in range(want.algebra.dim + 1):
+        m = got.pi_mat(k)
+        assert m == want.pi_mat(k), ("pi", k)
         assert_normal_form(m)
 
 
@@ -1256,6 +1281,36 @@ def test_streamed_read_matches_from_json(name, P):
     text = io.StringIO()
     pkg.write_json(text)
     _assert_same_operators(_read(text.getvalue()), RuminPackage.from_json(text.getvalue()))
+
+
+@pytest.mark.parametrize("name,P", PACKAGE_CASES)
+def test_either_reader_drops_every_stored_pi(monkeypatch, name, P):
+    # each reader decodes every stored pi(k) and compares it with d q + q d
+    # once q is in; after the load nothing but this test's list refers to
+    # the decoded matrices, and no matrix the package holds is a pi
+    text = io.StringIO()
+    RuminPackage(_algebra(name), P).write_json(text)
+    text = text.getvalue()
+    decoded = []
+    decode = rumin._decode_matrix
+
+    def recorded(ops, op, k, shape, ratios=None):
+        matrix = decode(ops, op, k, shape, ratios)
+        if op == "pi":
+            decoded.append(matrix)
+        return matrix
+
+    monkeypatch.setattr(rumin, "_decode_matrix", recorded)
+    for reader in (RuminPackage.from_json, _read):
+        decoded.clear()
+        pkg = reader(text)
+        # less the list's reference, the loop variable's and getrefcount's own
+        # argument; counted outside an assert, whose rewriting would hold more
+        referrers = [sys.getrefcount(m) - 3 for m in decoded]
+        assert len(decoded) == pkg.algebra.dim + 1, reader
+        assert referrers == [0] * len(decoded), reader
+        assert pkg._pi_witness == {}, reader
+        _assert_holds_no_pi(pkg)
 
 
 @pytest.mark.parametrize("size", [1, 7, 100])
@@ -1326,11 +1381,6 @@ def test_streamed_read_gives_up_off_the_writers_layout(h2):
             {"operators": data["operators"], **data}, indent=2
         ) + "\n",
         "not utf-8 inside a block": text.replace('"entries"', '"entries\udcff"', 1),
-        "malformed entry": text.replace('"1/2"', '"1/0"', 1),
-        "head without P": json.dumps(
-            {key: v for key, v in data.items() if key != "max_poly_degree"},
-            indent=2, sort_keys=True,
-        ) + "\n",
     }
     for case, bad in deviations.items():
         assert bad != text, case
@@ -1338,6 +1388,17 @@ def test_streamed_read_gives_up_off_the_writers_layout(h2):
             io.TextIOWrapper(io.BytesIO(bad.encode("utf-8", "surrogateescape")), "utf-8")
         )
         assert got is None, case
+    # a fault in the layout's content is the reader's to report, not a deviation
+    faults = {
+        "malformed entry": text.replace('"1/2"', '"1/0"', 1),
+        "package is missing 'max_poly_degree'": json.dumps(
+            {key: v for key, v in data.items() if key != "max_poly_degree"},
+            indent=2, sort_keys=True,
+        ) + "\n",
+    }
+    for message, bad in faults.items():
+        with pytest.raises(StructureError, match=message):
+            _read(bad)
     # the whole-file decoder still accepts the layouts that are valid packages
     for case in ("compact", "no final newline", "trailing whitespace", "operators first"):
         _assert_same_operators(RuminPackage.from_json(deviations[case]), pkg)

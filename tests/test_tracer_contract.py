@@ -7,6 +7,8 @@ crashes the traced run, so each command runs in a subprocess, because
 `install()` patches modules for the whole interpreter.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -18,17 +20,23 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 BUILD = ["rumin", "build", "heisenberg:2", "--max-poly-degree", "1"]
-# PACKAGE stands for a package that BUILD writes first.  `rumin verify` reads
-# it with the streamed `RuminPackage.read_json`, so the tracer's from_json
-# wrapper and its `json` stand-in are installed but not called; only a package
-# outside the writer's layout goes through them
+# PACKAGE stands for a package that BUILD writes first, and COMPACT for a
+# compact copy of it.  `rumin verify` reads PACKAGE with the streamed
+# `RuminPackage.read_json`; COMPACT is outside the writer's layout, so it goes
+# through the tracer's `json` stand-in and from_json wrapper
 PACKAGE = "{package}"
+COMPACT = "{compact package}"
 COMMANDS = [
     ["bgg", "heisenberg:2"],
     ["calculus", "verify", "heisenberg:2", "--max-poly-degree", "1"],
     BUILD,
     ["rumin", "verify", PACKAGE],
+    ["rumin", "verify", COMPACT],
 ]
+
+
+def _command_id(command):
+    return " ".join(command[:2]) + (" compact" if COMPACT in command else "")
 
 
 def _run(args):
@@ -36,16 +44,28 @@ def _run(args):
     return subprocess.run(args, capture_output=True, cwd=ROOT, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c[:2]))
+@pytest.mark.parametrize("command", COMMANDS, ids=_command_id)
 def test_traced_run_matches_untraced(tmp_path, command):
-    if PACKAGE in command:
+    whole_file = COMPACT in command
+    if PACKAGE in command or whole_file:
         package = tmp_path / "pkg.json"
         built = _run([sys.executable, "-m", "ruminbgg.cli", *BUILD, "--out", str(package)])
         assert built.returncode == 0, built.stderr.decode()
-        command = [str(package) if arg == PACKAGE else arg for arg in command]
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(json.loads(package.read_text())))
+        paths = {PACKAGE: str(package), COMPACT: str(compact)}
+        command = [paths.get(arg, arg) for arg in command]
     plain = _run([sys.executable, "-m", "ruminbgg.cli", *command])
     traced = _run([sys.executable, str(TRACER), str(tmp_path / "trace"), "--", *command])
     assert plain.returncode == 0, plain.stderr.decode()
     assert traced.returncode == 0, traced.stderr.decode()
     assert traced.stdout == plain.stdout
     assert (tmp_path / "trace").stat().st_size > 0
+    if whole_file:
+        # the fallback ran through the from_json wrapper and the json stand-in
+        spec = importlib.util.spec_from_file_location("tracer", TRACER)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        names, _, *spans = tracer.load(tmp_path / "trace")
+        calls = {name: c for name, (_, c) in tracer.self_times(names, *spans).items()}
+        assert calls["rumin.from_json"] == calls["cli.load_package"] == 1
