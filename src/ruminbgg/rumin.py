@@ -37,7 +37,7 @@ the matrices and in building those cached pieces.
 A package, built or loaded, holds d, delta, q, iota^{-1} and D per degree,
 but neither pi nor the Laplacian: each is a sum of products of the held
 matrices, and is formed where it is read.  The Laplacian is formed once
-per inverse and once per degree by verify's q_laplacian_is_delta row.
+per inverse; verify forms none.
 `pi_mat` forms pi(k) per call, which `rumin build` does only when
 `write_json` reaches the degree's block, dropping it after the block.
 
@@ -56,7 +56,9 @@ every pi row where a stored pi differed from dq + qd when it was read,
 then evaluates the other pi identities as residual sums of products of
 the sparse d and q, and ker pi through the trace of dq + qd, read off d
 and q (`linalg.trace_of_product`), and the iota^{-1} columns, never
-composing with pi.
+composing with pi.  It forms q d once per degree, for q d q and for the
+residual q lap - delta = (q d) delta + (q delta) d - delta, and q d
+iota^{-1} = (q - q d q) d lift only where q d q != q.
 """
 
 import io
@@ -169,8 +171,8 @@ class RuminPackage:
     def lap_mat(self, k):
         """d delta + delta d on degree k.
 
-        Not cached: a build reads it once per inverse, for q(k + 1), and
-        verify's q_laplacian_is_delta row once per degree.
+        Not cached: a build reads it once per inverse, for q(k + 1); verify
+        checks q lap = delta without it, through q d.
         """
         terms = []
         if k > 0:
@@ -478,10 +480,15 @@ class RuminPackage:
         witness, unless each stored pi(k) equaled F(k).  Given that pin,
         the rows evaluate the other pi identities through products of the
         sparse q and d, and ker pi through the trace of F, read off d and
-        q, and the iota^-1 columns, instead of composing with pi.  The
-        Laplacian is formed one degree at a time, for q_laplacian_is_delta.
-        Products and verdicts shared between rows are memoized for this
-        call only.
+        q, and the iota^-1 columns, instead of composing with pi.  q(k)
+        d(k - 1) is formed once per degree and dropped after its two uses:
+        q d q, which is held, and the q_laplacian_is_delta residual (q d)
+        delta + (q delta) d - delta, the same matrix as q lap - delta by
+        distributivity, of which only the verdict is held; no Laplacian is
+        formed.  Since iota^-1 = (1 - q d) lift, q d iota^-1 = (q - q d q)
+        d lift exactly, so ker_pi forms d iota^-1 and q (d iota^-1) only
+        where q d q != q.  Products and verdicts shared between rows are
+        memoized for this call only.
         """
         rows = []
         dim = self.algebra.dim
@@ -530,9 +537,23 @@ class RuminPackage:
         def qq(k):
             return once(("qq", k), lambda: product(self.q_mat(k - 1), self.q_mat(k)))
 
+        def q_d(k):
+            # (qdq(k), the smallest nonzero column of q(k) lap(k) - delta(k)
+            # or None); holding only a verdict keeps the residual off the peak
+            def run():
+                q = self.q_mat(k)
+                qd = product(q, self.d_mat(k - 1))
+                terms = [(1, qd, self.delta_mat(k))]
+                if k < dim:
+                    terms.append((1, product(q, self.delta_mat(k + 1)), self.d_mat(k)))
+                terms.append((-1, self.delta_mat(k), None))
+                residual = combine(self.dim_v(k - 1), self.dim_v(k), terms, self.budget)
+                return product(qd, q), min(residual.cols, default=None)
+
+            return once(("q_d", k), run)
+
         def qdq(k):
-            q = self.q_mat(k)
-            return once(("qdq", k), lambda: product(product(q, self.d_mat(k - 1)), q))
+            return q_d(k)[0]
 
         def dd(k):
             return once(("dd", k), lambda: product(self.d_mat(k), self.d_mat(k - 1)))
@@ -587,7 +608,9 @@ class RuminPackage:
                 iota_right(k)
                 iota_inv = self.iota_inv(k)
                 wrong = set(product(self.q_mat(k), iota_inv).cols)
-                if k < dim:
+                # iota^-1 = (1 - q d) lift makes q d iota^-1 = (q - qdq) d lift
+                # at k + 1 exactly, zero where q d q = q
+                if k < dim and qdq(k + 1) != self.q_mat(k + 1):
                     d_iota = product(self.d_mat(k), iota_inv)
                     wrong |= set(product(self.q_mat(k + 1), d_iota).cols)
                 if wrong:
@@ -656,10 +679,11 @@ class RuminPackage:
             check_pi_idempotent()
 
         def check_q_lap():
-            # q (d delta + delta d) = delta on all forms
+            # q (d delta + delta d) = delta on all forms, read off q_d's verdict
             for k in range(1, dim + 1):
-                terms = [(1, self.q_mat(k), self.lap_mat(k)), (-1, self.delta_mat(k), None)]
-                self._check_sum("q_laplacian_is_delta", k, self.dim_v(k - 1), terms)
+                column = q_d(k)[1]
+                if column is not None:
+                    raise IdentityError("q_laplacian_is_delta", witness=self._witness(k, column))
 
         def check_ker_pi():
             pin_all()
@@ -884,17 +908,20 @@ class RuminPackage:
 
     @classmethod
     def _from_head(cls, data, budget, ratios):
-        """The package of a JSON object's algebra and P, with its stored harmonic
-        bases checked against the canonical ones: exactly the blocks with a
-        harmonic form, each equal to its canonical basis.  No operator is
-        installed."""
-        for key in ("algebra", "harmonic", "max_poly_degree"):
+        """The package of a JSON object's algebra and P, with its stored
+        neumann_terms checked to be a count and its stored harmonic bases
+        against the canonical ones: exactly the blocks with a harmonic form,
+        each equal to its canonical basis.  No operator is installed."""
+        for key in ("algebra", "harmonic", "max_poly_degree", "neumann_terms"):
             if key not in data:
                 raise StructureError(f"package is missing {key!r}")
         P = data["max_poly_degree"]
         # bool is an int subclass, so isinstance(True, int) holds
         if type(P) is not int:
             raise StructureError(f"max_poly_degree must be an integer, got {P!r}")
+        terms = data["neumann_terms"]
+        if type(terms) is not int or terms < 0:
+            raise StructureError(f"neumann_terms must be a non-negative integer, got {terms!r}")
         algebra = algebra_from_json(data["algebra"])
         pkg = cls(algebra, P, budget=budget)
 

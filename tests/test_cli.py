@@ -351,6 +351,17 @@ MALFORMED_PACKAGES = {
     "max_poly_degree_bool": (
         lambda pkg: pkg.update(max_poly_degree=True),
         "max_poly_degree must be an integer, got True"),
+    "neumann_terms_str": (
+        lambda pkg: pkg.update(neumann_terms="x"),
+        "neumann_terms must be a non-negative integer, got 'x'"),
+    "neumann_terms_bool": (
+        lambda pkg: pkg.update(neumann_terms=True),
+        "neumann_terms must be a non-negative integer, got True"),
+    "neumann_terms_negative": (
+        lambda pkg: pkg.update(neumann_terms=-1),
+        "neumann_terms must be a non-negative integer, got -1"),
+    "missing_neumann_terms": (
+        lambda pkg: pkg.pop("neumann_terms"), "package is missing 'neumann_terms'"),
     "pi_entry_bool_row": (
         _bool_pi_row, "entry (False, 0) lies outside the 12x12 stored pi at degree 2"),
     "pi_entry_duplicated": (

@@ -748,25 +748,39 @@ def test_every_pi_row_fails_unless_pi_is_dq_plus_qd(h2):
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
 def test_build_and_verify_never_form_pi(monkeypatch, name, P):
     # a built package holds no pi, so nothing pins it and no pi row forms
-    # it; the Laplacians formed are dropped, none cached
+    # it; verify forms no Laplacian, on a built or a loaded package, and the
+    # build's Laplacians are dropped, none cached
     def no_pi(pkg, k, minus=None):
         raise AssertionError(f"pi({k}) formed")
 
-    laps = []
-    lap_mat = RuminPackage.lap_mat
+    laps, verifying = [], []
+    lap_mat, pi_mat, verify = RuminPackage.lap_mat, RuminPackage.pi_mat, RuminPackage.verify
 
     def kept(pkg, k):
+        assert not verifying, f"lap({k}) formed in verify"
         laps.append(lap_mat(pkg, k))
         return laps[-1]
 
+    def watched(pkg):
+        verifying.append(pkg)
+        try:
+            return verify(pkg)
+        finally:
+            verifying.pop()
+
     monkeypatch.setattr(RuminPackage, "pi_mat", no_pi)
     monkeypatch.setattr(RuminPackage, "lap_mat", kept)
+    monkeypatch.setattr(RuminPackage, "verify", watched)
     pkg = RuminPackage(_algebra(name), P).build()
     rows = {r["identity"]: r for r in suite_ok(pkg)}
     assert all(rows[row]["status"] == "ok" for row in PI_ROWS)
+    # writing forms each pi(k), and a load compares the stored pi with it
+    monkeypatch.setattr(RuminPackage, "pi_mat", pi_mat)
+    text = _dict_text(pkg)
+    for loaded in (RuminPackage.from_json(text), _read(text)):
+        suite_ok(loaded)
     monkeypatch.undo()
     _assert_holds_no_pi(pkg)
-    assert laps
     held = {id(m) for m in _cached_matrices(pkg, pkg.fiber, pkg.group)}
     assert not any(id(m) in held for m in laps)
 
@@ -990,6 +1004,116 @@ def test_verify_reports_every_row_when_an_early_row_stops(h2):
     report = pkg.verify()
     assert [r["identity"] for r in report] == SUITE_ROWS
     assert any(r["status"] == "fail" for r in report)
+
+
+def _spy_combine(monkeypatch, calls):
+    """Record (terms, result) of every call of rumin's combine in calls."""
+    combine = rumin.combine
+
+    def spy(nrows, ncols, terms, budget=None):
+        out = combine(nrows, ncols, terms, budget)
+        calls.append((terms, out))
+        return out
+
+    monkeypatch.setattr(rumin, "combine", spy)
+
+
+def _q_lap_residuals(pkg, calls):
+    """{k: the q_laplacian_is_delta residual} among the recorded calls: the
+    sums whose last term is -delta(k)."""
+    out = {}
+    for terms, result in calls:
+        c, a, b = terms[-1]
+        for k in range(1, pkg.algebra.dim + 1):
+            if c == -1 and b is None and a is pkg.delta_mat(k):
+                out[k] = result
+    return out
+
+
+@pytest.mark.parametrize("name,P", ORACLE_CASES)
+def test_verify_forms_no_d_iota_inv_on_a_sound_package(monkeypatch, name, P):
+    # q d q = q at every degree makes q d iota^-1 = (q - q d q) d lift zero,
+    # so the ker_pi row forms neither d iota^-1 nor q (d iota^-1)
+    pkg = RuminPackage(_algebra(name), P).build()
+    for package in (pkg, RuminPackage.from_json(pkg.to_json())):
+        calls = []
+        with monkeypatch.context() as m:
+            _spy_combine(m, calls)
+            suite_ok(package)
+        assert calls
+        pairs = {
+            (id(package.d_mat(k)), id(package.iota_inv(k))) for k in range(package.algebra.dim)
+        }
+        assert not any((id(a), id(b)) in pairs for terms, _ in calls for _, a, b in terms)
+
+
+@pytest.mark.parametrize("name,P", ORACLE_CASES)
+def test_q_lap_and_ker_pi_rows_match_direct_forms_on_tampered_q(monkeypatch, name, P):
+    # one entry of q(k) changed after the load, so q d q != q there: the
+    # residual verify forms from q d is q lap - delta column for column, and
+    # the ker_pi row is the one an oracle that always forms q d iota^-1 gives.
+    # The entry's column is a row of delta(k + 1) d(k) where there is one, so
+    # that the residual's (q delta) d part is nonzero
+    alg = _algebra(name)
+    dim = alg.dim
+    blob = RuminPackage(alg, P).build().to_json()
+    for k in range(1, dim + 1):
+        pkg = RuminPackage.from_json(blob)
+        q = pkg.q_mat(k)
+        hit = pkg.delta_mat(k + 1) @ pkg.d_mat(k) if k < dim else SparseMatrix(0, 0)
+        j = min((i for _, rows, _ in hit.cols.values() for i in rows), default=min(q.cols, default=0))
+        col = q.column(j)
+        i = min(col, default=0)
+        col[i] = col.get(i, 0) + Fraction(1, 7)
+        q.set_column(j, col)
+        d = pkg.d_mat(k - 1)
+        assert q @ d @ q != q, k
+        calls = []
+        with monkeypatch.context() as m:
+            _spy_combine(m, calls)
+            rows = {r["identity"]: r for r in pkg.verify()}
+        want = {
+            n: pkg.q_mat(n) @ pkg.lap_mat(n) - pkg.delta_mat(n) for n in range(1, dim + 1)
+        }
+        residuals = _q_lap_residuals(pkg, calls)
+        # the row reads every degree up to the first failing one, k at the latest
+        assert set(range(1, k + 1)) <= residuals.keys(), k
+        for n, residual in residuals.items():
+            assert residual == want[n], (k, n)
+        assert rows["q_laplacian_is_delta"] == {
+            "identity": "q_laplacian_is_delta", **_first_nonzero(pkg, sorted(want.items()))
+        }, k
+        name = "ker_pi_equals_ker_q_ker_qd"
+        assert rows[name] == {"identity": name, **_oracle_iota_rows(pkg)[name]}, k
+        # the identity the ker_pi row's shortcut rests on, at degree k - 1
+        lift = pkg.lift(k - 1)
+        assert q @ (d @ pkg.iota_inv(k - 1)) == (q - q @ d @ q) @ (d @ lift), k
+
+
+def test_budget_out_in_the_shared_q_d_work_keeps_the_rows_before(monkeypatch, h2):
+    # verify forms the q_laplacian_is_delta residual with q d, in the q_d_q
+    # row: a budget that runs out there leaves only q_squared's row
+    pkg = RuminPackage(h2, 2, budget=Budget()).build()
+    exhausted = []
+
+    def check(budget):
+        if exhausted:
+            raise BudgetExceededError("wall-clock budget exhausted")
+
+    combine = rumin.combine
+
+    def spy(nrows, ncols, terms, budget=None):
+        c, a, b = terms[-1]
+        if c == -1 and b is None and a is pkg.delta_mat(1):
+            exhausted.append(True)
+        return combine(nrows, ncols, terms, budget)
+
+    monkeypatch.setattr(Budget, "check", check)
+    monkeypatch.setattr(rumin, "combine", spy)
+    with pytest.raises(BudgetExceededError) as info:
+        pkg.verify()
+    assert exhausted
+    assert info.value.partial == [{"identity": "q_squared", "status": "ok"}]
 
 
 def test_ker_pi_row_counts_the_kernel_against_the_model(h2):
