@@ -53,19 +53,32 @@ from .groupcalc import (
     lie_derivative,
     parametrix_identity_check,
 )
-from .rumin import (
-    RuminPackage,
-    build_iota_and_D,
-    build_pi_and_E,
-    build_q,
-    invert_on_im_delta,
-)
-from .tables import (
-    StripTable,
-    ad_matrix,
-    dilation_matrix,
-    quasiconformal_check,
-    quasiconformal_matrix,
-    strip_table,
-    truncation_ranks,
-)
+
+# `rumin` and `tables` load on first use of one of their names (PEP 562), so
+# that importing the package, or a command that never runs them, does not
+# pay for their code
+_LAZY = {
+    "RuminPackage": "rumin",
+    "build_iota_and_D": "rumin",
+    "build_pi_and_E": "rumin",
+    "build_q": "rumin",
+    "invert_on_im_delta": "rumin",
+    "StripTable": "tables",
+    "ad_matrix": "tables",
+    "dilation_matrix": "tables",
+    "quasiconformal_check": "tables",
+    "quasiconformal_matrix": "tables",
+    "strip_table": "tables",
+    "truncation_ranks": "tables",
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

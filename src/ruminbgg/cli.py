@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import __version__
@@ -30,7 +29,6 @@ from .budget import Budget
 from .errors import BudgetExceededError, IdentityError, StructureError
 from .fiber import bgg_fiber, cohomology_ranks
 from .groupcalc import GroupContext, PolyForm, parametrix_identity_check
-from .rumin import RuminPackage
 from .scalars import fraction_to_str
 from .tables import quasiconformal_check, strip_table, truncation_ranks
 
@@ -102,6 +100,8 @@ def write_replacing(path, write):
     A failed or interrupted write removes the temporary file and leaves
     path as it was, so a reader never sees a truncated file.
     """
+    import tempfile
+
     # mkstemp creates the file 0600; give it the mode open(path, "w") would
     umask = os.umask(0)
     os.umask(umask)
@@ -208,6 +208,8 @@ def _random_d_squared_row(alg, P, seed):
 
 def cmd_rumin_build(args, config):
     """--out names the serialized package here; the report goes to stdout."""
+    from .rumin import RuminPackage
+
     alg = load_algebra(args.algebra)
     pkg = RuminPackage(alg, config.max_poly_degree, budget=config.budget).build()
     report = pkg.verify()
@@ -227,6 +229,8 @@ def cmd_rumin_build(args, config):
 
 
 def cmd_rumin_verify(args, config):
+    from .rumin import RuminPackage
+
     with open(args.package, "r", encoding="utf-8") as fh:
         # on a copy, so that a streamed read that gives up leaves the monomial
         # count for the fallback as it was; the clock runs on in both

@@ -14,22 +14,27 @@ with the sum over the whole frame.  The layer-1 fields are
 which satisfy [X_a, X_b] = sum_k c^k_{ab} Z_k exactly, and Z_k = d/dz_k.
 Polynomial degree never increases under d, delta, i_X or L_X, so the
 space of forms with coefficient degree <= P is exactly invariant.
-`GroupContext.d_matrix` builds the matrix of d on that space from cached
-pieces (X_a on the polynomials, the wedge signs and d0 on the coframe),
-and both rumin and `parametrix_identity_check` use it.
-`operator_matrix` turns any other single-term operator into a sparse
-matrix over its spanning basis, and `parametrix_identity_check` checks
-the calculus as exact matrix identities on that basis, with no
-truncation error.
+The spanning basis of degree-k forms is the Kronecker product of the
+coframe monomials and the polynomials, element (I, e) at position
+I * npoly + e, so each operator is built from cached pieces on the two
+factors.  `GroupContext.d_matrix` joins X_a on the polynomials with the
+wedge signs and d0 on the coframe, and both rumin and
+`parametrix_identity_check` use it.  `contraction_matrix` is 1 (x) i_X
+and `lie_derivative_matrix` is X (x) 1 + 1 (x) C_X, with C_X the
+coadjoint action on the coframe.  `parametrix_identity_check` checks the
+calculus as exact matrix identities on that basis, with no truncation
+error; the per-term operators above stay as the reference the tests
+compare it with.
 """
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
 from .errors import BudgetExceededError, IdentityError, UnsupportedStepError
 from .fiber import FiberContext, monomial_weight, sort_with_sign
-from .linalg import SparseMatrix, accumulate, axpy, combine
+from .linalg import SparseMatrix, _combine_column, _normal, accumulate, axpy, combine
 
 HALF = Fraction(1, 2)
 
@@ -167,6 +172,8 @@ class GroupContext:
         self._spanning_index = {}
         self._field_matrices = {}
         self._coframe_pieces = {}
+        self._contraction_pieces = {}
+        self._coadjoint_pieces = {}
 
     # -- single-term operator actions (dicts keyed by (exps, mono)) --------
 
@@ -309,25 +316,94 @@ class GroupContext:
 
         wedges[I] lists (a, J, sign) with theta^a ^ theta^I = sign theta^J for
         every frame index a not in I, a ascending; d0 is the matrix of d0 from
-        degree k to k + 1.  I and J are positions in `fiber.mons`.
+        degree k to k + 1.  I and J are positions in `fiber.mons`.  theta^a
+        moves past the p factors of I below a, so sign = (-1)^p, and d0 is
+        the fiber's integer coboundary over the structure constants' common
+        denominator, in normal form.
         """
         if k not in self._coframe_pieces:
             mons = self.fiber.mons(k)
             index = {m: i for i, m in enumerate(self.fiber.mons(k + 1))}
+            den = self.fiber._target_pairs()[0]
             wedges = []
-            for mono in mons:
+            d0 = SparseMatrix(len(index), len(mons))
+            for j, mono in enumerate(mons):
                 row = []
+                p = 0
                 for a in range(self.algebra.dim):
-                    if a not in mono:
-                        merged, sign = sort_with_sign((a,) + mono)
-                        row.append((a, index[merged], sign))
+                    if p < len(mono) and mono[p] == a:
+                        p += 1
+                    else:
+                        row.append((a, index[mono[:p] + (a,) + mono[p:]], -1 if p & 1 else 1))
                 wedges.append(row)
-            d0 = SparseMatrix(len(index), len(mons), {
-                j: {index[m2]: c for m2, c in self.fiber.d0_of_monomial(mono).items()}
-                for j, mono in enumerate(mons)
-            })
+                col = _normal(den, {
+                    index[m2]: v for m2, v in self.fiber._d0_numerators(mono).items()
+                })
+                if col:
+                    d0.cols[j] = col
             self._coframe_pieces[k] = (wedges, d0)
         return self._coframe_pieces[k]
+
+    def contraction_pieces(self, k):
+        """{f: [(I, J, sign)]} for coframe degree k, built once; callers must not
+        change it.  i_{X_f} theta^I = sign theta^J for each I of `fiber.mons(k)`
+        that holds f, I ascending; J is a position in `fiber.mons(k - 1)` and
+        sign = (-1)^pos, pos the position of f in I."""
+        if k not in self._contraction_pieces:
+            index = {m: i for i, m in enumerate(self.fiber.mons(k - 1))}
+            pieces = {}
+            for i, mono in enumerate(self.fiber.mons(k)):
+                for pos, f in enumerate(mono):
+                    rest = index[mono[:pos] + mono[pos + 1 :]]
+                    pieces.setdefault(f, []).append((i, rest, -1 if pos & 1 else 1))
+            self._contraction_pieces[k] = pieces
+        return self._contraction_pieces[k]
+
+    def coadjoint_piece(self, a, k):
+        """C_a on coframe degree k as {I: stored column over `fiber.mons(k)`
+        positions}, built once; callers must not change it.
+
+        C_a is minus the coadjoint action of layer-1 field a, applied as a
+        derivation: theta^c -> -sum_b c^c_{ab} theta^b at each position of
+        theta^I; it is zero for a layer-2 field.  The factor that replaces
+        theta^c moves to the front and back into order, which gives the sign
+        (-1)^(pos + q) with q = #{r in rest: r < b}, as in
+        `FiberContext._d0_numerators`.  Terms are ints over the structure
+        constants' common denominator, and a row reached twice (only an
+        algebra with c^c_{ac} != 0 can do that) is accumulated.
+        """
+        key = (a, k)
+        if key not in self._coadjoint_pieces:
+            alg = self.algebra
+            den = self.fiber._target_pairs()[0]
+            repl = {}  # c -> [(b, -c^c_{ab} * den)]
+            if alg.layer_of(a) == 1:
+                for (aa, b), terms in alg.bracket.items():
+                    if aa == a:
+                        for c, coeff in terms.items():
+                            n = coeff.numerator * (den // coeff.denominator)
+                            repl.setdefault(c, []).append((b, -n))
+            mons = self.fiber.mons(k)
+            index = {m: i for i, m in enumerate(mons)}
+            cols = {}
+            for i, mono in enumerate(mons):
+                acc = {}
+                for pos, c in enumerate(mono):
+                    hits = repl.get(c)
+                    if not hits:
+                        continue
+                    rest = mono[:pos] + mono[pos + 1 :]
+                    for b, n in hits:
+                        q = bisect_left(rest, b)
+                        if q < len(rest) and rest[q] == b:
+                            continue
+                        j = index[rest[:q] + (b,) + rest[q:]]
+                        acc[j] = acc.get(j, 0) + (-n if (pos + q) & 1 else n)
+                col = _normal(den, acc)
+                if col:
+                    cols[i] = col
+            self._coadjoint_pieces[key] = cols
+        return self._coadjoint_pieces[key]
 
     def d_matrix(self, k, max_degree, budget=None):
         """Matrix of d from the `spanning_basis(k, max_degree)` positions to
@@ -336,11 +412,8 @@ class GroupContext:
         Column (e, I) joins cached pieces: X_a(x^e) at theta^a ^ theta^I for
         each a not in I, and x^e d0(theta^I).  Their row sets are disjoint:
         X_a changes the exponents e, and distinct a give distinct coframe
-        monomials theta^a ^ theta^I.  So nothing cancels, and the pieces, each
-        a stored column in normal form, join over the lcm L of their
-        denominators in normal form too: for each prime p of L, the piece
-        whose denominator holds the most factors p keeps a numerator prime
-        to p.  The budget is checked every 64 columns.
+        monomials theta^a ^ theta^I.  So nothing cancels, and `_join` gives
+        the column in normal form.  The budget is checked every 64 columns.
         """
         npoly = len(self.poly_basis(max_degree))
         fields = [m.cols for m in self.field_matrices(max_degree)]
@@ -355,8 +428,6 @@ class GroupContext:
             for e in range(npoly):
                 if budget is not None and j % 64 == 0:
                     budget.check()
-                # (den, multiplier, rows, numerators, offset, stride): the
-                # numerator at row i goes to row offset + stride * i
                 pieces = []
                 for a, merged, sign in wedge:
                     hit = fields[a].get(e)
@@ -365,33 +436,87 @@ class GroupContext:
                 if d0_col is not None:
                     pieces.append((d0_col[0], 1, d0_col[1], d0_col[2], e, npoly))
                 if pieces:
-                    L = lcm(*[p[0] for p in pieces])
-                    col = {}
-                    for den, c, prows, pnums, offset, stride in pieces:
-                        c *= L // den
-                        for i, v in zip(prows, pnums):
-                            col[rows[offset + stride * i]] = c * v
-                    out.cols[j] = (L, tuple(col), tuple(col.values()))
+                    out.cols[j] = _join(pieces, rows)
+                j += 1
+        return out
+
+    def contraction_matrix(self, field_index, k, max_degree, budget=None):
+        """Matrix of i_X for frame field field_index from the
+        `spanning_basis(k, max_degree)` positions to those of degree k - 1:
+        1 (x) i_X over `contraction_pieces(k)`, each column one signed unit.
+        The budget is checked every 64 columns."""
+        npoly = self.field_matrices(max_degree)[0].ncols
+        out = SparseMatrix(npoly * len(self.fiber.mons(k - 1)), npoly * len(self.fiber.mons(k)))
+        n = 0
+        for i, rest, sign in self.contraction_pieces(k).get(field_index, ()):
+            for e in range(npoly):
+                if budget is not None and n % 64 == 0:
+                    budget.check()
+                out.cols[i * npoly + e] = (1, (rest * npoly + e,), (sign,))
+                n += 1
+        return out
+
+    def lie_derivative_matrix(self, field_index, k, max_degree, budget=None):
+        """Matrix of the direct Lie derivative (`lie_derivative_direct`) along
+        frame field field_index on the `spanning_basis(k, max_degree)`
+        positions: X (x) 1 + 1 (x) C_X, over `field_matrices` and
+        `coadjoint_piece`.
+
+        The two parts of column (I, e) reach rows (I, e') with e' != e and
+        (J, e) with J != I, unless some c^c_{ac} != 0, which no graded algebra
+        has; so `_join` gives the column, and only such an algebra takes the
+        accumulating `_combine_column`.  The budget is checked every 64
+        columns.
+        """
+        matrix = self.field_matrices(max_degree)[field_index]
+        npoly, field = matrix.ncols, matrix.cols
+        coadjoint = self.coadjoint_piece(field_index, k)
+        nmons = len(self.fiber.mons(k))
+        out = SparseMatrix(npoly * nmons, npoly * nmons)
+        rows = list(self.spanning_index(k, max_degree).values())
+        overlap = any(i in col[1] for i, col in coadjoint.items())
+        j = 0
+        for i in range(nmons):
+            c_col = coadjoint.get(i)
+            for e in range(npoly):
+                if budget is not None and j % 64 == 0:
+                    budget.check()
+                pieces = []
+                hit = field.get(e)
+                if hit is not None:
+                    pieces.append((hit[0], 1, hit[1], hit[2], i * npoly, 1))
+                if c_col is not None:
+                    pieces.append((c_col[0], 1, c_col[1], c_col[2], e, npoly))
+                if len(pieces) == 2 and overlap:
+                    col = _combine_column([
+                        (c, den, tuple([rows[offset + stride * r] for r in prows]), pnums)
+                        for den, c, prows, pnums, offset, stride in pieces
+                    ])
+                    if col:
+                        out.cols[j] = col
+                elif pieces:
+                    out.cols[j] = _join(pieces, rows)
                 j += 1
         return out
 
 
-def operator_matrix(src_keys, dst_index, term_fn, budget=None):
-    """Matrix of a term-wise operator on a basis of (exps, mono) keys.
+def _join(pieces, rows):
+    """The stored column of the pieces (den, c, prows, pnums, offset, stride),
+    each c times a stored column in normal form, its entry at prows[t] going
+    to row rows[offset + stride * prows[t]]; no two entries share a row.
 
-    Column j holds term_fn(*src_keys[j]) in the coordinates dst_index
-    (key -> row); the budget is checked every 64 columns.
+    Nothing cancels, so the pieces join over the lcm L of their
+    denominators in normal form: for each prime p of L, the piece whose
+    denominator holds the most factors p keeps a numerator prime to p
+    (c = +-1 throughout).
     """
-    cols = {}
-    for j, (exps, mono) in enumerate(src_keys):
-        if budget is not None and j % 64 == 0:
-            budget.check()
-        col = {}
-        for key, c in term_fn(exps, mono).items():
-            col[dst_index[key]] = c
-        if col:
-            cols[j] = col
-    return SparseMatrix(len(dst_index), len(src_keys), cols)
+    L = lcm(*[p[0] for p in pieces])
+    col = {}
+    for den, c, prows, pnums, offset, stride in pieces:
+        c *= L // den
+        for i, v in zip(prows, pnums):
+            col[rows[offset + stride * i]] = c * v
+    return L, tuple(col), tuple(col.values())
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +542,23 @@ def lie_derivative(field, form, context=None):
 def parametrix_identity_check(algebra, max_poly_degree, budget=None):
     """Exact verification of the Cartan and parametrix identities.
 
-    Every row but frame_brackets is an exact matrix identity on the
-    spanning basis of coefficient degree <= P: d^2 = 0, the Cartan form
-    d i_X + i_X d against the geometric Lie derivative for each frame
-    field, L_X d = d L_X and the weight filtration of d, and dA + Ad =
+    Every row is an exact matrix identity.  On the spanning basis of
+    coefficient degree <= P: d^2 = 0, the Cartan form d i_X + i_X d
+    against the geometric Lie derivative for each frame field,
+    L_X d = d L_X and the weight filtration of d, and dA + Ad =
     sum L_{X_i}^2 with A = sum i_{X_i} L_{X_i} over the layer-1 fields.
     A failed row's witness is the basis element of the smallest differing
-    column at the lowest degree where the two sides differ.  Returns a
-    list of report rows.
+    column at the lowest degree where the two sides differ.  On the
+    polynomials of degree <= P, frame_brackets checks
+    [X_a, X_b] = sum_k c^k_{ab} X_k for every ordered pair (a, b); its
+    witness is the pair that fails first and the polynomial of its
+    smallest differing column.  Returns a list of report rows.
     """
     ctx = GroupContext(algebra)
     alg = algebra
     report = []
     layer1 = [f for f in ctx.fields if f.layer == 1]
-    indexes = {k: ctx.spanning_index(k, max_poly_degree) for k in range(alg.dim + 1)}
-    bases = {k: list(index) for k, index in indexes.items()}
+    bases = {k: list(ctx.spanning_index(k, max_poly_degree)) for k in range(alg.dim + 1)}
     memo = {}  # the operator matrices of this call, each built once
 
     def once(key, build):
@@ -439,17 +566,13 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
             memo[key] = build()
         return memo[key]
 
-    def matrix(k, out, term_fn):
-        """term_fn as a matrix V^k -> V^out; empty outside 0 <= k <= dim."""
-        return operator_matrix(bases.get(k, []), indexes.get(out, {}), term_fn, budget)
-
     def d_mat(k):
         return once(("d", k), lambda: ctx.d_matrix(k, max_poly_degree, budget))
 
     def i_mat(f, k):
         return once(
             ("i", f.index, k),
-            lambda: matrix(k, k - 1, lambda e, m: ctx.contraction_term(f.index, e, m)),
+            lambda: ctx.contraction_matrix(f.index, k, max_poly_degree, budget),
         )
 
     def dim(k):
@@ -497,11 +620,10 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         return first_nonzero(lambda k: d_mat(k + 1) @ d_mat(k))
 
     def check_cartan(f):
-        def direct(exps, mono):
-            unit = PolyForm(alg, {(exps, mono): Fraction(1)})
-            return ctx.lie_derivative_direct(f, unit).terms
+        def diff(k):
+            return lie_mat(f, k) - ctx.lie_derivative_matrix(f.index, k, max_poly_degree, budget)
 
-        return lambda: first_nonzero(lambda k: lie_mat(f, k) - matrix(k, k, direct))
+        return lambda: first_nonzero(diff)
 
     def check_lie_d(f):
         def diff(k):
@@ -511,21 +633,22 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         return lambda: first_nonzero(diff)
 
     def check_frame_brackets():
+        # den F_a F_b - den F_b F_a - sum_k den c^k_{ab} F_k, all int-scaled
+        fields = ctx.field_matrices(max_poly_degree)
         polys = ctx.poly_basis(max_poly_degree)
+        n = len(polys)
+        den = ctx.fiber._target_pairs()[0]
         for a in range(alg.dim):
             for b in range(alg.dim):
-                fa, fb = ctx.fields[a], ctx.fields[b]
-                want = alg.bracket_of(a, b)
-                for exps in polys:
-                    f = PolyForm(alg, {(exps, ()): Fraction(1)})
-                    lhs = fa.apply_function(fb.apply_function(f)) - fb.apply_function(
-                        fa.apply_function(f)
-                    )
-                    rhs = PolyForm(alg)
-                    for k, c in want.items():
-                        rhs = rhs + ctx.fields[k].apply_function(f).scaled(c)
-                    if lhs != rhs:
-                        return f"[{fa},{fb}] on {format_term(alg, exps, ())}"
+                terms = [(den, fields[a], fields[b]), (-den, fields[b], fields[a])]
+                terms += [
+                    (-c.numerator * (den // c.denominator), fields[k], None)
+                    for k, c in alg.bracket_of(a, b).items()
+                ]
+                cols = combine(n, n, terms, budget).cols
+                if cols:
+                    fa, fb = ctx.fields[a], ctx.fields[b]
+                    return f"[{fa},{fb}] on {format_term(alg, polys[min(cols)], ())}"
         return None
 
     def check_weight_filtration():

@@ -14,7 +14,6 @@ from .algebra import homogeneous_dimension
 from .errors import StructureError
 from .fiber import bgg_fiber
 from .linalg import ColumnEliminator, SparseMatrix
-from .rumin import RuminPackage
 from .scalars import as_fraction, fraction_to_str
 
 
@@ -86,6 +85,8 @@ def truncation_ranks(algebra, budget=None, max_poly_degree=None):
     middle.  The analytic index-one statement is only recorded, never
     checked.
     """
+    from .rumin import RuminPackage
+
     m = algebra.dim
     if m % 2 == 0:
         raise StructureError(

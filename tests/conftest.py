@@ -8,6 +8,7 @@ import pytest
 
 from ruminbgg import _kernel
 from ruminbgg.algebra import builtin
+from ruminbgg.linalg import SparseMatrix
 
 # the environment of a `python -m ruminbgg.cli` child: pytest's `pythonpath`
 # setting reaches this interpreter only, so the child gets src on PYTHONPATH
@@ -46,6 +47,22 @@ def assert_normal_form(matrix):
         assert len(set(rows)) == len(rows)
         assert all(type(v) is int and v for v in nums)
         assert math.gcd(den, *nums) == 1
+
+
+def operator_matrix(src_keys, dst_index, term_fn):
+    """Matrix of a term-wise operator on a basis of (exps, mono) keys, one
+    term_fn call per basis element; the oracle of the Kronecker-built
+    operator matrices.
+
+    Column j holds term_fn(*src_keys[j]) in the coordinates dst_index
+    (key -> row).
+    """
+    cols = {}
+    for j, (exps, mono) in enumerate(src_keys):
+        col = {dst_index[key]: c for key, c in term_fn(exps, mono).items()}
+        if col:
+            cols[j] = col
+    return SparseMatrix(len(dst_index), len(src_keys), cols)
 
 
 def kernel_rank(matrix):

@@ -666,19 +666,37 @@ def test_invalid_budget_is_input_error(monkeypatch, capsys, flags, env):
     assert captured.out == ""
 
 
-def test_calculus_budget_partial_report(capsys):
+def test_calculus_budget_partial_report(monkeypatch, capsys):
     # budget exhaustion mid-verify is distinct from identity failure and
-    # keeps the rows finished so far
-    code, out = run_cli(
-        ["calculus", "verify", "quaternionic:2", "--max-poly-degree", "1",
-         "--budget-seconds", "0.05"],
-        capsys,
+    # keeps the rows finished so far; the budget runs out at fixed
+    # checkpoints: the first in each function that checks it, and the last
+    argv = ["calculus", "verify", "quaternionic:2", "--max-poly-degree", "1"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    full = json.loads(out)["report"]
+    state = {"callers": [], "stop": None}
+
+    def check(budget):
+        state["callers"].append(sys._getframe(1).f_code.co_name)
+        if len(state["callers"]) == state["stop"]:
+            raise BudgetExceededError("wall-clock budget exhausted")
+
+    monkeypatch.setattr(Budget, "check", check)
+    assert run_cli(argv, capsys)[0] == 0
+    callers = state["callers"]
+    assert {"d_matrix", "contraction_matrix", "lie_derivative_matrix", "combine", "run"} <= set(
+        callers
     )
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["budget"]["exceeded"]
-    assert "partial" in payload
-    assert all(r["status"] == "ok" for r in payload["partial"])
+    stops = sorted({callers.index(name) + 1 for name in callers} | {len(callers)})
+    for stop in stops:
+        state.update(callers=[], stop=stop)
+        code, out = run_cli(argv, capsys)
+        assert code == 3, stop
+        payload = json.loads(out)
+        assert payload["budget"]["exceeded"]
+        assert "partial" in payload
+        assert all(r["status"] == "ok" for r in payload["partial"])
+        assert payload["partial"] == full[: len(payload["partial"])]
 
 
 @pytest.mark.parametrize("command", ["build", "verify"])
@@ -727,6 +745,26 @@ def test_rumin_budget_partial_report(command, h2_package, tmp_path, monkeypatch,
     assert partials[0] == [] and partials[-1] == full[:-1]
     for before, after in zip(partials, partials[1:]):
         assert after[: len(before)] == before and after == full[: len(after)]
+
+
+def test_commands_import_only_what_they_run():
+    # -X importtime lists every module the command imports on stderr
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ruminbgg.cli", "cohomology", "heisenberg:2"],
+        capture_output=True,
+        env=CLI_ENV,
+    )
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()}
+    assert "ruminbgg.fiber" in imported
+    assert "ruminbgg.rumin" not in imported
+
+
+def test_package_names_load_on_first_use():
+    import ruminbgg
+
+    for name, module in ruminbgg._LAZY.items():
+        assert getattr(ruminbgg, name) is getattr(sys.modules[f"ruminbgg.{module}"], name)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

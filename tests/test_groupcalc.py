@@ -2,17 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from ruminbgg.algebra import GradedNilpotentLieAlgebra, builtin, validate
+from ruminbgg.algebra import GradedNilpotentLieAlgebra, algebra_from_json, builtin, validate
 from ruminbgg.errors import UnsupportedStepError
 from ruminbgg.groupcalc import (
     GroupContext,
+    LeftInvariantField,
     PolyForm,
     format_term,
     parametrix_identity_check,
     term_weight,
 )
 
-from conftest import random_fraction
+from conftest import assert_normal_form, operator_matrix, random_fraction
 
 
 def random_polyform(rng, ctx, k, max_degree, nterms=3):
@@ -315,12 +316,12 @@ def test_broken_algebras_are_broken():
 @pytest.mark.parametrize(
     "model,P",
     [("heisenberg", 1), ("heisenberg", 3), ("quaternionic", 1), ("abelian", 2)]
-    + [(name, P) for name in BROKEN for P in (1, 2)],
+    + [(name, P) for name in BROKEN for P in (1, 2)]
+    + [("fractional", 1), ("fractional", 2)],
 )
 def test_report_matches_per_element_oracle(model, P):
-    if model in BROKEN:
-        layers, bracket = BROKEN[model]
-        alg = GradedNilpotentLieAlgebra(model, layers, bracket)
+    if model in BROKEN or model == "fractional":
+        alg = _oracle_algebra(model)
     else:
         alg = builtin(model, 2)
     assert parametrix_identity_check(alg, P) == per_element_report(alg, P)
@@ -382,3 +383,106 @@ def test_report_matches_oracle_on_d_term_mutants(h2, monkeypatch, mutant):
     report = parametrix_identity_check(h2, 2)
     assert any(row["status"] == "fail" for row in report)
     assert report == per_element_report(h2, 2)
+
+
+# a Lie algebra read from JSON whose structure constants are not integers
+FRACTIONAL = {
+    "name": "fractional",
+    "layers": [2, 2],
+    "brackets": [
+        {"a": 1, "b": 2, "terms": [{"k": 3, "c": "3/2"}, {"k": 4, "c": "-2/3"}]},
+        {"a": 2, "b": 1, "terms": [{"k": 3, "c": "-3/2"}, {"k": 4, "c": "2/3"}]},
+    ],
+}
+
+
+# [e1, e3] = e3 and [e1, e4] = e4: the two parts of a direct L_X column can
+# share a row, and C_X reaches theta^3 ^ theta^4 twice from itself
+DIAGONAL = {
+    "diagonal": ((2, 2), _antisymmetric({(0, 1): {2: 1}, (0, 2): {2: 1}, (0, 3): {3: 1}}))
+}
+
+
+def _oracle_algebra(name):
+    if name in BROKEN or name in DIAGONAL:
+        layers, bracket = {**BROKEN, **DIAGONAL}[name]
+        return GradedNilpotentLieAlgebra(name, layers, bracket)
+    if name == "fractional":
+        alg = algebra_from_json(FRACTIONAL)
+        assert validate(alg).passed
+        return alg
+    model, n = name.split(":")
+    return builtin(model, int(n))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["heisenberg:2", "heisenberg:3", "quaternionic:2", "abelian:2", "fractional", *BROKEN,
+     *DIAGONAL],
+)
+def test_operator_builders_match_per_element_oracle(name):
+    # i_X and the direct L_X built from cached pieces equal the matrices of
+    # contraction_term and lie_derivative_direct, element by element
+    alg = _oracle_algebra(name)
+    ctx = GroupContext(alg)
+    for P in range(3):
+        bases = {k: ctx.spanning_basis(k, P) for k in range(-1, alg.dim + 2)}
+        indexes = {k: {b: i for i, b in enumerate(basis)} for k, basis in bases.items()}
+        for f in ctx.fields:
+
+            def contraction(e, m, f=f):
+                return ctx.contraction_term(f.index, e, m)
+
+            def direct(e, m, f=f):
+                return ctx.lie_derivative_direct(f, PolyForm(alg, {(e, m): Fraction(1)})).terms
+
+            for k in range(-1, alg.dim + 2):
+                got = ctx.contraction_matrix(f.index, k, P)
+                want = operator_matrix(bases[k], indexes.get(k - 1, {}), contraction)
+                assert got == want, (P, f, k)
+                assert_normal_form(got)
+                got = ctx.lie_derivative_matrix(f.index, k, P)
+                assert got == operator_matrix(bases[k], indexes[k], direct), (P, f, k)
+                assert_normal_form(got)
+
+
+@pytest.mark.parametrize(
+    "model,a,k", [("heisenberg:2", 0, 1), ("heisenberg:2", 1, 2), ("quaternionic:2", 2, 3)]
+)
+def test_report_matches_oracle_on_coadjoint_mutants(monkeypatch, model, a, k):
+    # the first entry of the first column of C_a on degree k changes sign, in
+    # the coadjoint piece and in lie_derivative_direct alike: the matrix check
+    # and the per-element oracle both fail cartan[X_a], with one report
+    alg = _oracle_algebra(model)
+    original_piece = GroupContext.coadjoint_piece
+    original_direct = GroupContext.lie_derivative_direct
+    ctx = GroupContext(alg)
+    mons = ctx.fiber.mons(k)
+    source = min(ctx.coadjoint_piece(a, k))
+    den, rows, nums = ctx.coadjoint_piece(a, k)[source]
+
+    def piece(self, aa, kk):
+        cols = original_piece(self, aa, kk)
+        if (aa, kk) == (a, k):
+            cols = dict(cols)
+            cols[source] = (den, rows, (-nums[0],) + nums[1:])
+        return cols
+
+    def direct(self, field, form):
+        out = original_direct(self, field, form)
+        index = field.index if isinstance(field, LeftInvariantField) else field
+        if index != a:
+            return out
+        flip = Fraction(-2 * nums[0], den)
+        return out + PolyForm(alg, {
+            (exps, mons[rows[0]]): flip * c
+            for (exps, mono), c in form.terms.items()
+            if mono == mons[source]
+        })
+
+    monkeypatch.setattr(GroupContext, "coadjoint_piece", piece)
+    monkeypatch.setattr(GroupContext, "lie_derivative_direct", direct)
+    report = parametrix_identity_check(alg, 1)
+    failed = {row["identity"] for row in report if row["status"] == "fail"}
+    assert f"cartan[{ctx.fields[a]!r}]" in failed
+    assert report == per_element_report(alg, 1)

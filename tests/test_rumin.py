@@ -15,7 +15,7 @@ from ruminbgg.algebra import algebra_from_json, algebra_to_json, builtin
 from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError, IdentityError, StructureError
 from ruminbgg.fiber import FiberContext, monomial_weight
-from ruminbgg.groupcalc import PolyForm, format_term, operator_matrix, term_weight
+from ruminbgg.groupcalc import PolyForm, format_term, term_weight
 from ruminbgg.linalg import (
     ColumnEliminator,
     SparseMatrix,
@@ -35,7 +35,7 @@ from ruminbgg.rumin import (
 )
 from ruminbgg.scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
-from conftest import SUITE_ROWS, assert_normal_form, kernel_rank
+from conftest import SUITE_ROWS, assert_normal_form, kernel_rank, operator_matrix
 from test_fiber import RATIONAL
 
 
