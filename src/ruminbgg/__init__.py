@@ -54,31 +54,42 @@ from .groupcalc import (
     parametrix_identity_check,
 )
 
-# `rumin` and `tables` load on first use of one of their names (PEP 562), so
-# that importing the package, or a command that never runs them, does not
-# pay for their code
-_LAZY = {
-    "RuminPackage": "rumin",
-    "build_iota_and_D": "rumin",
-    "build_pi_and_E": "rumin",
-    "build_q": "rumin",
-    "invert_on_im_delta": "rumin",
-    "StripTable": "tables",
-    "ad_matrix": "tables",
-    "dilation_matrix": "tables",
-    "quasiconformal_check": "tables",
-    "quasiconformal_matrix": "tables",
-    "strip_table": "tables",
-    "truncation_ranks": "tables",
-}
+from .tables import (
+    StripTable,
+    ad_matrix,
+    dilation_matrix,
+    quasiconformal_check,
+    quasiconformal_matrix,
+    strip_table,
+    truncation_ranks,
+)
+
+# `rumin` loads on first use of one of these names (PEP 562), so that
+# importing the package, or a command that never builds a package, does not
+# pay for its code
+_RUMIN_NAMES = (
+    "RuminPackage",
+    "build_iota_and_D",
+    "build_pi_and_E",
+    "build_q",
+    "invert_on_im_delta",
+)
+
+# every public name bound above, the submodules among them, and the lazy ones
+__all__ = [*[n for n in globals() if not n.startswith("_")], "rumin", *_RUMIN_NAMES]
 
 
 def __getattr__(name):
     from importlib import import_module
 
-    module = _LAZY.get(name)
-    if module is None:
+    if name != "rumin" and name not in _RUMIN_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
+    rumin = import_module(".rumin", __name__)
+    if name == "rumin":
+        return rumin
+    value = globals()[name] = getattr(rumin, name)
     return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 from . import __version__
@@ -100,8 +101,6 @@ def write_replacing(path, write):
     A failed or interrupted write removes the temporary file and leaves
     path as it was, so a reader never sees a truncated file.
     """
-    import tempfile
-
     # mkstemp creates the file 0600; give it the mode open(path, "w") would
     umask = os.umask(0)
     os.umask(umask)

@@ -412,8 +412,11 @@ class GroupContext:
         Column (e, I) joins cached pieces: X_a(x^e) at theta^a ^ theta^I for
         each a not in I, and x^e d0(theta^I).  Their row sets are disjoint:
         X_a changes the exponents e, and distinct a give distinct coframe
-        monomials theta^a ^ theta^I.  So nothing cancels, and `_join` gives
-        the column in normal form.  The budget is checked every 64 columns.
+        monomials theta^a ^ theta^I.  So nothing cancels, and the pieces, each
+        a stored column in normal form, join over the lcm L of their
+        denominators in normal form too: for each prime p of L, the piece
+        whose denominator holds the most factors p keeps a numerator prime
+        to p.  The budget is checked every 64 columns.
         """
         npoly = len(self.poly_basis(max_degree))
         fields = [m.cols for m in self.field_matrices(max_degree)]
@@ -428,6 +431,8 @@ class GroupContext:
             for e in range(npoly):
                 if budget is not None and j % 64 == 0:
                     budget.check()
+                # (den, multiplier, rows, numerators, offset, stride): the
+                # numerator at row i goes to row offset + stride * i
                 pieces = []
                 for a, merged, sign in wedge:
                     hit = fields[a].get(e)
@@ -436,7 +441,13 @@ class GroupContext:
                 if d0_col is not None:
                     pieces.append((d0_col[0], 1, d0_col[1], d0_col[2], e, npoly))
                 if pieces:
-                    out.cols[j] = _join(pieces, rows)
+                    L = lcm(*[p[0] for p in pieces])
+                    col = {}
+                    for den, c, prows, pnums, offset, stride in pieces:
+                        c *= L // den
+                        for i, v in zip(prows, pnums):
+                            col[rows[offset + stride * i]] = c * v
+                    out.cols[j] = (L, tuple(col), tuple(col.values()))
                 j += 1
         return out
 
@@ -460,63 +471,36 @@ class GroupContext:
         """Matrix of the direct Lie derivative (`lie_derivative_direct`) along
         frame field field_index on the `spanning_basis(k, max_degree)`
         positions: X (x) 1 + 1 (x) C_X, over `field_matrices` and
-        `coadjoint_piece`.
-
-        The two parts of column (I, e) reach rows (I, e') with e' != e and
-        (J, e) with J != I, unless some c^c_{ac} != 0, which no graded algebra
-        has; so `_join` gives the column, and only such an algebra takes the
-        accumulating `_combine_column`.  The budget is checked every 64
-        columns.
+        `coadjoint_piece`.  Column (I, e) sums the two parts with one
+        `_combine_column`.  The budget is checked every 64 columns.
         """
         matrix = self.field_matrices(max_degree)[field_index]
         npoly, field = matrix.ncols, matrix.cols
         coadjoint = self.coadjoint_piece(field_index, k)
         nmons = len(self.fiber.mons(k))
         out = SparseMatrix(npoly * nmons, npoly * nmons)
+        # the row numbers as the index's int objects, which the columns then
+        # share instead of each holding its own
         rows = list(self.spanning_index(k, max_degree).values())
-        overlap = any(i in col[1] for i, col in coadjoint.items())
         j = 0
         for i in range(nmons):
             c_col = coadjoint.get(i)
             for e in range(npoly):
                 if budget is not None and j % 64 == 0:
                     budget.check()
-                pieces = []
+                terms = []
                 hit = field.get(e)
                 if hit is not None:
-                    pieces.append((hit[0], 1, hit[1], hit[2], i * npoly, 1))
+                    den, prows, pnums = hit
+                    terms.append((1, den, tuple([rows[i * npoly + r] for r in prows]), pnums))
                 if c_col is not None:
-                    pieces.append((c_col[0], 1, c_col[1], c_col[2], e, npoly))
-                if len(pieces) == 2 and overlap:
-                    col = _combine_column([
-                        (c, den, tuple([rows[offset + stride * r] for r in prows]), pnums)
-                        for den, c, prows, pnums, offset, stride in pieces
-                    ])
-                    if col:
-                        out.cols[j] = col
-                elif pieces:
-                    out.cols[j] = _join(pieces, rows)
+                    den, prows, pnums = c_col
+                    terms.append((1, den, tuple([rows[r * npoly + e] for r in prows]), pnums))
+                col = _combine_column(terms)
+                if col:
+                    out.cols[j] = col
                 j += 1
         return out
-
-
-def _join(pieces, rows):
-    """The stored column of the pieces (den, c, prows, pnums, offset, stride),
-    each c times a stored column in normal form, its entry at prows[t] going
-    to row rows[offset + stride * prows[t]]; no two entries share a row.
-
-    Nothing cancels, so the pieces join over the lcm L of their
-    denominators in normal form: for each prime p of L, the piece whose
-    denominator holds the most factors p keeps a numerator prime to p
-    (c = +-1 throughout).
-    """
-    L = lcm(*[p[0] for p in pieces])
-    col = {}
-    for den, c, prows, pnums, offset, stride in pieces:
-        c *= L // den
-        for i, v in zip(prows, pnums):
-            col[rows[offset + stride * i]] = c * v
-    return L, tuple(col), tuple(col.values())
 
 
 # ---------------------------------------------------------------------------

@@ -761,10 +761,25 @@ def test_commands_import_only_what_they_run():
 
 
 def test_package_names_load_on_first_use():
-    import ruminbgg
-
-    for name, module in ruminbgg._LAZY.items():
-        assert getattr(ruminbgg, name) is getattr(sys.modules[f"ruminbgg.{module}"], name)
+    # in a fresh interpreter, so that `rumin` is loaded by the lazy names
+    # themselves and not by an earlier import
+    script = """
+import sys
+import ruminbgg
+assert "ruminbgg.rumin" not in sys.modules
+assert {"rumin", *ruminbgg._RUMIN_NAMES} <= set(dir(ruminbgg))
+star = {}
+exec("from ruminbgg import *", star)
+star.pop("__builtins__")
+assert set(star) == set(ruminbgg.__all__), set(ruminbgg.__all__) ^ set(star)
+rumin = sys.modules["ruminbgg.rumin"]
+assert star["rumin"] is ruminbgg.rumin is rumin
+for name in ruminbgg._RUMIN_NAMES:
+    assert star[name] is getattr(ruminbgg, name) is getattr(rumin, name)
+assert star["strip_table"] is ruminbgg.tables.strip_table
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=CLI_ENV)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
