@@ -18,6 +18,13 @@ d0 a ^ b = -(-1)^k a ^ d0 b for a of degree k, and the d0 block (k, w) is
 the signed transpose of the d0 block (n-1-k, Q-w) under the
 complement-monomial bijection; the inner product plays no part.  Each such
 pair has one rank, computed once on its lower-degree side.
+
+The context also holds the coframe side of the flat-model calculus as
+whole-degree matrices over `mons` positions, each built once: the wedge
+epsilon_a with xi^a, the interior product i_a = epsilon_a^T, d0 on a whole
+degree (defined also where the bracket does not respect the grading), and
+C_a = -sum_{b, c} c^c_{ab} epsilon_b i_c, minus the coadjoint action of a
+layer-1 frame vector.
 """
 
 import itertools
@@ -28,7 +35,7 @@ from math import lcm
 from . import _kernel
 from .algebra import homogeneous_dimension
 from .errors import StructureError
-from .linalg import ColumnEliminator, SparseMatrix, _normal, accumulate, axpy, combine
+from .linalg import ColumnEliminator, SparseMatrix, _normal, accumulate, axpy, combine, sum_columns
 from .scalars import ZERO
 
 
@@ -174,6 +181,13 @@ class FiberContext:
         self._d0 = None
         self._delta = None
         self._pairs_by_target = None
+        # the lcm of the structure constants' denominators, so that den times
+        # each of them is an int; 1 for every built-in model
+        self.den = lcm(*(c.denominator for cs in algebra.bracket.values() for c in cs.values()))
+        self._wedges = {}
+        self._interiors = {}
+        self._d0_matrix = {}
+        self._coadjoint = {}
         self._homogeneous_dim = homogeneous_dimension(algebra)
         self._rank_cache = {}
         self._harmonic = {}
@@ -231,24 +245,21 @@ class FiberContext:
     # -- structure maps ----------------------------------------------------
 
     def _target_pairs(self):
-        """(den, {index k: [(a, b, n, -n)]}, off) with a < b and c^k_{ab} = n / den.
+        """({index k: [(a, b, n, -n)]}, off) with a < b and c^k_{ab} = n / `den`.
 
-        den is the lcm of the structure constants' denominators, so every
-        n is an int; den is 1 for every built-in model.  off is None when
-        every constant has layer(a) + layer(b) = layer(k), and otherwise the
-        StructureError message of the first that does not: d0 takes xi^k
-        out of its weight block there.  `_d0_columns` raises it, so every
-        block fails on such an algebra, whichever side of a dual pair
-        `rank_d0_block` builds; the per-monomial d0 stays defined for the
-        calculus checks.
+        off is None when every constant has layer(a) + layer(b) = layer(k),
+        and otherwise the StructureError message of the first that does not:
+        d0 takes xi^k out of its weight block there.  `_d0_columns` raises
+        it, so every block fails on such an algebra, whichever side of a
+        dual pair `rank_d0_block` builds; the per-monomial d0 and
+        `d0_matrix` stay defined for the calculus checks.
         """
         if self._pairs_by_target is None:
             alg = self.algebra
-            bracket = alg.bracket
-            den = lcm(*(c.denominator for terms in bracket.values() for c in terms.values()))
+            den = self.den
             table = {}
             off = None
-            for (a, b), terms in bracket.items():
+            for (a, b), terms in alg.bracket.items():
                 if a < b:
                     for k, c in terms.items():
                         if off is None and alg.layer_of(a) + alg.layer_of(b) != alg.layer_of(k):
@@ -257,12 +268,12 @@ class FiberContext:
                         table.setdefault(k, []).append((a, b, n, -n))
             for k in table:
                 table[k].sort()
-            self._pairs_by_target = den, table, off
+            self._pairs_by_target = table, off
         return self._pairs_by_target
 
     def _d0_numerators(self, mono):
-        """Coboundary of one monomial as {monomial: int} over the den of
-        `_target_pairs`, with no zero entry.
+        """Coboundary of one monomial as {monomial: int} over `den`, with no
+        zero entry.
 
         d0 xi^k = -sum_{a<b} c^k_{ab} xi^a xi^b extended as an odd
         derivation; the minus sign makes d0^2 = 0 equivalent to Jacobi.
@@ -273,7 +284,7 @@ class FiberContext:
         (-1)^(ia + ib).  The term is -c^k_{ab} (-1)^(pos + ia + ib), and
         it vanishes when a or b already occurs in rest.
         """
-        pairs = self._target_pairs()[1]
+        pairs = self._target_pairs()[0]
         out = {}
         for pos, idx in enumerate(mono):
             hits = pairs.get(idx)
@@ -299,7 +310,7 @@ class FiberContext:
 
     def d0_of_monomial(self, mono):
         """Coboundary of one monomial as {monomial: Fraction}."""
-        den = self._target_pairs()[0]
+        den = self.den
         return {m: Fraction(v, den) for m, v in self._d0_numerators(mono).items()}
 
     def d0_map(self):
@@ -367,19 +378,89 @@ class FiberContext:
         """delta of one monomial as {monomial: coefficient}, cached; callers must not change it."""
         return self.delta_map().get(mono, {})
 
+    # -- whole-degree coframe matrices, over `mons` positions ----------------
+
+    def wedge_matrices(self, k):
+        """[epsilon_a for each frame index a], epsilon_a the wedge with xi^a
+        from degree k to k + 1, built once; callers must not change them.
+        xi^a moves past the p factors of I below a: the entry is (-1)^p."""
+        if k not in self._wedges:
+            index = {m: i for i, m in enumerate(self.mons(k + 1))}
+            mons = self.mons(k)
+            out = [SparseMatrix(len(index), len(mons)) for _ in range(self.algebra.dim)]
+            for j, mono in enumerate(mons):
+                p = 0
+                for a in range(self.algebra.dim):
+                    if p < len(mono) and mono[p] == a:
+                        p += 1
+                    else:
+                        i = index[mono[:p] + (a,) + mono[p:]]
+                        out[a].cols[j] = (1, (i,), (-1 if p & 1 else 1,))
+            self._wedges[k] = out
+        return self._wedges[k]
+
+    def interior_matrices(self, k):
+        """[i_a for each frame index a], the contraction with the dual frame
+        vector from degree k to k - 1, built once as the transposes of
+        `wedge_matrices(k - 1)`; callers must not change them."""
+        if k not in self._interiors:
+            self._interiors[k] = [m.transpose() for m in self.wedge_matrices(k - 1)]
+        return self._interiors[k]
+
+    def d0_matrix(self, k):
+        """d0 from degree k to k + 1 over the `_d0_numerators`, in normal form,
+        built once; callers must not change it.  Unlike `d0_block` it is
+        defined when the bracket does not respect the grading."""
+        if k not in self._d0_matrix:
+            index = {m: i for i, m in enumerate(self.mons(k + 1))}
+            mons = self.mons(k)
+            out = SparseMatrix(len(index), len(mons))
+            for j, mono in enumerate(mons):
+                col = _normal(self.den, {index[m]: v for m, v in self._d0_numerators(mono).items()})
+                if col:
+                    out.cols[j] = col
+            self._d0_matrix[k] = out
+        return self._d0_matrix[k]
+
+    def coadjoint_matrix(self, a, k):
+        """C_a on degree k, built once; callers must not change it.
+
+        C_a is minus the coadjoint action of layer-1 frame index a, the
+        degree-0 derivation xi^c -> -sum_b c^c_{ab} xi^b, so
+        C_a = -sum_{b, c} c^c_{ab} epsilon_b i_c, one `combine` over the
+        int constants den * c^c_{ab} and then divided by den.  It is zero
+        for a frame index outside layer 1.
+        """
+        key = (a, k)
+        if key not in self._coadjoint:
+            n = len(self.mons(k))
+            den = self.den
+            terms = []
+            if self.algebra.layer_of(a) == 1:
+                wedges, interiors = self.wedge_matrices(k - 1), self.interior_matrices(k)
+                for (aa, b), bracket in self.algebra.bracket.items():
+                    if aa == a:
+                        for c, coeff in bracket.items():
+                            n_abc = coeff.numerator * (den // coeff.denominator)
+                            terms.append((-n_abc, wedges[b], interiors[c]))
+            out = combine(n, n, terms)
+            if den > 1:
+                out.cols = {j: sum_columns([(d * den, *col)]) for j, (d, *col) in out.cols.items()}
+            self._coadjoint[key] = out
+        return self._coadjoint[key]
+
     # -- positional blocks and ranks ----------------------------------------
 
     def _d0_columns(self, k, w):
-        """(den, columns): column j of d0 from block (k, w) to block (k+1, w)
-        as a {row: int} dict of numerators over the algebra-wide den, empty
-        for a closed monomial.  Raises StructureError if the bracket does not
-        respect the grading."""
-        den, _, off = self._target_pairs()
+        """Column j of d0 from block (k, w) to block (k+1, w) as a {row: int}
+        dict of numerators over `den`, empty for a closed monomial.  Raises
+        StructureError if the bracket does not respect the grading."""
+        off = self._target_pairs()[1]
         if off is not None:
             raise StructureError(off)
         index = self.block_index(k + 1, w)
         # the bracket respects the grading, so d0 keeps the weight
-        return den, [
+        return [
             {index[mono]: v for mono, v in self._d0_numerators(m).items()}
             for m in self.block(k, w)
         ]
@@ -388,11 +469,11 @@ class FiberContext:
         """Matrix of d0 from block (k, w) to block (k+1, w), built from the
         integer numerators, one normal-form pass per column.  Raises
         StructureError if the bracket does not respect the grading."""
-        den, columns = self._d0_columns(k, w)
+        columns = self._d0_columns(k, w)
         out = SparseMatrix(len(self.block(k + 1, w)), len(columns))
         for j, col in enumerate(columns):
             if col:
-                out.cols[j] = _normal(den, col)
+                out.cols[j] = _normal(self.den, col)
         return out
 
     def delta_block(self, k, w):
@@ -430,7 +511,7 @@ class FiberContext:
         if rank is None:
             if self.budget is not None:
                 self.budget.check()
-            columns = [col for col in self._d0_columns(*key)[1] if col]
+            columns = [col for col in self._d0_columns(*key) if col]
             rank = self._rank_cache[key] = _kernel.rank_sparse(columns) if columns else 0
         return rank
 

@@ -16,11 +16,12 @@ Polynomial degree never increases under d, delta, i_X or L_X, so the
 space of forms with coefficient degree <= P is exactly invariant.
 The spanning basis of degree-k forms is the Kronecker product of the
 coframe monomials and the polynomials, element (I, e) at position
-I * npoly + e, so each operator is built from cached pieces on the two
-factors.  `GroupContext.d_matrix` joins X_a on the polynomials with the
-wedge signs and d0 on the coframe, and both rumin and
-`parametrix_identity_check` use it.  `contraction_matrix` is 1 (x) i_X
-and `lie_derivative_matrix` is X (x) 1 + 1 (x) C_X, with C_X the
+I * npoly + e, so each operator matrix is one `linalg.kron` of the frame
+fields X_a on the polynomials, cached here, and the fiber's whole-degree
+coframe matrices: `GroupContext.d_matrix` is
+sum_a X_a (x) epsilon_a + 1 (x) d0, which both rumin and
+`parametrix_identity_check` use, `contraction_matrix` is 1 (x) i_X and
+`lie_derivative_matrix` is X (x) 1 + 1 (x) C_X, with C_X minus the
 coadjoint action on the coframe.  `parametrix_identity_check` checks the
 calculus as exact matrix identities on that basis, with no truncation
 error; the per-term operators above stay as the reference the tests
@@ -28,13 +29,11 @@ compare it with.
 """
 
 import itertools
-from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
 
 from .errors import BudgetExceededError, IdentityError, UnsupportedStepError
 from .fiber import FiberContext, monomial_weight, sort_with_sign
-from .linalg import SparseMatrix, _combine_column, _normal, accumulate, axpy, combine
+from .linalg import SparseMatrix, accumulate, axpy, combine, kron
 
 HALF = Fraction(1, 2)
 
@@ -171,9 +170,6 @@ class GroupContext:
         self.fields = [LeftInvariantField(algebra, i) for i in range(algebra.dim)]
         self._spanning_index = {}
         self._field_matrices = {}
-        self._coframe_pieces = {}
-        self._contraction_pieces = {}
-        self._coadjoint_pieces = {}
 
     # -- single-term operator actions (dicts keyed by (exps, mono)) --------
 
@@ -311,196 +307,43 @@ class GroupContext:
             ]
         return self._field_matrices[max_degree]
 
-    def coframe_pieces(self, k):
-        """(wedges, d0) for coframe degree k, built once; callers must not change them.
-
-        wedges[I] lists (a, J, sign) with theta^a ^ theta^I = sign theta^J for
-        every frame index a not in I, a ascending; d0 is the matrix of d0 from
-        degree k to k + 1.  I and J are positions in `fiber.mons`.  theta^a
-        moves past the p factors of I below a, so sign = (-1)^p, and d0 is
-        the fiber's integer coboundary over the structure constants' common
-        denominator, in normal form.
-        """
-        if k not in self._coframe_pieces:
-            mons = self.fiber.mons(k)
-            index = {m: i for i, m in enumerate(self.fiber.mons(k + 1))}
-            den = self.fiber._target_pairs()[0]
-            wedges = []
-            d0 = SparseMatrix(len(index), len(mons))
-            for j, mono in enumerate(mons):
-                row = []
-                p = 0
-                for a in range(self.algebra.dim):
-                    if p < len(mono) and mono[p] == a:
-                        p += 1
-                    else:
-                        row.append((a, index[mono[:p] + (a,) + mono[p:]], -1 if p & 1 else 1))
-                wedges.append(row)
-                col = _normal(den, {
-                    index[m2]: v for m2, v in self.fiber._d0_numerators(mono).items()
-                })
-                if col:
-                    d0.cols[j] = col
-            self._coframe_pieces[k] = (wedges, d0)
-        return self._coframe_pieces[k]
-
-    def contraction_pieces(self, k):
-        """{f: [(I, J, sign)]} for coframe degree k, built once; callers must not
-        change it.  i_{X_f} theta^I = sign theta^J for each I of `fiber.mons(k)`
-        that holds f, I ascending; J is a position in `fiber.mons(k - 1)` and
-        sign = (-1)^pos, pos the position of f in I."""
-        if k not in self._contraction_pieces:
-            index = {m: i for i, m in enumerate(self.fiber.mons(k - 1))}
-            pieces = {}
-            for i, mono in enumerate(self.fiber.mons(k)):
-                for pos, f in enumerate(mono):
-                    rest = index[mono[:pos] + mono[pos + 1 :]]
-                    pieces.setdefault(f, []).append((i, rest, -1 if pos & 1 else 1))
-            self._contraction_pieces[k] = pieces
-        return self._contraction_pieces[k]
-
-    def coadjoint_piece(self, a, k):
-        """C_a on coframe degree k as {I: stored column over `fiber.mons(k)`
-        positions}, built once; callers must not change it.
-
-        C_a is minus the coadjoint action of layer-1 field a, applied as a
-        derivation: theta^c -> -sum_b c^c_{ab} theta^b at each position of
-        theta^I; it is zero for a layer-2 field.  The factor that replaces
-        theta^c moves to the front and back into order, which gives the sign
-        (-1)^(pos + q) with q = #{r in rest: r < b}, as in
-        `FiberContext._d0_numerators`.  Terms are ints over the structure
-        constants' common denominator, and a row reached twice (only an
-        algebra with c^c_{ac} != 0 can do that) is accumulated.
-        """
-        key = (a, k)
-        if key not in self._coadjoint_pieces:
-            alg = self.algebra
-            den = self.fiber._target_pairs()[0]
-            repl = {}  # c -> [(b, -c^c_{ab} * den)]
-            if alg.layer_of(a) == 1:
-                for (aa, b), terms in alg.bracket.items():
-                    if aa == a:
-                        for c, coeff in terms.items():
-                            n = coeff.numerator * (den // coeff.denominator)
-                            repl.setdefault(c, []).append((b, -n))
-            mons = self.fiber.mons(k)
-            index = {m: i for i, m in enumerate(mons)}
-            cols = {}
-            for i, mono in enumerate(mons):
-                acc = {}
-                for pos, c in enumerate(mono):
-                    hits = repl.get(c)
-                    if not hits:
-                        continue
-                    rest = mono[:pos] + mono[pos + 1 :]
-                    for b, n in hits:
-                        q = bisect_left(rest, b)
-                        if q < len(rest) and rest[q] == b:
-                            continue
-                        j = index[rest[:q] + (b,) + rest[q:]]
-                        acc[j] = acc.get(j, 0) + (-n if (pos + q) & 1 else n)
-                col = _normal(den, acc)
-                if col:
-                    cols[i] = col
-            self._coadjoint_pieces[key] = cols
-        return self._coadjoint_pieces[key]
-
     def d_matrix(self, k, max_degree, budget=None):
         """Matrix of d from the `spanning_basis(k, max_degree)` positions to
-        those of degree k + 1; no columns outside 0 <= k <= dim.
-
-        Column (e, I) joins cached pieces: X_a(x^e) at theta^a ^ theta^I for
-        each a not in I, and x^e d0(theta^I).  Their row sets are disjoint:
-        X_a changes the exponents e, and distinct a give distinct coframe
-        monomials theta^a ^ theta^I.  So nothing cancels, and the pieces, each
-        a stored column in normal form, join over the lcm L of their
-        denominators in normal form too: for each prime p of L, the piece
-        whose denominator holds the most factors p keeps a numerator prime
-        to p.  The budget is checked every 64 columns.
-        """
-        npoly = len(self.poly_basis(max_degree))
-        fields = [m.cols for m in self.field_matrices(max_degree)]
-        wedges, d0 = self.coframe_pieces(k)
-        out = SparseMatrix(npoly * d0.nrows, npoly * d0.ncols)
-        # the row numbers as the index's int objects, which the columns then
-        # share instead of each holding its own
-        rows = list(self.spanning_index(k + 1, max_degree).values())
-        j = 0
-        for mono, wedge in enumerate(wedges):
-            d0_col = d0.cols.get(mono)
-            for e in range(npoly):
-                if budget is not None and j % 64 == 0:
-                    budget.check()
-                # (den, multiplier, rows, numerators, offset, stride): the
-                # numerator at row i goes to row offset + stride * i
-                pieces = []
-                for a, merged, sign in wedge:
-                    hit = fields[a].get(e)
-                    if hit is not None:
-                        pieces.append((hit[0], sign, hit[1], hit[2], merged * npoly, 1))
-                if d0_col is not None:
-                    pieces.append((d0_col[0], 1, d0_col[1], d0_col[2], e, npoly))
-                if pieces:
-                    L = lcm(*[p[0] for p in pieces])
-                    col = {}
-                    for den, c, prows, pnums, offset, stride in pieces:
-                        c *= L // den
-                        for i, v in zip(prows, pnums):
-                            col[rows[offset + stride * i]] = c * v
-                    out.cols[j] = (L, tuple(col), tuple(col.values()))
-                j += 1
-        return out
+        those of degree k + 1, no columns outside 0 <= k <= dim:
+        sum_a X_a (x) epsilon_a + 1 (x) d0 over the frame, one `kron` of
+        `field_matrices` and the fiber's coframe matrices.  The budget is
+        checked every 64 columns."""
+        fields = self.field_matrices(max_degree)
+        wedges = self.fiber.wedge_matrices(k)
+        terms = [(wedges[a], x) for a, x in enumerate(fields)] + [(self.fiber.d0_matrix(k), None)]
+        return kron(fields[0].ncols, terms, self._rows(k + 1, max_degree), budget)
 
     def contraction_matrix(self, field_index, k, max_degree, budget=None):
         """Matrix of i_X for frame field field_index from the
         `spanning_basis(k, max_degree)` positions to those of degree k - 1:
-        1 (x) i_X over `contraction_pieces(k)`, each column one signed unit.
-        The budget is checked every 64 columns."""
+        1 (x) i_X, one `kron` of the fiber's interior matrix.  The budget is
+        checked every 64 columns."""
+        interior = self.fiber.interior_matrices(k)[field_index]
         npoly = self.field_matrices(max_degree)[0].ncols
-        out = SparseMatrix(npoly * len(self.fiber.mons(k - 1)), npoly * len(self.fiber.mons(k)))
-        n = 0
-        for i, rest, sign in self.contraction_pieces(k).get(field_index, ()):
-            for e in range(npoly):
-                if budget is not None and n % 64 == 0:
-                    budget.check()
-                out.cols[i * npoly + e] = (1, (rest * npoly + e,), (sign,))
-                n += 1
-        return out
+        return kron(npoly, [(interior, None)], self._rows(k - 1, max_degree), budget)
 
     def lie_derivative_matrix(self, field_index, k, max_degree, budget=None):
         """Matrix of the direct Lie derivative (`lie_derivative_direct`) along
         frame field field_index on the `spanning_basis(k, max_degree)`
-        positions: X (x) 1 + 1 (x) C_X, over `field_matrices` and
-        `coadjoint_piece`.  Column (I, e) sums the two parts with one
-        `_combine_column`.  The budget is checked every 64 columns.
-        """
-        matrix = self.field_matrices(max_degree)[field_index]
-        npoly, field = matrix.ncols, matrix.cols
-        coadjoint = self.coadjoint_piece(field_index, k)
-        nmons = len(self.fiber.mons(k))
-        out = SparseMatrix(npoly * nmons, npoly * nmons)
-        # the row numbers as the index's int objects, which the columns then
-        # share instead of each holding its own
-        rows = list(self.spanning_index(k, max_degree).values())
-        j = 0
-        for i in range(nmons):
-            c_col = coadjoint.get(i)
-            for e in range(npoly):
-                if budget is not None and j % 64 == 0:
-                    budget.check()
-                terms = []
-                hit = field.get(e)
-                if hit is not None:
-                    den, prows, pnums = hit
-                    terms.append((1, den, tuple([rows[i * npoly + r] for r in prows]), pnums))
-                if c_col is not None:
-                    den, prows, pnums = c_col
-                    terms.append((1, den, tuple([rows[r * npoly + e] for r in prows]), pnums))
-                col = _combine_column(terms)
-                if col:
-                    out.cols[j] = col
-                j += 1
-        return out
+        positions: X (x) 1 + 1 (x) C_X, one `kron` of `field_matrices` and
+        the fiber's coadjoint matrix.  The budget is checked every 64
+        columns."""
+        field = self.field_matrices(max_degree)[field_index]
+        terms = [
+            (SparseMatrix.identity(len(self.fiber.mons(k))), field),
+            (self.fiber.coadjoint_matrix(field_index, k), None),
+        ]
+        return kron(field.ncols, terms, self._rows(k, max_degree), budget)
+
+    def _rows(self, k, max_degree):
+        """The degree-k positions as the spanning index's own int objects,
+        which the columns then share instead of each holding its own."""
+        return list(self.spanning_index(k, max_degree).values())
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +464,7 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         fields = ctx.field_matrices(max_poly_degree)
         polys = ctx.poly_basis(max_poly_degree)
         n = len(polys)
-        den = ctx.fiber._target_pairs()[0]
+        den = ctx.fiber.den
         for a in range(alg.dim):
             for b in range(alg.dim):
                 terms = [(den, fields[a], fields[b]), (-den, fields[b], fields[a])]

@@ -21,8 +21,11 @@ for sums of products: it forms sum c * (A @ B) over (c, A, B) terms
 sparse product, gathering every term's contribution to a column and
 normalizing it once.  `@`, `+` and `-` are single calls of it, so a sum of
 products never builds and normalizes the products on their own.
+`kron(npoly, terms, rows, budget)` is the same gather for sums of
+Kronecker products on the positions I * npoly + e of a coframe or fiber
+index I and a polynomial e, which is how the package lays out forms.
 `trace_of_product` reads trace(A @ B) off the two factors.  Every
-column sum, in the kernel, `apply_column`, `sum_columns` and `stack`,
+column sum, in the two kernels, `apply_column`, `sum_columns` and `stack`,
 goes through one accumulate-and-normalize loop, which accumulates in a
 dict and freezes it once into the two tuples.  `column_from_ratios`
 builds a stored column from (p, q) pairs.  `fractions.Fraction` remains
@@ -42,6 +45,7 @@ Fraction elimination with that rule gives.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from ._kernel import rank_sparse
 from .scalars import ZERO
@@ -222,6 +226,58 @@ def combine(nrows, ncols, terms, budget=None):
             col = _combine_column(gathered)
             if col:
                 out_cols[j] = col
+    return out
+
+
+def kron(npoly, terms, rows, budget=None):
+    """The matrix of sum A (x) B over the (B, A) terms, on Kronecker positions.
+
+    B is a coframe or fiber matrix and A an npoly x npoly matrix on the
+    polynomials, or None for the identity; position I * npoly + e holds
+    coframe or fiber element I with polynomial e, so entry
+    (I * npoly + f, J * npoly + e) is the sum of B[I, J] A[f, e].  Row
+    position r is written as rows[r], so that the columns share the caller's
+    int objects.  Each column gathers every term's contribution and goes
+    through `_combine_column` once, which keeps the nums tuple of a column
+    that is one identity-factor copy of a B column.  budget, if given, is
+    checked every 64 result columns.
+    """
+    shape = terms[0][0].shape()
+    hits = {}  # J -> [(den, rows, nums of B's column J, A's columns or None)]
+    for b, a in terms:
+        if b.shape() != shape or a is not None and a.shape() != (npoly, npoly):
+            raise ValueError(f"shape mismatch: {a and a.shape()} (x) {b.shape()}, B {shape}")
+        if a is not None:
+            # a getter of each column's rows, so that a shifted copy is one C
+            # call; a single row is kept as its position
+            a = [
+                (e, den, itemgetter(*arows) if len(arows) > 1 else arows[0], nums)
+                for e, (den, arows, nums) in a.cols.items()
+            ]
+        for j, col in b.cols.items():
+            hits.setdefault(j, []).append((*col, a))
+    out = SparseMatrix(npoly * shape[0], npoly * shape[1])
+    n = 0
+    for j in sorted(hits):
+        gathered = [[] for _ in range(npoly)]  # the terms of column j * npoly + e
+        for den, brows, bnums, a in hits[j]:
+            blocks = [rows[i * npoly : (i + 1) * npoly] for i in brows]
+            if a is None:
+                for terms_e, copy in zip(gathered, zip(*blocks)):
+                    terms_e.append((1, den, copy, bnums))
+                continue
+            for block, v in zip(blocks, bnums):
+                for e, aden, get, anums in a:
+                    shifted = (block[get],) if type(get) is int else get(block)
+                    gathered[e].append((v, den * aden, shifted, anums))
+        for e, terms_e in enumerate(gathered):
+            if budget is not None and n % 64 == 0:
+                budget.check()
+            n += 1
+            if terms_e:
+                col = _combine_column(terms_e)
+                if col:
+                    out.cols[j * npoly + e] = col
     return out
 
 

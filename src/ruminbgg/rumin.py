@@ -17,14 +17,15 @@ Each operator is a product of matrices over stored integer columns,
 immutable (den, rows, nums) tuples (see `linalg`).  Every product or sum
 of products (the Laplacian, the inverse's residuals, pi, iota^{-1}, D and
 the identity suite's residuals) is one call of `linalg.combine`, which
-checks the package budget every 64 columns.  d comes from the group
-calculus's cached pieces (`GroupContext.d_matrix`).
+checks the package budget every 64 columns.
 V^k = Poly_P (x) Lambda^k is addressed by Kronecker arithmetic: fiber
 position f with polynomial e is f * npoly + e, and in the model harmonic
-form h with e is h * npoly + e.  delta = 1 (x) delta0, the lift 1 (x) H
-and the harmonic projection 1 (x) X, H the fiber's harmonic basis and X
-its coordinate matrix, copy the fiber's (k, w) block matrices to those
-positions, every copy of a block column sharing its numerator tuple.
+form h with e is h * npoly + e.  Every matrix of that form is one
+`linalg.kron`: d comes from the group calculus (`GroupContext.d_matrix`),
+and delta = 1 (x) delta0, the lift 1 (x) H and the harmonic projection
+1 (x) X, H the fiber's harmonic basis and X its coordinate matrix, each
+assemble the fiber's (k, w) blocks into one degree-level matrix, every
+copy of a block column sharing its numerator tuple.
 Only L0^{-1} on im delta, L0 = 1 (x) (d0 delta0 + delta0 d0), goes column
 by column: it splits a column by (weight, polynomial) block and solves
 each piece with the weight's cached eliminator, so neither L0 nor N is
@@ -69,7 +70,7 @@ from .algebra import algebra_from_json, algebra_to_json
 from .errors import BudgetExceededError, IdentityError, StructureError
 from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term
-from .linalg import SparseMatrix, column_from_ratios, combine, sum_columns, trace_of_product
+from .linalg import SparseMatrix, column_from_ratios, combine, kron, sum_columns, trace_of_product
 from .scalars import ratio_from_str, ratio_to_str
 
 def default_poly_degree(algebra):
@@ -191,25 +192,17 @@ class RuminPackage:
         return self._kron(k, self.fiber.laplacian_block, positions, positions, self._rows(k))
 
     def _kron(self, k, block_fn, src, dst, rows):
-        """1 (x) F, F given per weight w by its block block_fn(k, w): the copy of
-        block column j for polynomial e is column src[w][j] * npoly + e, with
-        row i at rows[dst[w][i] * npoly + e].  Each block is built once and
-        every copy of its column shares its nums tuple; the budget is checked
-        every 64 columns."""
-        npoly = self.npoly
-        out = SparseMatrix(len(rows), npoly * sum(map(len, src.values())))
+        """1 (x) F on Kronecker positions (`linalg.kron`), with rows[r] for
+        row position r.  F is the degree-level fiber matrix given per weight w
+        by its block block_fn(k, w): block column j is column src[w][j] of F,
+        with block row i at row dst[w][i].  Each block is built once, and
+        every copy of its column shares its nums tuple."""
+        fiber = SparseMatrix(sum(map(len, dst.values())), sum(map(len, src.values())))
         for w, cols in src.items():
             # a block with columns has rows, so dst[w] is read only then
-            block = [
-                (cols[j] * npoly, den, [dst[w][i] * npoly for i in block_rows], nums)
-                for j, (den, block_rows, nums) in block_fn(k, w).cols.items()
-            ]
-            for e in range(npoly):
-                for j, den, base, nums in block:
-                    if self.budget is not None and len(out.cols) % 64 == 0:
-                        self.budget.check()
-                    out.cols[j + e] = (den, tuple([rows[b + e] for b in base]), nums)
-        return out
+            for j, (den, block_rows, nums) in block_fn(k, w).cols.items():
+                fiber.cols[cols[j]] = (den, tuple([dst[w][i] for i in block_rows]), nums)
+        return kron(self.npoly, [(fiber, None)], rows, self.budget)
 
     # -- the filtered inverse ---------------------------------------------------
 

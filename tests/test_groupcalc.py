@@ -4,6 +4,7 @@ import pytest
 
 from ruminbgg.algebra import GradedNilpotentLieAlgebra, algebra_from_json, builtin, validate
 from ruminbgg.errors import UnsupportedStepError
+from ruminbgg.fiber import FiberContext
 from ruminbgg.groupcalc import (
     GroupContext,
     LeftInvariantField,
@@ -12,6 +13,7 @@ from ruminbgg.groupcalc import (
     parametrix_identity_check,
     term_weight,
 )
+from ruminbgg.linalg import SparseMatrix
 
 from conftest import assert_normal_form, operator_matrix, random_fraction
 
@@ -451,22 +453,24 @@ def test_operator_builders_match_per_element_oracle(name):
 )
 def test_report_matches_oracle_on_coadjoint_mutants(monkeypatch, model, a, k):
     # the first entry of the first column of C_a on degree k changes sign, in
-    # the coadjoint piece and in lie_derivative_direct alike: the matrix check
-    # and the per-element oracle both fail cartan[X_a], with one report
+    # the fiber's coadjoint matrix and in lie_derivative_direct alike: the
+    # matrix check and the per-element oracle both fail cartan[X_a], with one
+    # report
     alg = _oracle_algebra(model)
-    original_piece = GroupContext.coadjoint_piece
+    original_matrix = FiberContext.coadjoint_matrix
     original_direct = GroupContext.lie_derivative_direct
     ctx = GroupContext(alg)
     mons = ctx.fiber.mons(k)
-    source = min(ctx.coadjoint_piece(a, k))
-    den, rows, nums = ctx.coadjoint_piece(a, k)[source]
+    source = min(ctx.fiber.coadjoint_matrix(a, k).cols)
+    den, rows, nums = ctx.fiber.coadjoint_matrix(a, k).cols[source]
 
-    def piece(self, aa, kk):
-        cols = original_piece(self, aa, kk)
+    def matrix(self, aa, kk):
+        out = original_matrix(self, aa, kk)
         if (aa, kk) == (a, k):
-            cols = dict(cols)
-            cols[source] = (den, rows, (-nums[0],) + nums[1:])
-        return cols
+            flipped = SparseMatrix(out.nrows, out.ncols)
+            flipped.cols = {**out.cols, source: (den, rows, (-nums[0],) + nums[1:])}
+            return flipped
+        return out
 
     def direct(self, field, form):
         out = original_direct(self, field, form)
@@ -480,7 +484,7 @@ def test_report_matches_oracle_on_coadjoint_mutants(monkeypatch, model, a, k):
             if mono == mons[source]
         })
 
-    monkeypatch.setattr(GroupContext, "coadjoint_piece", piece)
+    monkeypatch.setattr(FiberContext, "coadjoint_matrix", matrix)
     monkeypatch.setattr(GroupContext, "lie_derivative_direct", direct)
     report = parametrix_identity_check(alg, 1)
     failed = {row["identity"] for row in report if row["status"] == "fail"}

@@ -15,6 +15,7 @@ from ruminbgg.linalg import (
     accumulate,
     axpy,
     combine,
+    kron,
     rank_of_columns,
     sum_columns,
     trace_of_product,
@@ -592,6 +593,82 @@ def test_column_eliminator_checks_the_budget_every_64_columns():
     time.sleep(0.01)
     with pytest.raises(BudgetExceededError):
         ColumnEliminator(m, exhausted)
+
+
+def _kron_oracle(npoly, terms, rows):
+    """sum A (x) B entry by entry: B[I, J] A[f, e] at row rows[I * npoly + f]
+    and column J * npoly + e, A = None the identity."""
+    nrows, ncols = terms[0][0].shape()
+    want = {}
+    for b, a in terms:
+        for J in range(ncols):
+            for I, bv in b.column(J).items():
+                for e in range(npoly):
+                    for f, av in ({e: 1} if a is None else a.column(e)).items():
+                        key = (J * npoly + e, rows[I * npoly + f])
+                        want[key] = want.get(key, 0) + bv * av
+    cols = {}
+    for (j, i), v in want.items():
+        cols.setdefault(j, {})[i] = v
+    return SparseMatrix(npoly * nrows, npoly * ncols, cols)
+
+
+def test_kron_matches_per_entry_oracle():
+    """Random sums of Kronecker products of sparse Fraction factors, with
+    identity factors, empty columns and operands, and terms that cancel."""
+    rng = random.Random(41)
+    cancelled = copied = 0
+    for trial in range(200):
+        npoly, nrows, ncols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            b = SparseMatrix(nrows, ncols)
+            if rng.random() < 0.9:
+                b = _hard_sparse(rng, nrows, ncols)
+            a = None if rng.random() < 0.4 else _hard_sparse(rng, npoly, npoly)
+            terms.append((b, a))
+        if rng.random() < 0.3:
+            # minus the first term: the columns that only it reached cancel to zero
+            b, a = terms[0]
+            terms.append((combine(nrows, ncols, [(-1, b, None)]), a))
+        rows = list(range(npoly * nrows))
+        rng.shuffle(rows)
+        got = kron(npoly, terms, rows)
+        assert_normal_form(got)
+        assert got == _kron_oracle(npoly, terms, rows), trial
+        for j in range(got.ncols):
+            J, e = divmod(j, npoly)
+            reach = [(b, a) for b, a in terms if J in b.cols and (a is None or e in a.cols)]
+            if reach and j not in got.cols:
+                cancelled += 1
+            if len(reach) == 1 and reach[0][1] is None:
+                # one identity-factor copy: the block column's den and nums object
+                den, _, nums = reach[0][0].cols[J]
+                assert got.cols[j][0] == den and got.cols[j][2] is nums, trial
+                copied += 1
+    assert cancelled > 30 and copied > 30
+
+
+def test_kron_moves_rows_and_checks_shapes_and_budget():
+    half = SparseMatrix(2, 2, {0: {1: Fraction(1, 2)}, 1: {0: Fraction(-3)}})
+    x = SparseMatrix(3, 3, {2: {0: Fraction(2)}})
+    rows = [10**6 + r for r in range(6)]
+    got = kron(3, [(half, x), (half, None)], rows)
+    assert got.shape() == (6, 6)
+    # column (J, e) = (0, 2): 1/2 * 2 at (1, 0) and 1/2 at (1, 2)
+    assert got.cols[2] == (2, (rows[3], rows[5]), (2, 1))
+    assert all(i is rows[i - 10**6] for _, col_rows, _ in got.cols.values() for i in col_rows)
+    assert kron(3, [(SparseMatrix(2, 2), x)], rows) == SparseMatrix(6, 6)
+    with pytest.raises(ValueError):
+        kron(3, [(half, x), (SparseMatrix(2, 3), None)], rows)
+    with pytest.raises(ValueError):
+        kron(2, [(half, x)], rows[:4])
+    budget = _CountingBudget()
+    n = 13
+    assert kron(10, [(SparseMatrix.identity(n), None)], list(range(10 * n)), budget) == (
+        SparseMatrix.identity(10 * n)
+    )
+    assert budget.checks == 3  # result columns 0, 64 and 128
 
 
 def test_columns_are_written_in_normal_form():

@@ -554,14 +554,14 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     alg = _algebra(name)
     pkg = RuminPackage(alg, P)
     fib = pkg.fiber
-    # the pieces of d are Fraction-built caches; so are delta, lap and the Hodge
-    # data under a non-standard inner product, whose Gram blocks come from
-    # Fraction determinants.  With the standard one the fiber's harmonic
+    # the field matrices X_a, a factor of d, are Fraction-built caches; so are
+    # delta, lap and the Hodge data under a non-standard inner product, whose
+    # Gram blocks come from Fraction determinants.  With the standard one the
+    # fiber's coframe matrices, the other factors of d, and its harmonic
     # bases, solvers and coordinate blocks are built in the window below.
     gram = not alg.inner_product_is_standard()
     pkg.group.field_matrices(P)
     for k in range(alg.dim + 1):
-        pkg.group.coframe_pieces(k)
         if gram:
             pkg.model_keys(k), pkg.delta_mat(k), pkg.lap_mat(k)
             for w in fib.blocks(k):
