@@ -169,7 +169,8 @@ class BggTable:
 
 
 class FiberContext:
-    """Per-algebra cache of monomial bases, blocks, d0/delta and Hodge data."""
+    """Per-algebra cache of monomial bases, blocks, d0/delta, Hodge data and
+    the whole-degree coframe matrices."""
 
     def __init__(self, algebra, budget=None):
         self.algebra = algebra
