@@ -5,6 +5,22 @@ updated row is divided by its content gcd so entries stay small.  Input
 rows must have integer entries (callers clear denominators first); rank
 over Q equals rank over Z of the cleared matrix.
 
+The matrix is eliminated one connected component at a time: two rows lie
+in one component when a chain of columns, each nonzero in both rows it
+links, joins them.  The components are found from the input rows alone,
+through a column -> row ids index, before any elimination structure
+exists.  Each component then gets its own row copies, column sets and
+heap, is eliminated, and drops them before the next one starts; the rank
+is the sum over the components.  A pivot step touches only its own
+component's rows and column counts, so inside a component the pivots, the
+arithmetic and the fill are those of eliminating the whole matrix at once,
+but only one component's fill is live at a time.  The d0 blocks of the
+graded algebras split into many equal components (octonionic's self-dual
+block (7, 11) into 8 of 245 rows), so the live fill is that of the
+largest one, not of the whole block.  The budget, if given, is checked
+before each component, so a large block overshoots it by at most the time
+of one component.
+
 The pivot column is the live column with the fewest rows, ties to the
 smallest index: the Markowitz order (len, column).  It is read off a heap
 of (count, column) entries instead of a scan over all columns.  Entries
@@ -19,13 +35,49 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 
-def rank_sparse(rows):
-    """Rank of the sparse matrix given as an iterable of {col: int} rows."""
-    rowmap = {}
+def rank_sparse(rows, budget=None):
+    """Rank of the sparse matrix given as a list of {col: int} rows.
+
+    The rows are read and never changed.  budget, if given, is checked
+    before each connected component is eliminated."""
+    rank = 0
+    for component in _components(rows):
+        if budget is not None:
+            budget.check()
+        rank += _rank_component(rows, component)
+    return rank
+
+
+def _components(rows):
+    """Row ids of each connected component of the rows' bipartite row-column
+    graph on the nonzero entries; a row with no nonzero entry is in none."""
+    rows_of = {}
     for i, r in enumerate(rows):
-        live = {j: v for j, v in r.items() if v}
-        if live:
-            rowmap[i] = live
+        for j, v in r.items():
+            if v:
+                rows_of.setdefault(j, []).append(i)
+    seen = bytearray(len(rows))
+    components = []
+    while rows_of:
+        component = rows_of.popitem()[1]
+        for i in component:
+            seen[i] = 1
+        # the list grows while it is walked: a breadth-first search that
+        # pops each column it reaches, so the index is gone by the end
+        for i in component:
+            for j, v in rows[i].items():
+                if v:
+                    for r in rows_of.pop(j, ()):
+                        if not seen[r]:
+                            seen[r] = 1
+                            component.append(r)
+        components.append(component)
+    return components
+
+
+def _rank_component(rows, component):
+    """Rank of the rows with the given ids, one connected component."""
+    rowmap = {i: {j: v for j, v in rows[i].items() if v} for i in component}
     cols = {}
     for i, r in rowmap.items():
         for j in r:

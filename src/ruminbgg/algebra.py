@@ -26,9 +26,9 @@ class GradedNilpotentLieAlgebra:
         self.dim = sum(self.layers)
         self.step = len(self.layers)
         # layer number (1-based) per basis index, layers enumerated in order
-        self._layer_of = []
-        for lnum, d in enumerate(self.layers, start=1):
-            self._layer_of.extend([lnum] * d)
+        self.basis_layers = tuple(
+            lnum for lnum, d in enumerate(self.layers, start=1) for _ in range(d)
+        )
         # bracket stored antisymmetrically for every ordered pair
         self.bracket = {}
         for (a, b), terms in bracket.items():
@@ -45,7 +45,7 @@ class GradedNilpotentLieAlgebra:
         )
 
     def layer_of(self, index):
-        return self._layer_of[index]
+        return self.basis_layers[index]
 
     def bracket_of(self, a, b):
         """Structure constants of [e_a, e_b] as {k: coefficient}."""

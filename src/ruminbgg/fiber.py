@@ -17,7 +17,10 @@ its weights are below Q.  The odd derivation rule then gives
 d0 a ^ b = -(-1)^k a ^ d0 b for a of degree k, and the d0 block (k, w) is
 the signed transpose of the d0 block (n-1-k, Q-w) under the
 complement-monomial bijection; the inner product plays no part.  Each such
-pair has one rank, computed once on its lower-degree side.
+pair has one rank, computed once on its lower-degree side.  The kernel
+ranks a block one connected component at a time, checking the budget
+before each, so a large block such as octonionic's self-dual (7, 11),
+which splits into 8 components, holds the fill of only one of them.
 
 The context also holds the coframe side of the flat-model calculus as
 whole-degree matrices over `mons` positions, each built once: the wedge
@@ -54,7 +57,7 @@ def sort_with_sign(indices):
 
 
 def monomial_weight(algebra, mono):
-    return sum(algebra.layer_of(i) for i in mono)
+    return sum(map(algebra.basis_layers.__getitem__, mono))
 
 
 class FiberForm:
@@ -213,8 +216,9 @@ class FiberContext:
         """Weight decomposition of degree k: {w: [monomials]} in lex order."""
         if k not in self._blocks:
             by_w = {}
+            layer = self.algebra.basis_layers.__getitem__
             for m in self.mons(k):
-                by_w.setdefault(monomial_weight(self.algebra, m), []).append(m)
+                by_w.setdefault(sum(map(layer, m)), []).append(m)
             self._blocks[k] = dict(sorted(by_w.items()))
         return self._blocks[k]
 
@@ -224,8 +228,9 @@ class FiberContext:
         is the `mons(k)` position f of block(k, w)[i], and where[f] = (w, i)."""
         if k not in self._block_positions:
             positions, where = {}, []
+            layer = self.algebra.basis_layers.__getitem__
             for f, m in enumerate(self.mons(k)):
-                w = monomial_weight(self.algebra, m)
+                w = sum(map(layer, m))
                 where.append((w, len(positions.setdefault(w, []))))
                 positions[w].append(f)
             self._block_positions[k] = (dict(sorted(positions.items())), where)
@@ -513,7 +518,9 @@ class FiberContext:
             if self.budget is not None:
                 self.budget.check()
             columns = [col for col in self._d0_columns(*key) if col]
-            rank = self._rank_cache[key] = _kernel.rank_sparse(columns) if columns else 0
+            rank = self._rank_cache[key] = (
+                _kernel.rank_sparse(columns, self.budget) if columns else 0
+            )
         return rank
 
     def rank_d0_degree(self, k):

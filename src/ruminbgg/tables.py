@@ -121,7 +121,8 @@ def truncation_ranks(algebra, budget=None, max_poly_degree=None):
             [
                 {i: v for i, v in zip(col_rows, nums) if i in rows}
                 for _, col_rows, nums in D.cols.values()
-            ]
+            ],
+            budget,
         )
 
     middle_blocks = [

@@ -614,6 +614,28 @@ def test_qc_check_cli(tmp_path, capsys):
     assert payload["accepted"] and payload["t"] == "2"
 
 
+@pytest.mark.parametrize("argv", [["bgg", "quaternionic:2"], ["strips", "heisenberg:3"]])
+def test_budget_trips_between_the_components_of_a_block_exit3(argv, monkeypatch, capsys):
+    # the rank kernel checks the budget before each connected component of a
+    # d0 block; trip the first such check that follows a finished component
+    state = {"frame": None, "tripped": False}
+
+    def check(budget):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name != "rank_sparse":
+            return
+        if frame is state["frame"]:
+            state["tripped"] = True
+            raise BudgetExceededError("wall-clock budget exhausted")
+        state["frame"] = frame
+
+    monkeypatch.setattr(Budget, "check", check)
+    code, out = run_cli(argv, capsys)
+    assert state["tripped"]
+    assert code == 3
+    assert json.loads(out)["budget"]["exceeded"]
+
+
 def test_budget_exhaustion_exit3(capsys):
     code, out = run_cli(
         ["rumin", "build", "quaternionic:2", "--max-monomials", "50"], capsys

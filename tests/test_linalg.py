@@ -1,6 +1,8 @@
+import copy
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,102 @@ def test_rank_kernel_on_large_sparse_planted_matrices():
         # the transpose has the same rank and a different pivot history
         cols = [{i: v for i, r in enumerate(rows) if (v := r.get(j, 0))} for j in range(ncols)]
         assert _kernel.rank_sparse(cols) == expected, trial
+
+
+def _relabelled_block_diagonal(rng, blocks):
+    """The blocks' rows placed on disjoint, randomly drawn column labels
+    (so the blocks' columns interleave), shuffled across blocks."""
+    ncols = [1 + max((j for r in block for j in r), default=0) for block in blocks]
+    labels = rng.sample(range(10 * sum(ncols)), sum(ncols))
+    rows, start = [], 0
+    for block, n in zip(blocks, ncols):
+        rows += [{labels[start + j]: v for j, v in r.items()} for r in block]
+        start += n
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rank_kernel_on_relabelled_block_diagonal_matrices():
+    rng = random.Random(41)
+    for trial in range(8):
+        blocks = [
+            _planted_sparse_rows(rng, rng.randint(8, 24), rng.randint(8, 24))
+            for _ in range(rng.randint(2, 5))
+        ]
+        expected = 0
+        for block in blocks:
+            ncols = 1 + max(j for r in block for j in r)
+            expected += dense_rank([[r.get(j, 0) for j in range(ncols)] for r in block])
+        rows = _relabelled_block_diagonal(rng, blocks)
+        before = copy.deepcopy(rows)
+        assert _kernel.rank_sparse(rows) == expected, trial
+        assert rows == before, trial
+
+
+def test_rank_kernel_on_tiny_components_zero_and_empty_rows():
+    rows = [
+        {5: 3, 9: -2},  # a component of one row
+        {7: 2}, {7: -4}, {7: 6},  # a component of one column
+        {1: 2, 2: 3, 4: 0}, {1: 4, 2: 6}, {2: 1, 3: -1},  # rank 2
+        {4: 5, 8: 0},  # explicit zeros join no component: {4} on its own
+        {6: 0, 8: 0},  # explicit zeros only
+        {},
+    ]
+    before = copy.deepcopy(rows)
+    dense = [[r.get(j, 0) for j in range(10)] for r in rows]
+    assert _kernel.rank_sparse(rows) == dense_rank(dense) == 5
+    assert rows == before
+    assert _kernel.rank_sparse([{}, {3: 0}]) == 0
+    assert _kernel.rank_sparse([]) == 0
+
+
+def test_rank_kernel_checks_the_budget_before_each_component(monkeypatch):
+    # two components: the 2 x 2 one on columns {1, 2} and the 1 x 1 one on {3}
+    rows = [{1: 1, 2: 1}, {3: 2}, {1: 1, 2: -1}]
+    events = []
+    state = {"stop": None}
+
+    def check(budget):
+        events.append("check")
+        if events.count("check") == state["stop"]:
+            raise BudgetExceededError("wall-clock budget exhausted")
+
+    rank_component = _kernel._rank_component
+
+    def recorded_rank_component(rows, component):
+        events.append("rank")
+        return rank_component(rows, component)
+
+    monkeypatch.setattr(Budget, "check", check)
+    monkeypatch.setattr(_kernel, "_rank_component", recorded_rank_component)
+    assert _kernel.rank_sparse(rows, Budget()) == 3
+    assert events == ["check", "rank", "check", "rank"]
+    events.clear()
+    state["stop"] = 2
+    with pytest.raises(BudgetExceededError):
+        _kernel.rank_sparse(rows, Budget())
+    assert events == ["check", "rank", "check"]
+
+
+def _traced_peak_of_rank(rows):
+    tracemalloc.start()
+    try:
+        _kernel.rank_sparse(rows)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_kernel_keeps_one_components_fill_live():
+    # disjoint copies of a fill-heavy block: eliminating them together keeps
+    # every copy's fill live at once (about 8x one copy's peak for 8 copies);
+    # component by component the peak grows only by the input-sized index
+    rng = random.Random(5)
+    n, copies = 120, 8
+    block = [{j: rng.choice((-1, 1)) for j in rng.sample(range(n), 4)} for _ in range(n)]
+    rows = _relabelled_block_diagonal(rng, [block] * copies)
+    one = _traced_peak_of_rank(block)
+    assert _traced_peak_of_rank(rows) < 4 * one
 
 
 def test_single_kernel_bindings():
