@@ -179,6 +179,7 @@ class FiberContext:
         self.algebra = algebra
         self.budget = budget
         self._mons = {}
+        self._mons_index = {}
         self._blocks = {}
         self._block_positions = {}
         self._block_index = {}
@@ -211,6 +212,12 @@ class FiberContext:
                 self.budget.count_monomials(len(ms))
             self._mons[k] = ms
         return self._mons[k]
+
+    def mons_index(self, k):
+        """{monomial: position in mons(k)}, built once; callers must not change it."""
+        if k not in self._mons_index:
+            self._mons_index[k] = {m: i for i, m in enumerate(self.mons(k))}
+        return self._mons_index[k]
 
     def blocks(self, k):
         """Weight decomposition of degree k: {w: [monomials]} in lex order."""
@@ -391,7 +398,7 @@ class FiberContext:
         from degree k to k + 1, built once; callers must not change them.
         xi^a moves past the p factors of I below a: the entry is (-1)^p."""
         if k not in self._wedges:
-            index = {m: i for i, m in enumerate(self.mons(k + 1))}
+            index = self.mons_index(k + 1)
             mons = self.mons(k)
             out = [SparseMatrix(len(index), len(mons)) for _ in range(self.algebra.dim)]
             for j, mono in enumerate(mons):
@@ -418,7 +425,7 @@ class FiberContext:
         built once; callers must not change it.  Unlike `d0_block` it is
         defined when the bracket does not respect the grading."""
         if k not in self._d0_matrix:
-            index = {m: i for i, m in enumerate(self.mons(k + 1))}
+            index = self.mons_index(k + 1)
             mons = self.mons(k)
             out = SparseMatrix(len(index), len(mons))
             for j, mono in enumerate(mons):

@@ -16,16 +16,16 @@ Polynomial degree never increases under d, delta, i_X or L_X, so the
 space of forms with coefficient degree <= P is exactly invariant.
 The spanning basis of degree-k forms is the Kronecker product of the
 coframe monomials and the polynomials, element (I, e) at position
-I * npoly + e, so each operator matrix is one `linalg.kron` of the frame
-fields X_a on the polynomials, cached here, and the fiber's whole-degree
-coframe matrices: `GroupContext.d_matrix` is
-sum_a X_a (x) epsilon_a + 1 (x) d0, which both rumin and
-`parametrix_identity_check` use, `contraction_matrix` is 1 (x) i_X and
-`lie_derivative_matrix` is X (x) 1 + 1 (x) C_X, with C_X minus the
-coadjoint action on the coframe.  `parametrix_identity_check` checks the
-calculus as exact matrix identities on that basis, with no truncation
-error; the per-term operators above stay as the reference the tests
-compare it with.
+I * npoly + e, read by that arithmetic alone, so each operator matrix is
+one `linalg.kron` of the frame fields X_a on the polynomials, cached
+here, and the fiber's whole-degree coframe matrices:
+`GroupContext.d_matrix` is sum_a X_a (x) epsilon_a + 1 (x) d0, which
+both rumin and `parametrix_identity_check` use, `contraction_matrix` is
+1 (x) i_X and `lie_derivative_matrix` is X (x) 1 + 1 (x) C_X, with C_X
+minus the coadjoint action on the coframe.  `parametrix_identity_check`
+checks the calculus as exact matrix identities on that basis, with no
+truncation error; the per-term operators above stay as the reference the
+tests compare it with.
 """
 
 import itertools
@@ -168,7 +168,6 @@ class GroupContext:
         self.algebra = algebra
         self.fiber = fiber or FiberContext(algebra)
         self.fields = [LeftInvariantField(algebra, i) for i in range(algebra.dim)]
-        self._spanning_index = {}
         self._field_matrices = {}
 
     # -- single-term operator actions (dicts keyed by (exps, mono)) --------
@@ -283,15 +282,6 @@ class GroupContext:
             (exps, mono) for mono in self.fiber.mons(k) for exps in polys
         ]
 
-    def spanning_index(self, k, max_degree):
-        """{key: position} over `spanning_basis(k, max_degree)`, built once;
-        callers must not change it."""
-        key = (k, max_degree)
-        if key not in self._spanning_index:
-            basis = self.spanning_basis(k, max_degree)
-            self._spanning_index[key] = {b: i for i, b in enumerate(basis)}
-        return self._spanning_index[key]
-
     def field_matrices(self, max_degree):
         """X_a on the polynomials of degree <= max_degree, one matrix per frame
         field over `poly_basis` positions, built once; callers must not change them."""
@@ -316,7 +306,7 @@ class GroupContext:
         fields = self.field_matrices(max_degree)
         wedges = self.fiber.wedge_matrices(k)
         terms = [(wedges[a], x) for a, x in enumerate(fields)] + [(self.fiber.d0_matrix(k), None)]
-        return kron(fields[0].ncols, terms, self._rows(k + 1, max_degree), budget)
+        return kron(fields[0].ncols, terms, budget)
 
     def contraction_matrix(self, field_index, k, max_degree, budget=None):
         """Matrix of i_X for frame field field_index from the
@@ -324,8 +314,7 @@ class GroupContext:
         1 (x) i_X, one `kron` of the fiber's interior matrix.  The budget is
         checked every 64 columns."""
         interior = self.fiber.interior_matrices(k)[field_index]
-        npoly = self.field_matrices(max_degree)[0].ncols
-        return kron(npoly, [(interior, None)], self._rows(k - 1, max_degree), budget)
+        return kron(self.field_matrices(max_degree)[0].ncols, [(interior, None)], budget)
 
     def lie_derivative_matrix(self, field_index, k, max_degree, budget=None):
         """Matrix of the direct Lie derivative (`lie_derivative_direct`) along
@@ -338,12 +327,7 @@ class GroupContext:
             (SparseMatrix.identity(len(self.fiber.mons(k))), field),
             (self.fiber.coadjoint_matrix(field_index, k), None),
         ]
-        return kron(field.ncols, terms, self._rows(k, max_degree), budget)
-
-    def _rows(self, k, max_degree):
-        """The degree-k positions as the spanning index's own int objects,
-        which the columns then share instead of each holding its own."""
-        return list(self.spanning_index(k, max_degree).values())
+        return kron(field.ncols, terms, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +369,8 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
     alg = algebra
     report = []
     layer1 = [f for f in ctx.fields if f.layer == 1]
-    bases = {k: list(ctx.spanning_index(k, max_poly_degree)) for k in range(alg.dim + 1)}
+    polys = ctx.poly_basis(max_poly_degree)
+    npoly = len(polys)
     memo = {}  # the operator matrices of this call, each built once
 
     def once(key, build):
@@ -403,7 +388,11 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         )
 
     def dim(k):
-        return len(bases.get(k, []))
+        return npoly * len(ctx.fiber.mons(k))
+
+    def key(k, j):
+        """`spanning_basis(k, P)[j]`, by the Kronecker arithmetic."""
+        return polys[j % npoly], ctx.fiber.mons(k)[j // npoly]
 
     def lie_mat(f, k):
         """The Cartan form d i_X + i_X d on V^k."""
@@ -440,7 +429,7 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         for k in range(alg.dim + 1):
             cols = diff(k).cols
             if cols:
-                return format_term(alg, *bases[k][min(cols)])
+                return format_term(alg, *key(k, min(cols)))
         return None
 
     def check_d_squared():
@@ -462,8 +451,6 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
     def check_frame_brackets():
         # den F_a F_b - den F_b F_a - sum_k den c^k_{ab} F_k, all int-scaled
         fields = ctx.field_matrices(max_poly_degree)
-        polys = ctx.poly_basis(max_poly_degree)
-        n = len(polys)
         den = ctx.fiber.den
         for a in range(alg.dim):
             for b in range(alg.dim):
@@ -472,7 +459,7 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
                     (-c.numerator * (den // c.denominator), fields[k], None)
                     for k, c in alg.bracket_of(a, b).items()
                 ]
-                cols = combine(n, n, terms, budget).cols
+                cols = combine(npoly, npoly, terms, budget).cols
                 if cols:
                     fa, fb = ctx.fields[a], ctx.fields[b]
                     return f"[{fa},{fb}] on {format_term(alg, polys[min(cols)], ())}"
@@ -481,9 +468,9 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
     def check_weight_filtration():
         for k in range(alg.dim + 1):
             for j, (_, rows, _) in d_mat(k).cols.items():
-                base = term_weight(alg, *bases[k][j])
-                if any(term_weight(alg, *bases[k + 1][i]) < base for i in rows):
-                    return format_term(alg, *bases[k][j])
+                base = term_weight(alg, *key(k, j))
+                if any(term_weight(alg, *key(k + 1, i)) < base for i in rows):
+                    return format_term(alg, *key(k, j))
         return None
 
     def check_parametrix():

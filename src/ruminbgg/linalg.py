@@ -21,9 +21,9 @@ for sums of products: it forms sum c * (A @ B) over (c, A, B) terms
 sparse product, gathering every term's contribution to a column and
 normalizing it once.  `@`, `+` and `-` are single calls of it, so a sum of
 products never builds and normalizes the products on their own.
-`kron(npoly, terms, rows, budget)` is the same gather for sums of
-Kronecker products on the positions I * npoly + e of a coframe or fiber
-index I and a polynomial e, which is how the package lays out forms.
+`kron(npoly, terms, budget)` is the same gather for sums of Kronecker
+products on the positions I * npoly + e (coframe or fiber index I,
+polynomial e), the package's layout, written as the shared `positions` ints.
 `trace_of_product` reads trace(A @ B) off the two factors.  Every
 column sum, in the two kernels, `apply_column`, `sum_columns` and `stack`,
 goes through one accumulate-and-normalize loop, which accumulates in a
@@ -229,18 +229,26 @@ def combine(nrows, ncols, terms, budget=None):
     return out
 
 
-def kron(npoly, terms, rows, budget=None):
+_POSITIONS = []
+
+
+def positions(n):
+    """The process's one list whose item i is the int i, grown to n items; do not change it."""
+    _POSITIONS.extend(range(len(_POSITIONS), n))
+    return _POSITIONS
+
+
+def kron(npoly, terms, budget=None):
     """The matrix of sum A (x) B over the (B, A) terms, on Kronecker positions.
 
     B is a coframe or fiber matrix and A an npoly x npoly matrix on the
     polynomials, or None for the identity; position I * npoly + e holds
     coframe or fiber element I with polynomial e, so entry
-    (I * npoly + f, J * npoly + e) is the sum of B[I, J] A[f, e].  Row
-    position r is written as rows[r], so that the columns share the caller's
-    int objects.  Each column gathers every term's contribution and goes
-    through `_combine_column` once, which keeps the nums tuple of a column
-    that is one identity-factor copy of a B column.  budget, if given, is
-    checked every 64 result columns.
+    (I * npoly + f, J * npoly + e) is the sum of B[I, J] A[f, e].  Row ints
+    and column keys are the `positions` list's objects.  Each column gathers
+    every term's contribution and goes through `_combine_column` once, which
+    keeps the nums tuple of a column that is one identity-factor copy of a B
+    column.  budget, if given, is checked every 64 result columns.
     """
     shape = terms[0][0].shape()
     hits = {}  # J -> [(den, rows, nums of B's column J, A's columns or None)]
@@ -257,11 +265,12 @@ def kron(npoly, terms, rows, budget=None):
         for j, col in b.cols.items():
             hits.setdefault(j, []).append((*col, a))
     out = SparseMatrix(npoly * shape[0], npoly * shape[1])
+    ints = positions(max(out.nrows, out.ncols))
     n = 0
     for j in sorted(hits):
         gathered = [[] for _ in range(npoly)]  # the terms of column j * npoly + e
         for den, brows, bnums, a in hits[j]:
-            blocks = [rows[i * npoly : (i + 1) * npoly] for i in brows]
+            blocks = [ints[i * npoly : (i + 1) * npoly] for i in brows]
             if a is None:
                 for terms_e, copy in zip(gathered, zip(*blocks)):
                     terms_e.append((1, den, copy, bnums))
@@ -277,7 +286,7 @@ def kron(npoly, terms, rows, budget=None):
             if terms_e:
                 col = _combine_column(terms_e)
                 if col:
-                    out.cols[j * npoly + e] = col
+                    out.cols[ints[j * npoly + e]] = col
     return out
 
 

@@ -18,14 +18,16 @@ immutable (den, rows, nums) tuples (see `linalg`).  Every product or sum
 of products (the Laplacian, the inverse's residuals, pi, iota^{-1}, D and
 the identity suite's residuals) is one call of `linalg.combine`, which
 checks the package budget every 64 columns.
-V^k = Poly_P (x) Lambda^k is addressed by Kronecker arithmetic: fiber
-position f with polynomial e is f * npoly + e, and in the model harmonic
-form h with e is h * npoly + e.  Every matrix of that form is one
-`linalg.kron`: d comes from the group calculus (`GroupContext.d_matrix`),
-and delta = 1 (x) delta0, the lift 1 (x) H and the harmonic projection
-1 (x) X, H the fiber's harmonic basis and X its coordinate matrix, each
-assemble the fiber's (k, w) blocks into one degree-level matrix, every
-copy of a block column sharing its numerator tuple.
+V^k = Poly_P (x) Lambda^k is addressed by Kronecker arithmetic alone:
+fiber position f with polynomial e is f * npoly + e, and in the model
+harmonic form h with e is h * npoly + e, a key read off poly_basis(P) and
+the fiber-sized mons(k) or `harmonic_forms(k)`, rows the shared
+`linalg.positions` ints.  Every matrix of that form is one `linalg.kron`:
+d comes from the group calculus (`GroupContext.d_matrix`), and delta =
+1 (x) delta0, the lift 1 (x) H and the harmonic projection 1 (x) X, H the
+fiber's harmonic basis and X its coordinate matrix, each assemble the
+fiber's (k, w) blocks into one degree-level matrix, every copy of a block
+column sharing its numerator tuple.
 Only L0^{-1} on im delta, L0 = 1 (x) (d0 delta0 + delta0 d0), goes column
 by column: it splits a column by (weight, polynomial) block and solves
 each piece with the weight's cached eliminator, so neither L0 nor N is
@@ -70,7 +72,9 @@ from .algebra import algebra_from_json, algebra_to_json
 from .errors import BudgetExceededError, IdentityError, StructureError
 from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term
-from .linalg import SparseMatrix, column_from_ratios, combine, kron, sum_columns, trace_of_product
+from .linalg import (
+    SparseMatrix, column_from_ratios, combine, kron, positions, sum_columns, trace_of_product,
+)
 from .scalars import ratio_from_str, ratio_to_str
 
 def default_poly_degree(algebra):
@@ -93,15 +97,15 @@ class RuminPackage:
         self.group = GroupContext(algebra, self.fiber)
         # len(group.poly_basis(P)): the monomials of degree <= P in dim variables
         self.npoly = comb(algebra.dim + self.P, self.P)
+        self._polys = None
         self.neumann_terms = 0  # max Neumann length seen while inverting
-        self._keys = {}
-        self._index = {}
+        self._dim_v = {}
         self._d = {}
         self._delta = {}
         self._q = {}
         # {k: witness} where a loaded package's stored pi(k) was not d q + q d
         self._pi_witness = {}
-        self._model_keys = {}
+        self._harmonic_forms = {}
         self._D = {}
         self._iota_inv = {}
         self._arrows = None
@@ -109,45 +113,48 @@ class RuminPackage:
 
     # -- bases ---------------------------------------------------------------
 
-    def keys(self, k):
-        """Spanning basis of V^k, empty outside 0 <= k <= dim."""
-        if k not in self._keys:
-            index = self.group.spanning_index(k, self.P)
-            if self.budget is not None:
-                self.budget.count_monomials(len(index))
-            self._keys[k] = list(index)
-            self._index[k] = index
-        return self._keys[k]
-
     def dim_v(self, k):
-        return len(self.keys(k))
+        """dim V^k, 0 outside 0 <= k <= dim, counted against the monomial budget once."""
+        if k not in self._dim_v:
+            self._dim_v[k] = self.npoly * len(self.fiber.mons(k))
+            if self.budget is not None:
+                self.budget.count_monomials(self._dim_v[k])
+        return self._dim_v[k]
+
+    def _poly_table(self):
+        """(poly_basis(P), {exps: e}), built on first use: a tampered P is never listed."""
+        if self._polys is None:
+            polys = self.group.poly_basis(self.P)
+            self._polys = polys, {exps: e for e, exps in enumerate(polys)}
+        return self._polys
+
+    def key(self, k, j):
+        """The (exps, mono) at V^k position j = f * npoly + e."""
+        return self._poly_table()[0][j % self.npoly], self.fiber.mons(k)[j // self.npoly]
+
+    def keys(self, k):
+        """`spanning_basis(k, P)`, built per call: the package reads `key`."""
+        return self.group.spanning_basis(k, self.P)
 
     def _to_positional(self, form):
         """Split a PolyForm into {degree: positional dict}; checks the budget."""
         by_k = {}
+        poly_index = self._poly_table()[1]
         for (exps, mono), c in form.terms.items():
             k = len(mono)
-            idx = self._index.get(k) if k in self._keys else None
-            if idx is None:
-                self.keys(k)
-                idx = self._index[k]
-            pos = idx.get((exps, mono))
-            if pos is None:
+            self.dim_v(k)
+            e = poly_index.get(exps)
+            f = self.fiber.mons_index(k).get(mono)
+            if e is None or f is None:
                 raise StructureError(
                     f"form term {format_term(self.algebra, exps, mono)} exceeds "
                     f"polynomial degree budget P={self.P}"
                 )
-            by_k.setdefault(k, {})[pos] = c
+            by_k.setdefault(k, {})[f * self.npoly + e] = c
         return by_k
 
     def _to_form(self, k, vec):
-        keys = self.keys(k)
-        return PolyForm(self.algebra, {keys[i]: c for i, c in vec.items()})
-
-    def _rows(self, k):
-        """The V^k positions as the spanning index's own int objects, for columns to share."""
-        self.keys(k)
-        return list(self._index[k].values())
+        return PolyForm(self.algebra, {self.key(k, i): c for i, c in vec.items()})
 
     # -- operator matrices ----------------------------------------------------
 
@@ -156,8 +163,8 @@ class RuminPackage:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
             # the package's bases count against the monomial budget
-            self.keys(k)
-            self.keys(k + 1)
+            self.dim_v(k)
+            self.dim_v(k + 1)
             self._d[k] = self.group.d_matrix(k, self.P, self.budget)
         return self._d[k]
 
@@ -166,7 +173,7 @@ class RuminPackage:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
             src, dst = self.fiber.block_positions(k)[0], self.fiber.block_positions(k - 1)[0]
-            self._delta[k] = self._kron(k, self.fiber.delta_block, src, dst, self._rows(k - 1))
+            self._delta[k] = self._kron(k, self.fiber.delta_block, src, dst)
         return self._delta[k]
 
     def lap_mat(self, k):
@@ -188,13 +195,13 @@ class RuminPackage:
 
         Not cached: the package solves L0 block by block and never reads it.
         """
-        positions = self.fiber.block_positions(k)[0]
-        return self._kron(k, self.fiber.laplacian_block, positions, positions, self._rows(k))
+        blocks = self.fiber.block_positions(k)[0]
+        return self._kron(k, self.fiber.laplacian_block, blocks, blocks)
 
-    def _kron(self, k, block_fn, src, dst, rows):
-        """1 (x) F on Kronecker positions (`linalg.kron`), with rows[r] for
-        row position r.  F is the degree-level fiber matrix given per weight w
-        by its block block_fn(k, w): block column j is column src[w][j] of F,
+    def _kron(self, k, block_fn, src, dst):
+        """1 (x) F on Kronecker positions (`linalg.kron`).  F is the
+        degree-level fiber matrix given per weight w by its block
+        block_fn(k, w): block column j is column src[w][j] of F,
         with block row i at row dst[w][i].  Each block is built once, and
         every copy of its column shares its nums tuple."""
         fiber = SparseMatrix(sum(map(len, dst.values())), sum(map(len, src.values())))
@@ -202,7 +209,7 @@ class RuminPackage:
             # a block with columns has rows, so dst[w] is read only then
             for j, (den, block_rows, nums) in block_fn(k, w).cols.items():
                 fiber.cols[cols[j]] = (den, tuple([dst[w][i] for i in block_rows]), nums)
-        return kron(self.npoly, [(fiber, None)], rows, self.budget)
+        return kron(self.npoly, [(fiber, None)], self.budget)
 
     # -- the filtered inverse ---------------------------------------------------
 
@@ -221,8 +228,8 @@ class RuminPackage:
         block of the first such column.  The budget is checked every 64 columns.
         """
         npoly = self.npoly
-        positions, where = self.fiber.block_positions(k)
-        index_rows = self._rows(k)
+        blocks, where = self.fiber.block_positions(k)
+        ints = positions(matrix.nrows)
         out = SparseMatrix(matrix.nrows, matrix.ncols)
         for n, (j, (den, rows, nums)) in enumerate(sorted(matrix.cols.items())):
             if self.budget is not None and n % 64 == 0:
@@ -241,8 +248,8 @@ class RuminPackage:
                     raise StructureError(
                         f"vector outside im delta at the block (degree {k}, weight {w})"
                     )
-                block = positions[w]
-                solved.append((u[0], tuple([index_rows[block[i] * npoly + e] for i in u[1]]), u[2]))
+                block = blocks[w]
+                solved.append((u[0], tuple([ints[block[i] * npoly + e] for i in u[1]]), u[2]))
             col = sum_columns(solved)
             if col:
                 out.cols[j] = col
@@ -314,22 +321,25 @@ class RuminPackage:
 
     # -- the bigraded model and D -------------------------------------------------
 
+    def harmonic_forms(self, k):
+        """The (weight, i) of each harmonic form h of degree k, counted by
+        weight, built once: column i of harmonic_basis(k, weight)."""
+        if k not in self._harmonic_forms:
+            hs = self._harmonic_positions(k)
+            self._harmonic_forms[k] = [(w, i) for w in hs for i in range(len(hs[w]))]
+        return self._harmonic_forms[k]
+
+    def model_key(self, k, j):
+        """The (exps, weight, i) at model position j = h * npoly + e: harmonic
+        form h with poly_basis(P)[e]."""
+        return (self._poly_table()[0][j % self.npoly], *self.harmonic_forms(k)[j // self.npoly])
+
     def model_keys(self, k):
-        """Basis (exps, weight, i) of Poly x harmonic block: key h * npoly + e
-        holds poly_basis(P)[e] and the h-th harmonic form, counted by weight."""
-        if k not in self._model_keys:
-            polys = self.group.poly_basis(self.P)
-            self._model_keys[k] = [
-                (exps, w, i)
-                for w, hs in self._harmonic_positions(k).items()
-                for i in range(len(hs))
-                for exps in polys
-            ]
-        return self._model_keys[k]
+        """[model_key(k, j) for each model position j], built per call."""
+        return [self.model_key(k, j) for j in range(self.model_dim(k))]
 
     def model_dim(self, k):
-        """len(model_keys(k)), counted without building the keys."""
-        return self.npoly * sum(map(len, self._harmonic_positions(k).values()))
+        return self.npoly * len(self.harmonic_forms(k))
 
     def _harmonic_positions(self, k):
         """{w: the positions h of block (k, w)'s harmonic forms among all of degree k}."""
@@ -344,7 +354,7 @@ class RuminPackage:
         (exps, w, i) maps to column i of harmonic_basis(k, w) at exps."""
         return self._kron(
             k, self.fiber.harmonic_basis, self._harmonic_positions(k),
-            self.fiber.block_positions(k)[0], self._rows(k),
+            self.fiber.block_positions(k)[0],
         )
 
     def project(self, k, matrix):
@@ -359,7 +369,7 @@ class RuminPackage:
         delta = self.delta_mat(k)
         coords = self._kron(
             k, self.fiber.harmonic_coordinate_block, self.fiber.block_positions(k)[0],
-            self._harmonic_positions(k), list(range(self.model_dim(k))),
+            self._harmonic_positions(k),
         )
         out = SparseMatrix(coords.nrows, matrix.ncols)
         for n, (j, x) in enumerate(sorted(matrix.cols.items())):
@@ -411,12 +421,11 @@ class RuminPackage:
             return self._arrows
         seen = {}
         for k in range(self.algebra.dim):
-            mk = self.model_keys(k)
-            mk1 = self.model_keys(k + 1)
+            forms, forms1 = self.harmonic_forms(k), self.harmonic_forms(k + 1)
             for j, (_, rows, _) in self.D_mat(k).cols.items():
-                _, w, _ = mk[j]
+                w = forms[j // self.npoly][0]
                 for i in rows:
-                    _, w2, _ = mk1[i]
+                    w2 = forms1[i // self.npoly][0]
                     seen.setdefault((k, w, w2), 0)
                     seen[(k, w, w2)] += 1
         self._arrows = [
@@ -446,8 +455,7 @@ class RuminPackage:
         return self
 
     def _witness(self, k, column):
-        exps, mono = self.keys(k)[column]
-        return format_term(self.algebra, exps, mono)
+        return format_term(self.algebra, *self.key(k, column))
 
     def _check_zero(self, name, k, residual):
         """Fail name at the smallest nonzero column of residual, a V^k matrix."""
@@ -519,7 +527,7 @@ class RuminPackage:
             return value
 
         def model_witness(k, j):
-            exps, w, i = self.model_keys(k)[j]
+            exps, w, i = self.model_key(k, j)
             return (
                 f"model element (deg {k}, weight {w}, #{i}) "
                 f"poly {format_term(self.algebra, exps, ())}"
@@ -701,23 +709,20 @@ class RuminPackage:
             for k in range(dim - 1):
                 lhs = product(self.D_mat(k + 1), self.D_mat(k))
                 if not lhs.is_zero():
-                    col = min(lhs.cols)
-                    exps, w, i = self.model_keys(k)[col]
+                    _, w, i = self.model_key(k, min(lhs.cols))
                     raise IdentityError(
                         "D_squared",
                         witness=f"model element (deg {k}, weight {w}, #{i})",
                     )
 
         def check_fiber_restriction():
-            # the fiber-level BGG operator proj d0 (1 - q0 d0) vanishes on the
-            # harmonic forms, which lie in ker d0: D is zero on constants
-            zero_exps = (0,) * self.algebra.dim
+            # the fiber-level BGG operator proj d0 (1 - q0 d0) vanishes on the harmonic
+            # forms, which lie in ker d0: D is zero on the constants, e = 0
             for k in range(dim):
-                mk = self.model_keys(k)
-                wrong = [j for j in self.D_mat(k).cols if mk[j][0] == zero_exps]
+                wrong = [j for j in self.D_mat(k).cols if j % self.npoly == 0]
                 if wrong:
                     # model keys run by weight, then harmonic vector
-                    _, w, i = mk[min(wrong)]
+                    _, w, i = self.model_key(k, min(wrong))
                     raise IdentityError(
                         "fiber_restriction",
                         witness=f"constant model element (deg {k}, weight {w}, #{i})",
@@ -1004,8 +1009,8 @@ def _decode_harmonic(index, vectors, ratios):
 
 
 def _decode_matrix(ops, name, k, shape, ratios=None):
-    """Stored operator block ops[name][k], checked against the expected shape.
-    ratios memoizes `ratio_from_str` by string across the calls of one load."""
+    """Stored operator block ops[name][k] on the `positions` ints, checked against
+    the expected shape.  ratios memoizes `ratio_from_str` across one load's calls."""
     what = f"{name} at degree {k}"
     try:
         blob = ops[name][str(k)]
@@ -1023,6 +1028,7 @@ def _decode_matrix(ops, name, k, shape, ratios=None):
         )
     if ratios is None:
         ratios = {}
+    ints = positions(max(shape))
     cols = {}
     for entry in entries:
         try:
@@ -1037,10 +1043,10 @@ def _decode_matrix(ops, name, k, shape, ratios=None):
             raise StructureError(
                 f"entry ({i!r}, {j!r}) lies outside the {nrows}x{ncols} stored {what}"
             )
-        col = cols.setdefault(j, {})
+        col = cols.setdefault(ints[j], {})
         if i in col:
             raise StructureError(f"entry ({i}, {j}) appears twice in stored {what}")
-        col[i] = value
+        col[ints[i]] = value
     out = SparseMatrix(nrows, ncols)
     for j, column in cols.items():
         col = column_from_ratios(column)

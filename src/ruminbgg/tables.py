@@ -106,12 +106,10 @@ def truncation_ranks(algebra, budget=None, max_poly_degree=None):
 
     pkg = RuminPackage(algebra, needed, budget=budget)
     D = pkg.D_mat(mid)
-    zero_exps = (0,) * algebra.dim
-    # constant-coefficient output rows of D, split by target weight
+    # constant-coefficient output rows of D by target weight: h * npoly, e = 0 being the constant
     const_rows = {}
-    for i, (exps, w2, _) in enumerate(pkg.model_keys(mid + 1)):
-        if exps == zero_exps:
-            const_rows.setdefault(w2, set()).add(i)
+    for h, (w2, _) in enumerate(pkg.harmonic_forms(mid + 1)):
+        const_rows.setdefault(w2, set()).add(h * pkg.npoly)
 
     def rank_on(rows):
         # column denominators do not change a rank, so the kernel ranks the

@@ -65,6 +65,12 @@ def operator_matrix(src_keys, dst_index, term_fn):
     return SparseMatrix(len(dst_index), len(src_keys), cols)
 
 
+def spanning_index(pkg, k):
+    """{(exps, mono): V^k position} over `pkg.keys(k)`: the table the package
+    does not hold, for the oracles that address V^k by key."""
+    return {key: i for i, key in enumerate(pkg.keys(k))}
+
+
 def kernel_rank(matrix):
     """Exact rank of a SparseMatrix by the integer kernel: each column's
     numerators as one row (rank is symmetric, and a column's denominator

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import errno
+import hashlib
 import io
 import json
 import os
@@ -16,9 +17,11 @@ from ruminbgg.algebra import builtin
 from ruminbgg.budget import Budget
 from ruminbgg.cli import main
 from ruminbgg.errors import BudgetExceededError
+from ruminbgg.groupcalc import GroupContext
 from ruminbgg.rumin import RuminPackage
 
 from conftest import CLI_ENV, SUITE_ROWS
+from test_rumin import CUSTOM_INNER_PRODUCT
 
 GOOD_ALGEBRA = {
     "name": "h3file",
@@ -348,6 +351,10 @@ MALFORMED_PACKAGES = {
         lambda pkg: pkg.pop("max_poly_degree"), "package is missing 'max_poly_degree'"),
     "D_entry_outside_shape": (
         _far_D_row, "entry (1000000, 0) lies outside the 8x4 stored D at degree 0"),
+    # the polynomials of a tampered P are never listed, only counted
+    "max_poly_degree_huge": (
+        lambda pkg: pkg.update(max_poly_degree=10**6),
+        "stored D at degree 0 has shape 8x4, expected 333335333337000002x166667666668500001"),
     "max_poly_degree_bool": (
         lambda pkg: pkg.update(max_poly_degree=True),
         "max_poly_degree must be an integer, got True"),
@@ -589,6 +596,73 @@ def test_budget_trips_inside_the_pi_comparison_exit3(h2_package, tmp_path, monke
         assert code == 3
         payload = json.loads(out)
         assert payload["budget"]["exceeded"] and "partial" not in payload
+
+
+# sha256 of the CLI's bytes from when the package held V^k's key list and
+# spanning index and the model's key list: `rumin build --out pkg.json`
+# stdout, the package file, `rumin verify` stdout (either reader) and
+# `calculus verify` stdout, at the given P
+KEYLESS_DIGESTS = {
+    ("heisenberg:2", "2"): {
+        "build": "d5120938c6ac45ae5d8d6c0e079ce4d2e392484fcc5a4e6c9dbe2032c90df2c8",
+        "package": "2f53b22b203a998eb2e7e852558b9e80fe619b41727cbe80a5cad059af743e30",
+        "verify": "a650b1d96c5bb9a29ad262782c025cbaae6cc455079dd9a46e9daa68dc85840f",
+        "calculus": "c22af2ffed3e66e510276de818cb676c376eb20aca45e8fabb2fe2d09069aa05",
+    },
+    ("quaternionic:2", "1"): {
+        "build": "d561f5a9a66ba2243c9c570d5a9fbb5d84e59beec3d924423248a2af9f4f474a",
+        "package": "6eecd9bdac4241a36e4b7bc9f071f12b011a079306243da22a287b654e8c5ee5",
+        "verify": "87768c0161bdbce5d4a620c017acf1a803ba843b489efff8283e5f5369cfead1",
+        "calculus": "636e2aade3bd46b8da2716922722e7907e7b9ed6f9215e29709d7c7f37aaac25",
+    },
+    ("weighted-h3.json", "2"): {
+        "build": "b017f056babd2b749b32ddf54d74d6bfa12a31088d9508476d9afedff98e033a",
+        "package": "40f8e19582f4adf2394227a22466d9eadd31cbae0f6efefe6e6238bd1a3330e0",
+        "verify": "ef7bb2e6d7814597cbae83ec6e82839a4d0661a269d364fb05347bf40cb4e992",
+        "calculus": "db6941e7142ba8c39ac6a30244ccbb1cae22f63e9842d08075739390cbd7bcf9",
+    },
+}
+TRUNCATE_H3_DIGEST = "82f5a86ac05ab84e8f7e3178eba977bdcdb48ec006f1e57d11712b2a2337e399"
+
+
+@pytest.fixture()
+def keyless(tmp_path, monkeypatch, capsys):
+    """A digest of a command's stdout, run with the V^k and model key lists
+    and the spanning basis refused, in tmp_path, which holds weighted-h3.json."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weighted-h3.json").write_text(json.dumps(CUSTOM_INNER_PRODUCT))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the program addresses V^k and the model by arithmetic")
+
+    for owner, name in ((RuminPackage, "keys"), (RuminPackage, "model_keys"),
+                        (GroupContext, "spanning_basis")):
+        monkeypatch.setattr(owner, name, refuse)
+
+    def digest(argv):
+        code, out = run_cli(argv, capsys)
+        assert code == 0, argv
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    return digest
+
+
+@pytest.mark.parametrize("algebra,P", sorted(KEYLESS_DIGESTS))
+def test_commands_read_no_key_list(algebra, P, keyless, tmp_path):
+    build = ["rumin", "build", algebra, "--max-poly-degree", P, "--out", "pkg.json"]
+    got = {"build": keyless(build)}
+    text = (tmp_path / "pkg.json").read_bytes()
+    got["package"] = hashlib.sha256(text).hexdigest()
+    # the writer's layout goes through the streamed reader, a compact copy through from_json
+    (tmp_path / "compact.json").write_text(json.dumps(json.loads(text)))
+    got["verify"] = keyless(["rumin", "verify", "pkg.json"])
+    assert keyless(["rumin", "verify", "compact.json"]) == got["verify"]
+    got["calculus"] = keyless(["calculus", "verify", algebra, "--max-poly-degree", P])
+    assert got == KEYLESS_DIGESTS[(algebra, P)]
+
+
+def test_truncate_reads_no_key_list(keyless):
+    assert keyless(["truncate", "heisenberg:3"]) == TRUNCATE_H3_DIGEST
 
 
 def test_truncate_json(capsys):

@@ -693,8 +693,8 @@ def test_column_eliminator_checks_the_budget_every_64_columns():
         ColumnEliminator(m, exhausted)
 
 
-def _kron_oracle(npoly, terms, rows):
-    """sum A (x) B entry by entry: B[I, J] A[f, e] at row rows[I * npoly + f]
+def _kron_oracle(npoly, terms):
+    """sum A (x) B entry by entry: B[I, J] A[f, e] at row I * npoly + f
     and column J * npoly + e, A = None the identity."""
     nrows, ncols = terms[0][0].shape()
     want = {}
@@ -703,7 +703,7 @@ def _kron_oracle(npoly, terms, rows):
             for I, bv in b.column(J).items():
                 for e in range(npoly):
                     for f, av in ({e: 1} if a is None else a.column(e)).items():
-                        key = (J * npoly + e, rows[I * npoly + f])
+                        key = (J * npoly + e, I * npoly + f)
                         want[key] = want.get(key, 0) + bv * av
     cols = {}
     for (j, i), v in want.items():
@@ -729,11 +729,9 @@ def test_kron_matches_per_entry_oracle():
             # minus the first term: the columns that only it reached cancel to zero
             b, a = terms[0]
             terms.append((combine(nrows, ncols, [(-1, b, None)]), a))
-        rows = list(range(npoly * nrows))
-        rng.shuffle(rows)
-        got = kron(npoly, terms, rows)
+        got = kron(npoly, terms)
         assert_normal_form(got)
-        assert got == _kron_oracle(npoly, terms, rows), trial
+        assert got == _kron_oracle(npoly, terms), trial
         for j in range(got.ncols):
             J, e = divmod(j, npoly)
             reach = [(b, a) for b, a in terms if J in b.cols and (a is None or e in a.cols)]
@@ -750,22 +748,28 @@ def test_kron_matches_per_entry_oracle():
 def test_kron_moves_rows_and_checks_shapes_and_budget():
     half = SparseMatrix(2, 2, {0: {1: Fraction(1, 2)}, 1: {0: Fraction(-3)}})
     x = SparseMatrix(3, 3, {2: {0: Fraction(2)}})
-    rows = [10**6 + r for r in range(6)]
-    got = kron(3, [(half, x), (half, None)], rows)
+    got = kron(3, [(half, x), (half, None)])
     assert got.shape() == (6, 6)
     # column (J, e) = (0, 2): 1/2 * 2 at (1, 0) and 1/2 at (1, 2)
-    assert got.cols[2] == (2, (rows[3], rows[5]), (2, 1))
-    assert all(i is rows[i - 10**6] for _, col_rows, _ in got.cols.values() for i in col_rows)
-    assert kron(3, [(SparseMatrix(2, 2), x)], rows) == SparseMatrix(6, 6)
+    assert got.cols[2] == (2, (3, 5), (2, 1))
+    # row ints and column keys are the shared positions list's own objects;
+    # ints up to 256 are shared by the interpreter anyway, so go past them
+    npoly = 200
+    wide = SparseMatrix(npoly, npoly, {npoly - 1: {0: Fraction(2), npoly - 2: Fraction(1, 3)}})
+    big = kron(npoly, [(half, wide), (half, None)])
+    shared = linalg.positions(big.nrows)
+    assert len(shared) >= big.nrows and shared[: big.nrows] == list(range(big.nrows))
+    assert max(big.cols) > 256 and max(max(rows) for _, rows, _ in big.cols.values()) > 256
+    for j, (_, rows, _) in big.cols.items():
+        assert shared[j] is j and all(shared[i] is i for i in rows), j
+    assert kron(3, [(SparseMatrix(2, 2), x)]) == SparseMatrix(6, 6)
     with pytest.raises(ValueError):
-        kron(3, [(half, x), (SparseMatrix(2, 3), None)], rows)
+        kron(3, [(half, x), (SparseMatrix(2, 3), None)])
     with pytest.raises(ValueError):
-        kron(2, [(half, x)], rows[:4])
+        kron(2, [(half, x)])
     budget = _CountingBudget()
     n = 13
-    assert kron(10, [(SparseMatrix.identity(n), None)], list(range(10 * n)), budget) == (
-        SparseMatrix.identity(10 * n)
-    )
+    assert kron(10, [(SparseMatrix.identity(n), None)], budget) == SparseMatrix.identity(10 * n)
     assert budget.checks == 3  # result columns 0, 64 and 128
 
 

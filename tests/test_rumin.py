@@ -21,6 +21,7 @@ from ruminbgg.linalg import (
     SparseMatrix,
     accumulate,
     axpy,
+    positions,
     rank_of_columns,
     trace_of_product,
 )
@@ -35,7 +36,7 @@ from ruminbgg.rumin import (
 )
 from ruminbgg.scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
-from conftest import SUITE_ROWS, assert_normal_form, kernel_rank, operator_matrix
+from conftest import SUITE_ROWS, assert_normal_form, kernel_rank, operator_matrix, spanning_index
 from test_fiber import RATIONAL
 
 
@@ -102,12 +103,12 @@ def _oracle_blocks(pkg, k, vec):
         yield exps, w, pkg.fiber.block(k, w), {index[m]: c for m, c in fibvec.items()}
 
 
-def _oracle_l0_inverse(pkg, k, vec):
+def _oracle_l0_inverse(pkg, k, vec, index):
     out = {}
     for exps, w, monos, piece in _oracle_blocks(pkg, k, vec):
         elim, dblock = pkg.fiber.imdelta_solver(k, w)
         for i, c in dblock.apply(elim.solve(piece)).items():
-            accumulate(out, pkg._index[k][(exps, monos[i])], c)
+            accumulate(out, index[(exps, monos[i])], c)
     return out
 
 
@@ -115,14 +116,15 @@ def _oracle_inverse(pkg, k, vec):
     """(terms used, (d delta + delta d)^{-1} vec) by the Neumann series,
     term by term through N = lap - L0."""
     n = pkg.lap_mat(k) - pkg.l0_mat(k)
-    term = _oracle_l0_inverse(pkg, k, vec)
+    index = spanning_index(pkg, k)
+    term = _oracle_l0_inverse(pkg, k, vec, index)
     total = dict(term)
     used = 1
     while term:
         n_term = n.apply(term)
         if not n_term:
             break
-        term = _oracle_l0_inverse(pkg, k, {i: -c for i, c in n_term.items()})
+        term = _oracle_l0_inverse(pkg, k, {i: -c for i, c in n_term.items()}, index)
         axpy(total, term, 1)
         used += 1
     return used, total
@@ -161,9 +163,10 @@ def _harmonic_vector(fib, k, w, i):
 def _oracle_iota_columns(pkg, k):
     """(1 - q d) applied to each harmonic lift, with the package's q and d."""
     out = []
+    index = spanning_index(pkg, k)
     for exps, w, i in pkg.model_keys(k):
         hvec = _harmonic_vector(pkg.fiber, k, w, i)
-        v = {pkg._index[k][(exps, m)]: c for m, c in hvec.items()}
+        v = {index[(exps, m)]: c for m, c in hvec.items()}
         if k < pkg.algebra.dim:
             axpy(v, pkg.q_mat(k + 1).apply(pkg.d_mat(k).apply(v)), -1)
         out.append(v)
@@ -368,12 +371,11 @@ def _oracle_l0(pkg, k):
                 accumulate(out, (exps, m2), c1 * c2)
         return out
 
-    return operator_matrix(pkg.keys(k), pkg._index[k], term)
+    return operator_matrix(pkg.keys(k), spanning_index(pkg, k), term)
 
 
 def _oracle_delta(pkg, k):
-    pkg.keys(k - 1)
-    return operator_matrix(pkg.keys(k), pkg._index.get(k - 1, {}), pkg.group.delta_term)
+    return operator_matrix(pkg.keys(k), spanning_index(pkg, k - 1), pkg.group.delta_term)
 
 
 def _image_block(fib, monos, out_k, w, image):
@@ -445,15 +447,16 @@ def test_d_matrix_matches_per_key_oracle(name, P):
     pkg = RuminPackage(alg, P)
     for k in range(alg.dim + 1):
         got = pkg.d_mat(k)
-        assert got == operator_matrix(pkg.keys(k), pkg._index[k + 1], pkg.group.d_term), k
+        want = operator_matrix(pkg.keys(k), spanning_index(pkg, k + 1), pkg.group.d_term)
+        assert got == want, k
         assert_normal_form(got)
 
 
 @pytest.mark.parametrize("P", [0, 1, 2])
 @pytest.mark.parametrize("name", sorted({name for name, _ in ORACLE_CASES}))
 def test_v_and_model_are_addressed_by_kronecker_positions(name, P):
-    # the package copies fiber blocks and splits columns by this arithmetic
-    # alone, so the bases must be laid out exactly so
+    # the package copies fiber blocks, splits columns and reads keys by this
+    # arithmetic alone, so the bases must be laid out exactly so
     pkg = RuminPackage(_algebra(name), P)
     fib, npoly = pkg.fiber, pkg.npoly
     polys = pkg.group.poly_basis(P)
@@ -465,6 +468,7 @@ def test_v_and_model_are_addressed_by_kronecker_positions(name, P):
         for f, mono in enumerate(mons):
             for e, exps in enumerate(polys):
                 assert keys[f * npoly + e] == (exps, mono), (k, f, e)
+        assert [pkg.key(k, j) for j in range(pkg.dim_v(k))] == keys, k
         # the harmonic forms of degree k in weight order
         harmonic = [
             (w, i) for w in sorted(fib.blocks(k)) for i in range(fib.harmonic_basis(k, w).ncols)
@@ -474,6 +478,13 @@ def test_v_and_model_are_addressed_by_kronecker_positions(name, P):
         for h, (w, i) in enumerate(harmonic):
             for e, exps in enumerate(polys):
                 assert model[h * npoly + e] == (exps, w, i), (k, h, e)
+        assert [pkg.model_key(k, j) for j in range(pkg.model_dim(k))] == model, k
+        # each basis vector, and one vector over the whole of V^k, as a form
+        # and back through the fiber's and the polynomials' own indices
+        vectors = [{j: Fraction(j + 1, 3)} for j in range(len(keys))]
+        vectors.append({j: Fraction(2 * j + 1, 7) for j in range(len(keys))})
+        for vec in vectors:
+            assert pkg._to_positional(pkg._to_form(k, vec)) == {k: vec}, k
         positions, where = fib.block_positions(k)
         assert list(positions) == list(fib.blocks(k))
         assert len(where) == len(mons)
@@ -482,37 +493,57 @@ def test_v_and_model_are_addressed_by_kronecker_positions(name, P):
             index = fib.block_index(k, w)
             for i, f in enumerate(positions[w]):
                 assert where[f] == (w, i) and index[mons[f]] == i, (k, w, i)
+    # a term of polynomial degree P + 1 lies in no V^k
+    form = PolyForm.from_monomial(pkg.algebra, (P + 1,) + (0,) * (pkg.algebra.dim - 1), (0,))
+    power = "x1" if P == 0 else f"x1^{P + 1}"
+    with pytest.raises(StructureError) as err:
+        pkg._to_positional(form)
+    assert str(err.value) == f"form term {power} . theta[1] exceeds polynomial degree budget P={P}"
 
 
 def test_copies_share_the_index_ints_and_block_tuples(q2):
-    # the copies' row numbers are the spanning index's own int objects, and
-    # the polynomial copies of a block column hold one nums tuple, which
-    # keeps the frontier's peak memory down
+    # the row numbers and column keys of the copies, of the products and of
+    # the decoded blocks are the shared `positions` int objects, and the
+    # polynomial copies of a block column hold one nums tuple, which keeps
+    # the frontier's peak memory down
     pkg = RuminPackage(q2, 1).build()
     fib, npoly = pkg.fiber, pkg.npoly
-    index_rows = {k: list(pkg._index[k].values()) for k in range(-1, q2.dim + 1)}
+    shared = positions(max(pkg.dim_v(k) for k in range(q2.dim + 1)))
+    text = io.StringIO()
+    pkg.write_json(text)
+    loaded = {"from_json": RuminPackage.from_json(text.getvalue())}
+    loaded["read_json"] = _read(text.getvalue())
 
-    def rows_shared(k, col):
-        return all(index_rows[k][r] is r for r in col[1])
+    def big_ints(name, k, matrix):
+        # ints up to 256 are shared by the interpreter anyway, so count the
+        # ones above, which only the positions list can have given
+        big = 0
+        for j, (_, rows, _) in matrix.cols.items():
+            assert shared[j] is j, (name, k, j)
+            assert all(shared[r] is r for r in rows), (name, k, j)
+            big += (j > 256) + sum(r > 256 for r in rows)
+        return big
 
+    big = {}
     for k in range(q2.dim + 1):
         delta, lift = pkg.delta_mat(k), pkg.lift(k)
         for j, col in delta.cols.items():
-            assert rows_shared(k - 1, col), (k, j)
             assert col[2] is delta.cols[j - j % npoly][2], (k, j)
         for j, col in lift.cols.items():
             _, w, i = pkg.model_keys(k)[j]
-            assert rows_shared(k, col), (k, j)
             assert col[2] is fib.harmonic_basis(k, w).cols[i][2], (k, j)
-    # q's rows come from the L0 solves through sums of products; take the
-    # column that reaches the highest row, since ints up to 256 are shared
-    # by the interpreter anyway
-    top, k, j = max(
-        (max(col[1]), k, j) for k in range(1, q2.dim + 1) for j, col in pkg.q_mat(k).cols.items()
-    )
-    assert top > 256
-    assert rows_shared(k - 1, pkg.q_mat(k).cols[j]), (k, j)
-    assert max(max(col[1]) for col in pkg.delta_mat(4).cols.values()) > 256
+        matrices = {"d": pkg.d_mat(k), "delta": delta, "lift": lift, "q": pkg.q_mat(k)}
+        for reader, package in loaded.items():
+            matrices[f"{reader} q"] = package.q_mat(k)
+        if k < q2.dim:
+            matrices["D"] = pkg.D_mat(k)
+            for reader, package in loaded.items():
+                matrices[f"{reader} D"] = package.D_mat(k)
+        for name, matrix in matrices.items():
+            big[name] = big.get(name, 0) + big_ints(name, k, matrix)
+    # V^3 and V^4 are 280 wide; the model is at most 112, so D's ints are small
+    assert max(pkg.model_dim(k) for k in range(q2.dim + 1)) <= 256
+    assert all(n > 0 for name, n in big.items() if not name.endswith("D")), big
 
 
 @pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1), ("weighted-h3", 2)])
@@ -1146,8 +1177,7 @@ def test_E_constant_dimensions_match_betti(h2):
     pkg = RuminPackage(h2, 3)
     zero = (0,) * h2.dim
     for k, expected in enumerate((1, 2, 2, 1)):
-        pkg.keys(k)
-        idx = pkg._index[k]
+        idx = spanning_index(pkg, k)
         const = {idx[(zero, m)] for m in pkg.fiber.mons(k)}
         for basis in map(_columns, (pkg.E_basis(k), _ker_q_ker_qd(pkg, k))):
             assert len([v for v in basis if set(v) <= const]) == expected
@@ -1198,9 +1228,10 @@ def test_abelian_D_is_de_rham():
         mk = pkg.model_keys(k)
         # compare through the harmonic identification, lifted by hand
         lifted = {}
+        index = spanning_index(pkg, k)
         for j, (exps, w, i) in enumerate(mk):
             hvec = _harmonic_vector(pkg.fiber, k, w, i)
-            lifted[j] = {pkg._index[k][(exps, m)]: c for m, c in hvec.items()}
+            lifted[j] = {index[(exps, m)]: c for m, c in hvec.items()}
         lifted = SparseMatrix(pkg.dim_v(k), len(mk), lifted)
         assert pkg.project(k + 1, pkg.d_mat(k) @ lifted) == pkg.D_mat(k)
 
@@ -1374,6 +1405,18 @@ def test_decoded_matrix_matches_fraction_decoder():
     with pytest.raises(StructureError, match="has shape 3xTrue"):
         _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 1))
     assert ratio_from_str(" -4/-6 ") == (2, 3) and ratio_from_str("0/-5") == (0, 1)
+
+
+def test_decoded_blocks_share_the_positions_ints():
+    # a decoded block's rows and column keys are the shared `positions` ints,
+    # not the parser's; past 256 the interpreter shares no int by itself
+    entries = '[[599, 399, "1/2"], [300, 399, "-3"], [0, 257, "5"]]'
+    blob = {"rows": 600, "cols": 400, "entries": json.loads(entries)}
+    got = _decode_matrix({"m": {"0": blob}}, "m", 0, (600, 400))
+    assert got.cols == {399: (2, (599, 300), (1, -6)), 257: (1, (0,), (5,))}
+    shared = positions(600)
+    for j, (_, rows, _) in got.cols.items():
+        assert shared[j] is j and all(shared[i] is i for i in rows), j
 
 
 def _read(text):

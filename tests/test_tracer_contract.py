@@ -26,8 +26,12 @@ BUILD = ["rumin", "build", "heisenberg:2", "--max-poly-degree", "1"]
 # through the tracer's `json` stand-in and from_json wrapper
 PACKAGE = "{package}"
 COMPACT = "{compact package}"
+# truncate runs `truncation_ranks`' package and strips the wrapped
+# `strip_table`, which the other commands reach by no path
 COMMANDS = [
     ["bgg", "heisenberg:2"],
+    ["strips", "heisenberg:2", "--format", "csv"],
+    ["truncate", "heisenberg:2"],
     ["calculus", "verify", "heisenberg:2", "--max-poly-degree", "1"],
     BUILD,
     ["rumin", "verify", PACKAGE],
