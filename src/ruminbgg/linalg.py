@@ -15,12 +15,14 @@ unchanged).
 
 Products, sums, traces, ranks and eliminations run on Python ints, and so
 do `apply_column`, `sum_columns` and `solve_column`, which take and return
-stored columns.  `combine(nrows, ncols, terms, budget)` is the one kernel
-for sums of products: it forms sum c * (A @ B) over (c, A, B) terms
+stored columns.  `combine(nrows, ncols, terms, budget, keys)` is the one
+kernel for sums of products: it forms sum c * (A @ B) over (c, A, B) terms
 (B = None for a plain summand A) column by column, as in Gustavson's
 sparse product, gathering every term's contribution to a column and
-normalizing it once.  `@`, `+` and `-` are single calls of it, so a sum of
-products never builds and normalizes the products on their own.
+normalizing it once; given keys, it forms only those columns, so a sum
+too large to hold can be formed and consumed a slice at a time.  `@`,
+`+` and `-` are single calls of it, so a sum of products never builds
+and normalizes the products on their own.
 `kron(npoly, terms, budget)` is the same gather for sums of Kronecker
 products on the positions I * npoly + e (coframe or fiber index I,
 polynomial e), the package's layout, written as the shared `positions` ints.
@@ -165,7 +167,7 @@ def sum_columns(columns):
     return _combine_column([(1, *col) for col in columns])
 
 
-def combine(nrows, ncols, terms, budget=None):
+def combine(nrows, ncols, terms, budget=None, keys=None):
     """The nrows x ncols matrix sum c * (A @ B) over the (c, A, B) terms.
 
     c is an int; B = None makes A itself a plain summand.  Gustavson's
@@ -174,8 +176,10 @@ def combine(nrows, ncols, terms, budget=None):
     and is accumulated and normalized once.  A column that is one plain
     summand with c = 1 is the stored column itself, shared.  Terms with an
     empty operand or c = 0 contribute nothing, so a product with an empty
-    side costs no column walk.  budget, if given, is checked every 64
-    result columns.
+    side costs no column walk.  keys, if given, are the only column keys
+    formed, so a caller can form the sum a slice of columns at a time;
+    the other columns are left out of the result.  budget, if given, is
+    checked every 64 result columns walked.
     """
     plain, products = [], []
     for c, a, b in terms:
@@ -195,7 +199,8 @@ def combine(nrows, ncols, terms, budget=None):
     sources = [cols for _, cols in plain] + [bcols for _, _, bcols in products]
     if not sources:
         return out
-    keys = sources[0] if len(sources) == 1 else set().union(*sources)
+    if keys is None:
+        keys = sources[0] if len(sources) == 1 else set().union(*sources)
     out_cols = out.cols
     for n, j in enumerate(keys):
         if budget is not None and n % 64 == 0:

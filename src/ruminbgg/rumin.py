@@ -40,9 +40,11 @@ the matrices and in building those cached pieces.
 A package, built or loaded, holds d, delta, q, iota^{-1} and D per degree,
 but neither pi nor the Laplacian: each is a sum of products of the held
 matrices, and is formed where it is read.  The Laplacian is formed once
-per inverse; verify forms none.
-`pi_mat` forms pi(k) per call, which `rumin build` does only when
-`write_json` reaches the degree's block, dropping it after the block.
+per inverse; verify forms none.  Each held operator shares equal rows
+and nums tuples among its columns (`_share_tuples`).
+`pi_mat` forms a whole pi(k) per call, for a load's comparison and for
+callers outside the package; `write_json` forms none whole, but 64
+columns at a time, each slice dropped once it is written.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
@@ -61,7 +63,9 @@ the sparse d and q, and ker pi through the trace of dq + qd, read off d
 and q (`linalg.trace_of_product`), and the iota^{-1} columns, never
 composing with pi.  It forms q d once per degree, for q d q and for the
 residual q lap - delta = (q d) delta + (q delta) d - delta, and q d
-iota^{-1} = (q - q d q) d lift only where q d q != q.
+iota^{-1} = (q - q d q) d lift only where q d q != q.  Where q d q = q it
+holds q itself, and of each projection of the iota^{-1} columns only the
+verdict, so it holds no product equal to a held matrix.
 """
 
 import io
@@ -165,7 +169,7 @@ class RuminPackage:
             # the package's bases count against the monomial budget
             self.dim_v(k)
             self.dim_v(k + 1)
-            self._d[k] = self.group.d_matrix(k, self.P, self.budget)
+            self._d[k] = _share_tuples(self.group.d_matrix(k, self.P, self.budget))
         return self._d[k]
 
     def delta_mat(self, k):
@@ -173,7 +177,7 @@ class RuminPackage:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
             src, dst = self.fiber.block_positions(k)[0], self.fiber.block_positions(k - 1)[0]
-            self._delta[k] = self._kron(k, self.fiber.delta_block, src, dst)
+            self._delta[k] = _share_tuples(self._kron(k, self.fiber.delta_block, src, dst))
         return self._delta[k]
 
     def lap_mat(self, k):
@@ -300,20 +304,25 @@ class RuminPackage:
     def q_mat(self, k):
         if k not in self._q:
             if 0 < k <= self.algebra.dim:
-                self._q[k] = self.inverse_apply(k - 1, self.delta_mat(k))
+                self._q[k] = _share_tuples(self.inverse_apply(k - 1, self.delta_mat(k)))
             else:
                 self._q[k] = SparseMatrix(self.dim_v(k - 1), self.dim_v(k))
         return self._q[k]
 
-    def pi_mat(self, k, minus=None):
-        """pi(k) = d q + q d, less the matrix minus if one is given; formed
-        per call and not cached, so no package holds a pi."""
+    def _pi_terms(self, k):
+        """The `combine` terms of pi(k) = d q + q d."""
         dim = self.algebra.dim
         terms = []
         if 0 < k <= dim:
             terms.append((1, self.d_mat(k - 1), self.q_mat(k)))
         if 0 <= k < dim:
             terms.append((1, self.q_mat(k + 1), self.d_mat(k)))
+        return terms
+
+    def pi_mat(self, k, minus=None):
+        """pi(k) = d q + q d, less the matrix minus if one is given; formed
+        per call and not cached, so no package holds a pi."""
+        terms = self._pi_terms(k)
         if minus is not None:
             terms.append((-1, minus, None))
         n = self.dim_v(k)
@@ -403,12 +412,13 @@ class RuminPackage:
     def iota_inv(self, k):
         """iota_inv_mat(k), built once per package; D_mat and verify share it."""
         if k not in self._iota_inv:
-            self._iota_inv[k] = self.iota_inv_mat(k)
+            self._iota_inv[k] = _share_tuples(self.iota_inv_mat(k))
         return self._iota_inv[k]
 
     def D_mat(self, k):
         if k not in self._D:
-            self._D[k] = self.project(k + 1, self._product(self.d_mat(k), self.iota_inv(k)))
+            d_iota = self._product(self.d_mat(k), self.iota_inv(k))
+            self._D[k] = _share_tuples(self.project(k + 1, d_iota))
         return self._D[k]
 
     def arrows(self):
@@ -483,13 +493,16 @@ class RuminPackage:
         sparse q and d, and ker pi through the trace of F, read off d and
         q, and the iota^-1 columns, instead of composing with pi.  q(k)
         d(k - 1) is formed once per degree and dropped after its two uses:
-        q d q, which is held, and the q_laplacian_is_delta residual (q d)
-        delta + (q delta) d - delta, the same matrix as q lap - delta by
-        distributivity, of which only the verdict is held; no Laplacian is
-        formed.  Since iota^-1 = (1 - q d) lift, q d iota^-1 = (q - q d q)
-        d lift exactly, so ker_pi forms d iota^-1 and q (d iota^-1) only
-        where q d q != q.  Products and verdicts shared between rows are
-        memoized for this call only.
+        q d q and the q_laplacian_is_delta residual (q d) delta + (q delta)
+        d - delta, the same matrix as q lap - delta by distributivity, of
+        which only the verdict is held; no Laplacian is formed.  Since
+        iota^-1 = (1 - q d) lift, q d iota^-1 = (q - q d q) d lift exactly,
+        so ker_pi forms d iota^-1 and q (d iota^-1) only where q d q != q.
+        Products and verdicts shared between rows are memoized for this
+        call only: q q, d d, q d q, which is the held q(k) itself where the
+        two are equal, and the verdicts of q_lap, pi_idempotent, ker_pi and
+        iota_inverse_right, whose projection of the iota^-1 columns no other
+        row reads and is dropped once checked.
         """
         rows = []
         dim = self.algebra.dim
@@ -544,12 +557,16 @@ class RuminPackage:
             def run():
                 q = self.q_mat(k)
                 qd = product(q, self.d_mat(k - 1))
+                qdq = product(qd, q)
+                # on a sound package q d q = q: the held q, not an equal copy
+                if qdq == q:
+                    qdq = q
                 terms = [(1, qd, self.delta_mat(k))]
                 if k < dim:
                     terms.append((1, product(q, self.delta_mat(k + 1)), self.d_mat(k)))
                 terms.append((-1, self.delta_mat(k), None))
                 residual = combine(self.dim_v(k - 1), self.dim_v(k), terms, self.budget)
-                return product(qd, q), min(residual.cols, default=None)
+                return qdq, min(residual.cols, default=None)
 
             return once(("q_d", k), run)
 
@@ -586,15 +603,18 @@ class RuminPackage:
 
             once(("idempotent", k), residual)
 
-        def projected(k):
-            # project of the iota^-1(k) columns, shared by the rows that need it
-            return once(("projected", k), lambda: self.project(k, self.iota_inv(k)))
-
         def iota_right(k):
-            got = projected(k)
-            wrong = got - SparseMatrix.identity(got.ncols)
-            if wrong.cols:
-                raise IdentityError("iota_inverse_right", witness=model_witness(k, min(wrong.cols)))
+            # project of the iota^-1(k) columns is the identity; only the
+            # verdict is held, since no other row reads the projection
+            def run():
+                got = self.project(k, self.iota_inv(k))
+                wrong = got - SparseMatrix.identity(got.ncols)
+                if wrong.cols:
+                    raise IdentityError(
+                        "iota_inverse_right", witness=model_witness(k, min(wrong.cols))
+                    )
+
+            once(("iota_right", k), run)
 
         def ker_pi(k):
             # ker q cap ker qd lies in ker pi because pi = F.  The model_dim(k)
@@ -752,29 +772,44 @@ class RuminPackage:
         stored integer columns to text, one write per column, so the text is
         never held whole; the text of each distinct numerator over a
         denominator is made once per write.  Each operator block's shape
-        comes from the bases, and its matrix is asked for only when the
-        writer reaches its entries, so each pi(k) is formed there and
-        dropped before the next block.  The budget is checked
-        every 64 columns.
+        comes from the bases, and its columns are asked for only when the
+        writer reaches its entries.  No pi(k) is formed whole: `combine`
+        forms pi(k) = d q + q d for 64 column keys at a time, in ascending
+        order, and each slice is dropped once written.  The budget is
+        checked every 64 columns.
         """
         self.build()
         budget = self.budget
         ratio_text = {}
 
-        forms = {"D": self.D_mat, "pi": self.pi_mat, "q": self.q_mat}
+        forms = {"D": self.D_mat, "q": self.q_mat}
+
+        def columns(name, k):
+            """(j, column) of the operator name at degree k by ascending j.
+            pi(k) = d q + q d is formed 64 column keys at a time, each slice
+            dropped once it is written, so no pi(k) is ever held whole."""
+            if name != "pi":
+                cols = forms[name](k).cols
+                for j in sorted(cols):
+                    yield j, cols[j]
+                return
+            n = self.dim_v(k)
+            terms = self._pi_terms(k)
+            for start in range(0, n, 64):
+                cols = combine(n, n, terms, budget, keys=range(start, start + 64)).cols
+                for j in sorted(cols):
+                    yield j, cols[j]
 
         def encode(name, k):
             def entries(write, depth):
-                """The [i, j, "p/q"] entry list of forms[name](k), one write per column."""
-                matrix = forms[name](k)
+                """The [i, j, "p/q"] entry list of the operator, one write per column."""
                 outer = "\n" + "  " * depth
                 pad = outer + "  "
                 inner = pad + "  "
                 sep = "["
-                for n, j in enumerate(sorted(matrix.cols)):
+                for n, (j, (den, rows, nums)) in enumerate(columns(name, k)):
                     if budget is not None and n % 64 == 0:
                         budget.check()
-                    den, rows, nums = matrix.cols[j]
                     text = ratio_text.get(den)
                     if text is None:
                         text = ratio_text[den] = {}
@@ -964,7 +999,10 @@ class RuminPackage:
         """Decode the stored block ops[name][str(k)]: q and D into the package,
         a pi(k) into stored_pi, for `_finish_load` to compare."""
         matrix = _decode_matrix(ops, name, k, self._stored_shape(name, k), ratios)
-        {"D": self._D, "pi": stored_pi, "q": self._q}[name][k] = matrix
+        if name == "pi":
+            stored_pi[k] = matrix
+        else:
+            {"D": self._D, "q": self._q}[name][k] = _share_tuples(matrix)
 
     def _finish_load(self, stored_pi):
         """Compare each stored pi(k) with d q + q d, now that q is in, and drop
@@ -982,6 +1020,22 @@ class RuminPackage:
         if name == "pi":
             return self.dim_v(k), self.dim_v(k)
         return self.model_dim(k + 1), self.model_dim(k)
+
+
+def _share_tuples(matrix):
+    """matrix, its columns made to share equal rows and nums tuples: one
+    object per distinct tuple, through tables local to this call.  A held
+    operator repeats tuples across its columns (a kron copy of a block
+    column, a decoded column's fresh rows); one table for the whole
+    package measured worse, its own entries costing more than it saves."""
+    seen_rows, seen_nums = {}, {}
+    cols = matrix.cols
+    for j, (den, rows, nums) in cols.items():
+        r = seen_rows.setdefault(rows, rows)
+        v = seen_nums.setdefault(nums, nums)
+        if r is not rows or v is not nums:
+            cols[j] = (den, r, v)
+    return matrix
 
 
 def _decode_harmonic(index, vectors, ratios):

@@ -680,6 +680,45 @@ def test_combine_checks_the_budget_every_64_columns():
     assert a @ b == b and (a @ b) - b == SparseMatrix(n, n)
 
 
+def test_combine_by_key_slices_matches_the_whole():
+    # a sum formed one slice of column keys at a time is the whole sum, in
+    # the whole sum's columns; keys outside every operand form nothing
+    rng = random.Random(41)
+    for trial in range(60):
+        n, m, p = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 9)
+        a, b = _hard_sparse(rng, n, m), _hard_sparse(rng, m, p)
+        terms = [(rng.choice([1, -2]), a, b), (rng.choice([1, 3]), _hard_sparse(rng, n, p), None)]
+        whole = combine(n, p, terms)
+        for size in (1, 2, 4):
+            parts = SparseMatrix(n, p)
+            for start in range(0, p + size, size):
+                part = combine(n, p, terms, keys=range(start, start + size))
+                assert part.shape() == (n, p)
+                assert set(part.cols) <= set(range(start, start + size)), trial
+                parts.cols.update(part.cols)
+            assert parts == whole, (trial, size)
+            assert_normal_form(parts)
+    # the shapes are checked as for the whole sum
+    a = SparseMatrix(3, 3, {0: {0: Fraction(1, 2)}})
+    with pytest.raises(ValueError, match="shape mismatch"):
+        combine(3, 2, [(1, a, None)], keys=[0])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        combine(3, 3, [(1, a, SparseMatrix(2, 3))], keys=[0])
+    # the budget is checked every 64 columns walked, as for the whole sum
+    n = 130
+    a = SparseMatrix.identity(n)
+    b = SparseMatrix(n, n, {j: {(j + 1) % n: Fraction(j + 1)} for j in range(n)})
+    for keys, checks in ((range(n), 3), (range(64), 1), (range(64, 129), 2), (range(5), 1)):
+        budget = _CountingBudget()
+        got = combine(n, n, [(1, a, b)], budget, keys=keys)
+        assert budget.checks == checks, keys
+        assert got.cols == {j: b.cols[j] for j in keys}
+    exhausted = Budget(seconds=0.001)
+    time.sleep(0.01)
+    with pytest.raises(BudgetExceededError):
+        combine(n, n, [(1, a, b)], exhausted, keys=[7])
+
+
 def test_column_eliminator_checks_the_budget_every_64_columns():
     n = 130
     m = SparseMatrix(n, n, {j: {j: Fraction(j + 1), (j + 1) % n: 1} for j in range(n)})

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -546,6 +547,70 @@ def test_copies_share_the_index_ints_and_block_tuples(q2):
     assert all(n > 0 for name, n in big.items() if not name.endswith("D")), big
 
 
+def _unshared_tuples(matrix):
+    """How many of matrix's rows tuples, then nums tuples, are equal to an
+    earlier column's but another object."""
+    extra = []
+    for part in (1, 2):
+        tuples = [col[part] for col in matrix.cols.values()]
+        extra.append(len({id(t) for t in tuples}) - len(set(tuples)))
+    return extra
+
+
+SHARED_TUPLE_CASES = [
+    (name, P) for name in ("heisenberg:2", "heisenberg:3", "quaternionic:2") for P in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name,P", SHARED_TUPLE_CASES)
+def test_stored_operators_share_equal_tuples(name, P):
+    # each stored d, delta, q, iota^-1 and D, built or loaded through either
+    # reader, holds one object per distinct rows tuple and per distinct nums
+    # tuple, and equals the operator formed with @ and + here
+    pkg = RuminPackage(_algebra(name), P).build()
+    text = io.StringIO()
+    pkg.write_json(text)
+    packages = {
+        "built": pkg,
+        "from_json": RuminPackage.from_json(text.getvalue()),
+        "read_json": _read(text.getvalue()),
+    }
+    fresh = RuminPackage(_algebra(name), P)
+    dim = pkg.algebra.dim
+    repeated = 0
+    for reader, package in packages.items():
+        fib = package.fiber
+        for k in range(dim + 1):
+            d, delta, q, iota = (
+                package.d_mat(k), package.delta_mat(k), package.q_mat(k), package.iota_inv(k)
+            )
+            held = {"d": d, "delta": delta, "q": q, "iota_inv": iota}
+            if k < dim:
+                held["D"] = package.D_mat(k)
+            for op, matrix in held.items():
+                assert _unshared_tuples(matrix) == [0, 0], (reader, op, k)
+                repeated += len(matrix.cols) - len({col[2] for col in matrix.cols.values()})
+            # d and delta as the group calculus and the fiber give them
+            assert d == fresh.group.d_matrix(k, P), (reader, k)
+            assert delta == fresh.delta_mat(k), (reader, k)
+            if k > 0:
+                assert package.lap_mat(k - 1) @ q == delta, (reader, k)
+                assert q == fresh.q_mat(k), (reader, k)
+            lift = package.lift(k)
+            if k < dim:
+                want = lift - package.q_mat(k + 1) @ (d @ lift)
+                assert iota == want, (reader, k)
+                coords = package._kron(
+                    k + 1, fib.harmonic_coordinate_block, fib.block_positions(k + 1)[0],
+                    package._harmonic_positions(k + 1),
+                )
+                assert held["D"] == coords @ (d @ iota), (reader, k)
+            else:
+                assert iota == lift, reader
+    # equal tuples do repeat across columns, so the sharing is not vacuous
+    assert repeated > 0
+
+
 @pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1), ("weighted-h3", 2)])
 def test_project_names_the_oracle_weight_off_ker_delta(name, P):
     alg = _algebra(name)
@@ -860,37 +925,47 @@ WRITTEN_DIGESTS = {
 
 @pytest.mark.parametrize("name,P", sorted(WRITTEN_DIGESTS))
 def test_writer_holds_one_pi_at_a_time(monkeypatch, name, P):
-    # each pi(k) is formed once, when the writer reaches its block, and
-    # nothing but this wrapper refers to it when the next one is asked for
+    # the writer forms pi(k) = d q + q d a slice of columns at a time, so it
+    # asks pi_mat for no whole pi(k), and writes the bytes of the package
+    # that held every pi(k)
     pkg = RuminPackage(_algebra(name), P).build()
-    formed, last = [], []
-    pi_mat = RuminPackage.pi_mat
 
-    def referrers():
-        # less the list's reference and getrefcount's own argument; counted
-        # outside an assert, whose rewriting would hold one more
-        return sys.getrefcount(last[0]) - 2
+    def whole_pi(self, k, minus=None):
+        raise AssertionError(f"pi({k}) formed whole")
 
-    def watched(self, k):
-        if last:
-            held = referrers()
-            assert held == 0, f"pi({formed[-1]}) still referred to"
-            last.clear()
-        formed.append(k)
-        last.append(pi_mat(self, k))
-        return last[0]
-
-    monkeypatch.setattr(RuminPackage, "pi_mat", watched)
+    monkeypatch.setattr(RuminPackage, "pi_mat", whole_pi)
     text = io.StringIO()
     pkg.write_json(text)
-    held = referrers()
-    assert held == 0
     monkeypatch.undo()
-    assert sorted(formed) == list(range(pkg.algebra.dim + 1))
     _assert_holds_no_pi(pkg)
     written = text.getvalue()
     assert hashlib.sha256(written.encode()).hexdigest() == WRITTEN_DIGESTS[(name, P)]
     assert written == _dict_text(pkg)
+
+
+def test_writer_peak_stays_below_one_pi():
+    # above its starting level, the writer's traced peak stays below the
+    # traced size of the largest pi(k), formed here: no pi(k) is held whole
+    pkg = RuminPackage(builtin("quaternionic", 2), 2).build()
+    sizes = []
+    for k in range(pkg.algebra.dim + 1):
+        tracemalloc.start()
+        try:
+            pi = pkg.pi_mat(k)
+            sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del pi
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pkg.write_json(SimpleNamespace(write=lambda text: digest.update(text.encode())))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert digest.hexdigest() == WRITTEN_DIGESTS[("quaternionic:2", 2)]
+    assert peak < max(sizes), (peak, sizes)
 
 
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
@@ -1059,6 +1134,37 @@ def _q_lap_residuals(pkg, calls):
             if c == -1 and b is None and a is pkg.delta_mat(k):
                 out[k] = result
     return out
+
+
+@pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1), ("weighted-h3", 2)])
+def test_verify_holds_no_projection(monkeypatch, name, P):
+    # iota_inverse_right keeps its verdict, not project(iota^-1): when verify
+    # asks for the next projection, nothing but this wrapper refers to the
+    # previous one, and each degree is projected once
+    pkg = RuminPackage(_algebra(name), P).build()
+    asked, last = [], []
+    project = RuminPackage.project
+
+    def referrers():
+        # less the list's reference and getrefcount's own argument; counted
+        # outside an assert, whose rewriting would hold one more
+        return sys.getrefcount(last[0]) - 2
+
+    def watched(self, k, matrix):
+        if last:
+            held = referrers()
+            assert held == 0, f"project({asked[-1]}) still referred to"
+            last.clear()
+        asked.append(k)
+        last.append(project(self, k, matrix))
+        return last[0]
+
+    monkeypatch.setattr(RuminPackage, "project", watched)
+    suite_ok(pkg)
+    held = referrers()
+    assert held == 0
+    monkeypatch.undo()
+    assert sorted(asked) == list(range(pkg.algebra.dim + 1))
 
 
 @pytest.mark.parametrize("name,P", ORACLE_CASES)

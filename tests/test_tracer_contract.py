@@ -26,6 +26,9 @@ BUILD = ["rumin", "build", "heisenberg:2", "--max-poly-degree", "1"]
 # through the tracer's `json` stand-in and from_json wrapper
 PACKAGE = "{package}"
 COMPACT = "{compact package}"
+# OUT stands for a fresh --out path per run, so that the package written
+# under the tracer can be compared with the untraced one
+OUT = "{out}"
 # truncate runs `truncation_ranks`' package and strips the wrapped
 # `strip_table`, which the other commands reach by no path
 COMMANDS = [
@@ -34,18 +37,24 @@ COMMANDS = [
     ["truncate", "heisenberg:2"],
     ["calculus", "verify", "heisenberg:2", "--max-poly-degree", "1"],
     BUILD,
+    [*BUILD, "--out", OUT],
     ["rumin", "verify", PACKAGE],
     ["rumin", "verify", COMPACT],
 ]
 
 
 def _command_id(command):
-    return " ".join(command[:2]) + (" compact" if COMPACT in command else "")
+    suffix = " compact" if COMPACT in command else " out" if OUT in command else ""
+    return " ".join(command[:2]) + suffix
 
 
 def _run(args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(args, capture_output=True, cwd=ROOT, env=env, timeout=120)
+
+
+def _out(command, path):
+    return [str(path) if arg == OUT else arg for arg in command]
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=_command_id)
@@ -59,11 +68,19 @@ def test_traced_run_matches_untraced(tmp_path, command):
         compact.write_text(json.dumps(json.loads(package.read_text())))
         paths = {PACKAGE: str(package), COMPACT: str(compact)}
         command = [paths.get(arg, arg) for arg in command]
-    plain = _run([sys.executable, "-m", "ruminbgg.cli", *command])
-    traced = _run([sys.executable, str(TRACER), str(tmp_path / "trace"), "--", *command])
+    out = {run: tmp_path / f"{run}.json" for run in ("plain", "traced")}
+    plain = _run([sys.executable, "-m", "ruminbgg.cli", *_out(command, out["plain"])])
+    traced = _run(
+        [sys.executable, str(TRACER), str(tmp_path / "trace"), "--", *_out(command, out["traced"])]
+    )
     assert plain.returncode == 0, plain.stderr.decode()
     assert traced.returncode == 0, traced.stderr.decode()
-    assert traced.stdout == plain.stdout
+    if OUT in command:
+        # the writer ran under the tracer and wrote the same package
+        assert out["traced"].read_bytes() == out["plain"].read_bytes()
+        assert traced.stdout == plain.stdout.replace(b"plain.json", b"traced.json")
+    else:
+        assert traced.stdout == plain.stdout
     assert (tmp_path / "trace").stat().st_size > 0
     if whole_file:
         # the fallback ran through the from_json wrapper and the json stand-in
