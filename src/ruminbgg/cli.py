@@ -27,7 +27,7 @@ from .algebra import (
     validate,
 )
 from .budget import Budget
-from .errors import BudgetExceededError, IdentityError, StructureError
+from .errors import BudgetExceededError, IdentityError, StructureError, check_identity
 from .fiber import bgg_fiber, cohomology_ranks
 from .groupcalc import GroupContext, PolyForm, parametrix_identity_check
 from .scalars import fraction_to_str
@@ -172,7 +172,8 @@ def cmd_calculus_verify(args, config):
     alg = load_algebra(args.algebra)
     P = config.max_poly_degree if config.max_poly_degree is not None else 3
     report = parametrix_identity_check(alg, P, budget=config.budget)
-    report.append(_random_d_squared_row(alg, P, config.seed))
+    check_identity(report, "d_squared_random",
+                   lambda: _random_d_squared_check(alg, P, config.seed), config.budget)
     ok = all(r["status"] == "ok" for r in report)
     payload = {"algebra": alg.name, "max_poly_degree": P, "report": report}
     if config.fmt == "csv":
@@ -183,7 +184,7 @@ def cmd_calculus_verify(args, config):
     return (0 if ok else 1), to_json_text(payload)
 
 
-def _random_d_squared_row(alg, P, seed):
+def _random_d_squared_check(alg, P, seed):
     """Seeded random-sparse-form sweep of d^2 = 0 beyond the spanning set."""
     rng = random.Random(seed)
     ctx = GroupContext(alg)
@@ -197,12 +198,7 @@ def _random_d_squared_row(alg, P, seed):
             terms[key] = Fraction(rng.randrange(-9, 10) or 1, rng.randrange(1, 7))
         form = PolyForm(alg, terms)
         if not ctx.d(ctx.d(form)).is_zero():
-            return {
-                "identity": "d_squared_random",
-                "status": "fail",
-                "counterexample": f"seed {seed} trial {trial}",
-            }
-    return {"identity": "d_squared_random", "status": "ok"}
+            raise IdentityError("d_squared_random", witness=f"seed {seed} trial {trial}")
 
 
 def cmd_rumin_build(args, config):

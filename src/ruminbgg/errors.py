@@ -35,3 +35,23 @@ class BudgetExceededError(RuntimeError):
         self.reason = reason
         self.partial = partial
         super().__init__(reason)
+
+
+def check_identity(rows, name, check, budget=None):
+    """Append the report row of identity name to rows: ok, or fail with the
+    witness of the IdentityError that check() raised.
+
+    The budget is checked first.  An exhausted budget is not a row: the
+    BudgetExceededError propagates with the rows so far as its partial.
+    """
+    try:
+        if budget is not None:
+            budget.check()
+        check()
+    except BudgetExceededError as err:
+        err.partial = list(rows)
+        raise
+    except IdentityError as err:
+        rows.append({"identity": name, "status": "fail", "counterexample": str(err.witness)})
+        return
+    rows.append({"identity": name, "status": "ok"})

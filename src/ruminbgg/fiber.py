@@ -6,8 +6,12 @@ d0 connects only equal weights, so every rank computation is blocked by
 (degree, weight).  d0 blocks are built from integer structure constants
 over one common denominator.  The boundary delta is the metric adjoint of
 d0 taken block by block: with the standard orthonormal inner product it is
-the plain transpose of the d0 block, and a general layer-orthogonal inner
-product goes through exact Gram matrices of the two blocks.
+the plain transpose of the d0 block.  A general layer-orthogonal inner
+product G gives the Gram matrix of degree k as the exterior power
+Lambda^k G* of the dual inner product G* = G^{-1}, and its inverse as
+Lambda^k G, since Lambda^k is multiplicative.  Both keep the weight, and
+both are built once per degree from the wedge matrices, with no
+determinant, and sliced into blocks.
 
 Ranks use Poincaré duality.  With n = dim and Q the homogeneous
 dimension, xi^I ^ xi^{I^c} = +-vol pairs block (k, w) with block
@@ -200,6 +204,7 @@ class FiberContext:
         self._kerdelta_solver = {}
         self._harmonic_coordinates = {}
         self._gram_inv = None
+        self._powers = {}
 
     # -- bases ------------------------------------------------------------
 
@@ -373,19 +378,56 @@ class FiberContext:
             self._gram_inv = inv
         return self._gram_inv
 
-    def _gram_block(self, k, w):
-        """Gram matrix of the (k, w) monomial block, entries det(G*[I,J])."""
-        gstar = self._gram_inverse()
-        monos = self.block(k, w)
-        cols = {}
-        for j, mj in enumerate(monos):
-            col = {}
-            for i, mi in enumerate(monos):
-                val = _det([[gstar[a][b] for b in mj] for a in mi])
-                if val:
-                    col[i] = val
-            cols[j] = col
-        return SparseMatrix(len(monos), len(monos), cols)
+    def exterior_power(self, k, dual):
+        """Lambda^k A over `mons(k)` positions, entry (I, J) = det A[I, J],
+        built once; callers must not change it.  A is the dual inner product
+        G* (`_gram_inverse`) if dual, so that Lambda^k G* is the Gram matrix
+        of degree k, and the algebra's G otherwise: Lambda^k is multiplicative,
+        so Lambda^k G is the inverse of that Gram matrix.
+
+        Column (b, *J) is A xi^b ^ (Lambda^{k-1} A) xi^J, so Lambda^k A =
+        sum_{a, b} A[a][b] epsilon_a F_b, F_b holding column J of
+        Lambda^{k-1} A at each (b, *J): one `combine` over the ints
+        L A[a][b], L the lcm of A's denominators, divided by L once.
+        """
+        key = (k, dual)
+        if key in self._powers:
+            return self._powers[key]
+        if k <= 0:
+            # Lambda^0 A = 1, and no form has a negative degree
+            out = SparseMatrix.identity(len(self.mons(k)))
+        else:
+            a_mat = self._gram_inverse() if dual else self.algebra.inner_product
+            lower, index = self.exterior_power(k - 1, dual), self.mons_index(k - 1)
+            n = len(self.mons(k))
+            shifted = [SparseMatrix(len(index), n) for _ in range(self.algebra.dim)]
+            for i, mono in enumerate(self.mons(k)):
+                shifted[mono[0]].cols[i] = lower.cols[index[mono[1:]]]
+            L = lcm(*(v.denominator for row in a_mat for v in row))
+            # the cached wedges if d has built them; otherwise a copy held
+            # for this degree only, so that a package load holds none
+            wedges = self._wedges.get(k - 1) or self._build_wedges(k - 1)
+            out = combine(n, n, [
+                (v.numerator * (L // v.denominator), wedges[a], shifted[b])
+                for a, row in enumerate(a_mat) for b, v in enumerate(row) if v
+            ], self.budget)
+            if L > 1:
+                out.cols = {j: sum_columns([(d * L, *col)]) for j, (d, *col) in out.cols.items()}
+        self._powers[key] = out
+        return out
+
+    def _gram_block(self, k, w, dual=True):
+        """Block (k, w) of `exterior_power(k, dual)`: the Gram matrix of the
+        block if dual, and its inverse otherwise.  A layer-orthogonal inner
+        product keeps the weight, so the block holds all of each column."""
+        positions, where = self.block_positions(k)
+        cols = positions.get(w, ())
+        power = self.exterior_power(k, dual)
+        out = SparseMatrix(len(cols), len(cols))
+        for j, f in enumerate(cols):
+            den, rows, nums = power.cols[f]
+            out.cols[j] = (den, tuple([where[i][1] for i in rows]), nums)
+        return out
 
     def delta_of_monomial(self, mono):
         """delta of one monomial as {monomial: coefficient}, cached; callers must not change it."""
@@ -395,22 +437,26 @@ class FiberContext:
 
     def wedge_matrices(self, k):
         """[epsilon_a for each frame index a], epsilon_a the wedge with xi^a
-        from degree k to k + 1, built once; callers must not change them.
-        xi^a moves past the p factors of I below a: the entry is (-1)^p."""
+        from degree k to k + 1, built once; callers must not change them."""
         if k not in self._wedges:
-            index = self.mons_index(k + 1)
-            mons = self.mons(k)
-            out = [SparseMatrix(len(index), len(mons)) for _ in range(self.algebra.dim)]
-            for j, mono in enumerate(mons):
-                p = 0
-                for a in range(self.algebra.dim):
-                    if p < len(mono) and mono[p] == a:
-                        p += 1
-                    else:
-                        i = index[mono[:p] + (a,) + mono[p:]]
-                        out[a].cols[j] = (1, (i,), (-1 if p & 1 else 1,))
-            self._wedges[k] = out
+            self._wedges[k] = self._build_wedges(k)
         return self._wedges[k]
+
+    def _build_wedges(self, k):
+        """`wedge_matrices(k)` built afresh: xi^a moves past the p factors of
+        I below a, so the entry is (-1)^p."""
+        index = self.mons_index(k + 1)
+        mons = self.mons(k)
+        out = [SparseMatrix(len(index), len(mons)) for _ in range(self.algebra.dim)]
+        for j, mono in enumerate(mons):
+            p = 0
+            for a in range(self.algebra.dim):
+                if p < len(mono) and mono[p] == a:
+                    p += 1
+                else:
+                    i = index[mono[:p] + (a,) + mono[p:]]
+                    out[a].cols[j] = (1, (i,), (-1 if p & 1 else 1,))
+        return out
 
     def interior_matrices(self, k):
         """[i_a for each frame index a], the contraction with the dual frame
@@ -492,19 +538,14 @@ class FiberContext:
     def delta_block(self, k, w):
         """Matrix of delta from block (k, w) to block (k-1, w): the adjoint of
         d0_block(k-1, w), the plain transpose for the standard inner product
-        and Gram_{k-1}^{-1} d0^T Gram_k otherwise, solved per column.  This
-        is the one construction of delta; it is rebuilt on each call."""
+        and Gram_{k-1}^{-1} d0^T Gram_k otherwise, two products of the
+        transpose with blocks of the cached exterior powers Lambda^{k-1} G
+        and Lambda^k G*.  This is the one construction of delta; it is
+        rebuilt on each call."""
         dt = self.d0_block(k - 1, w).transpose()
         if self.algebra.inner_product_is_standard():
             return dt
-        gram_lo = ColumnEliminator(self._gram_block(k - 1, w))
-        out = SparseMatrix(dt.nrows, dt.ncols)
-        for j, col in (dt @ self._gram_block(k, w)).cols.items():
-            x = gram_lo.solve_column(*col)
-            if x is None:
-                raise StructureError("Gram solve failed; inner product degenerate")
-            out.cols[j] = x
-        return out
+        return self._gram_block(k - 1, w, dual=False) @ (dt @ self._gram_block(k, w))
 
     def rank_d0_block(self, k, w):
         """Rank of d0_block(k, w), cached once per Poincaré-dual pair.
@@ -584,8 +625,9 @@ class FiberContext:
 
     def harmonic_coordinate_block(self, k, w):
         """The nharm x n matrix X = (H^T G H)^{-1} H^T G of block (k, w), cached;
-        H = harmonic_basis(k, w) and G is the block's Gram matrix (1 for the
-        standard inner product).
+        H = harmonic_basis(k, w) and G is the block's Gram matrix, its slice of
+        the cached exterior power Lambda^k G* (1 for the standard inner
+        product).
 
         On ker delta0 = H + im delta0, X v is the harmonic coordinate vector
         of v, as the ker-delta solve gives it: X H = 1, and H^T G delta0 = 0
@@ -608,34 +650,6 @@ class FiberContext:
                 out.cols[j] = elim.solve_column(*col)
             self._harmonic_coordinates[key] = out
         return self._harmonic_coordinates[key]
-
-
-def _det(rows):
-    """Dense exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -690,16 +704,11 @@ def fiber_inner(context, alpha, beta):
             total += c * beta.terms.get(mono, ZERO)
         return total
     total = Fraction(0)
-    by_block = {}
     for mono, c in alpha.terms.items():
-        key = (len(mono), monomial_weight(alg, mono))
-        by_block.setdefault(key, {})[mono] = c
-    for (k, w), aterms in by_block.items():
-        index = context.block_index(k, w)
-        gram = context._gram_block(k, w)
-        avec = {index[m]: c for m, c in aterms.items()}
-        gv = gram.apply(avec)
-        for mono, c in beta.terms.items():
-            if len(mono) == k and monomial_weight(alg, mono) == w:
-                total += c * gv.get(index[mono], ZERO)
+        k = len(mono)
+        index = context.mons_index(k)
+        gram = context.exterior_power(k, dual=True).column(index[mono])
+        for other, v in beta.terms.items():
+            if len(other) == k:
+                total += c * v * gram.get(index[other], ZERO)
     return total

@@ -31,7 +31,7 @@ tests compare it with.
 import itertools
 from fractions import Fraction
 
-from .errors import BudgetExceededError, IdentityError, UnsupportedStepError
+from .errors import IdentityError, UnsupportedStepError, check_identity
 from .fiber import FiberContext, monomial_weight, sort_with_sign
 from .linalg import SparseMatrix, accumulate, axpy, combine, kron
 
@@ -404,25 +404,13 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         return once(("L", f.index, k), build)
 
     def run(name, check_fn):
-        try:
-            if budget is not None:
-                budget.check()
+        # a check returns its witness, or None if the identity holds
+        def check():
             witness = check_fn()
-        except IdentityError as err:
-            report.append(
-                {"identity": name, "status": "fail", "counterexample": str(err.witness)}
-            )
-            return
-        except BudgetExceededError as err:
-            # budget exhaustion is not an identity failure; keep the partial report
-            err.partial = list(report)
-            raise
-        if witness is None:
-            report.append({"identity": name, "status": "ok"})
-        else:
-            report.append(
-                {"identity": name, "status": "fail", "counterexample": witness}
-            )
+            if witness is not None:
+                raise IdentityError(name, witness=witness)
+
+        check_identity(report, name, check, budget)
 
     def first_nonzero(diff):
         """Witness of the smallest nonzero column of diff(k), lowest k first."""

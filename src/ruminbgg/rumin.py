@@ -73,7 +73,7 @@ import json
 from math import comb
 
 from .algebra import algebra_from_json, algebra_to_json
-from .errors import BudgetExceededError, IdentityError, StructureError
+from .errors import IdentityError, StructureError, check_identity
 from .fiber import FiberContext
 from .groupcalc import GroupContext, PolyForm, format_term
 from .linalg import (
@@ -373,30 +373,22 @@ class RuminPackage:
         the smallest such column's lowest weight where delta of it is nonzero.
         On ker delta 1 (x) X, X the fiber blocks' harmonic coordinate
         matrices, rebuilt per call, gives the model coordinates as one
-        product.  The budget is checked every 64 columns.
+        product.  Both products check the budget every 64 columns.
         """
-        delta = self.delta_mat(k)
+        off = self._product(self.delta_mat(k), matrix).cols
+        if off:
+            where = self.fiber.block_positions(k - 1)[1]
+            w = min(where[i // self.npoly][0] for i in off[min(off)][1])
+            raise IdentityError(
+                "projection_domain",
+                witness=f"degree {k}, weight {w}",
+                detail="vector not a section of ker delta",
+            )
         coords = self._kron(
             k, self.fiber.harmonic_coordinate_block, self.fiber.block_positions(k)[0],
             self._harmonic_positions(k),
         )
-        out = SparseMatrix(coords.nrows, matrix.ncols)
-        for n, (j, x) in enumerate(sorted(matrix.cols.items())):
-            if self.budget is not None and n % 64 == 0:
-                self.budget.check()
-            off = delta.apply_column(*x)
-            if off:
-                where = self.fiber.block_positions(k - 1)[1]
-                w = min(where[i // self.npoly][0] for i in off[1])
-                raise IdentityError(
-                    "projection_domain",
-                    witness=f"degree {k}, weight {w}",
-                    detail="vector not a section of ker delta",
-                )
-            col = coords.apply_column(*x)
-            if col:
-                out.cols[j] = col
-        return out
+        return self._product(coords, matrix)
 
     def iota_inv_mat(self, k):
         """(1 - q d) lift: model^k -> V^k."""
@@ -509,23 +501,7 @@ class RuminPackage:
         memo = {}
 
         def record(name, fn):
-            try:
-                if self.budget is not None:
-                    self.budget.check()
-                fn()
-            except BudgetExceededError as err:
-                err.partial = list(rows)
-                raise
-            except IdentityError as err:
-                rows.append(
-                    {
-                        "identity": name,
-                        "status": "fail",
-                        "counterexample": str(err.witness),
-                    }
-                )
-                return
-            rows.append({"identity": name, "status": "ok"})
+            check_identity(rows, name, fn, self.budget)
 
         def once(key, fn):
             # fn() at most once per call; an IdentityError it raised is raised again

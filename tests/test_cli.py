@@ -21,7 +21,7 @@ from ruminbgg.groupcalc import GroupContext
 from ruminbgg.rumin import RuminPackage
 
 from conftest import CLI_ENV, SUITE_ROWS
-from test_rumin import CUSTOM_INNER_PRODUCT
+from test_rumin import CUSTOM_INNER_PRODUCT, custom_quaternionic
 
 GOOD_ALGEBRA = {
     "name": "h3file",
@@ -661,6 +661,33 @@ def test_commands_read_no_key_list(algebra, P, keyless, tmp_path):
     assert got == KEYLESS_DIGESTS[(algebra, P)]
 
 
+# sha256 of the package file and of `rumin verify` stdout for quaternionic:n
+# with a non-standard inner product (`custom_quaternionic`) at the given P,
+# from when each Gram entry was a dense minor determinant
+CUSTOM_GRAM_DIGESTS = {
+    (2, "2"): (
+        "d4192142b8fb82efbe57c99f68d0249ec7242aef60ee82e80e38ff00ccf3c919",
+        "fd2c2e246dd9c62a6b9647292d9fc2a771ca931e2cec3f54fd3d3fe5e1ed60e7",
+    ),
+    (3, "0"): (
+        "209e5ce4d85b93c9bf1dfafd0df1b0a2e02ed02679f6b680352687675a330d46",
+        "1bcc2de79a2ae9d2d1a1875d01b06844d4531bcd1f5e7a17762be517e069ea29",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,P", sorted(CUSTOM_GRAM_DIGESTS))
+def test_custom_inner_product_packages_keep_their_bytes(n, P, tmp_path, capsys):
+    algebra, package = tmp_path / "algebra.json", tmp_path / "pkg.json"
+    algebra.write_text(json.dumps(custom_quaternionic(n)))
+    build = ["rumin", "build", str(algebra), "--max-poly-degree", P, "--out", str(package)]
+    assert run_cli(build, capsys)[0] == 0
+    code, out = run_cli(["rumin", "verify", str(package)], capsys)
+    assert code == 0
+    got = tuple(hashlib.sha256(b).hexdigest() for b in (package.read_bytes(), out.encode()))
+    assert got == CUSTOM_GRAM_DIGESTS[(n, P)]
+
+
 def test_truncate_reads_no_key_list(keyless):
     assert keyless(["truncate", "heisenberg:3"]) == TRUNCATE_H3_DIGEST
 
@@ -780,7 +807,7 @@ def test_calculus_budget_partial_report(monkeypatch, capsys):
     monkeypatch.setattr(Budget, "check", check)
     assert run_cli(argv, capsys)[0] == 0
     callers = state["callers"]
-    assert {"kron", "combine", "run"} <= set(callers)
+    assert {"kron", "combine", "check_identity"} <= set(callers)
     stops = sorted({callers.index(name) + 1 for name in callers} | {len(callers)})
     for stop in stops:
         state.update(callers=[], stop=stop)

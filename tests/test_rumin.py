@@ -38,6 +38,7 @@ from ruminbgg.rumin import (
 from ruminbgg.scalars import fraction_from_str, fraction_to_str, ratio_from_str, ratio_to_str
 
 from conftest import SUITE_ROWS, assert_normal_form, kernel_rank, operator_matrix, spanning_index
+from test_linalg import _CountingBudget
 from test_fiber import RATIONAL
 
 
@@ -205,6 +206,17 @@ CUSTOM_INNER_PRODUCT_H5 = {
         ["0", "0", "0", "0", "3"],
     ],
 }
+
+
+def custom_quaternionic(n):
+    """quaternionic:n as algebra JSON with a non-standard inner product: the
+    identity but for G[0][0] = 2, G[0][1] = G[1][0] = 1/2 and the last
+    diagonal entry 3, each within one layer."""
+    data = algebra_to_json(builtin("quaternionic", n))
+    dim = sum(data["layers"])
+    g = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    g[0][0], g[0][1], g[1][0], g[dim - 1][dim - 1] = "2", "1/2", "1/2", "3"
+    return {**data, "name": f"quaternionic-{n}-custom", "inner_product": g}
 
 
 def _algebra(name):
@@ -413,6 +425,89 @@ def test_delta_block_is_the_adjoint_of_the_d0_block(name):
                 # Gram_{k-1} delta = d0^T Gram_k: delta is the Gram adjoint of d0
                 lhs = fib._gram_block(k - 1, w) @ delta
                 assert lhs == fib.d0_block(k - 1, w).transpose() @ fib._gram_block(k, w), (k, w)
+
+
+GRAM_ALGEBRAS = ["weighted-h3", "weighted-h5", "quaternionic-2-custom", "quaternionic-3-custom"]
+
+
+def _gram_algebra(name):
+    if name.endswith("-custom"):
+        return algebra_from_json(custom_quaternionic(int(name.split("-")[1])))
+    return _algebra(name)
+
+
+def _det(rows):
+    """Dense exact determinant by Fraction Gaussian elimination."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
+@pytest.mark.parametrize("name", GRAM_ALGEBRAS)
+def test_gram_blocks_are_minor_determinants(name):
+    # entry (I, J) of the Gram matrix of block (k, w) is det G*[I, J], G* the
+    # inner product on the dual basis
+    alg = _gram_algebra(name)
+    fib = FiberContext(alg)
+    gstar = fib._gram_inverse()
+    for k in range(alg.dim + 1):
+        for w, monos in fib.blocks(k).items():
+            gram = fib._gram_block(k, w)
+            assert_normal_form(gram)
+            for j, mj in enumerate(monos):
+                minors = [_det([[gstar[a][b] for b in mj] for a in mi]) for mi in monos]
+                assert gram.column(j) == {i: v for i, v in enumerate(minors) if v}, (k, w, j)
+
+
+@pytest.mark.parametrize("name", GRAM_ALGEBRAS + ["heisenberg:2"])
+def test_exterior_powers_of_g_and_g_star_are_inverse(name):
+    # Lambda^k is multiplicative, so Lambda^k G Lambda^k G* = Lambda^k 1 = 1
+    alg = _gram_algebra(name)
+    fib = FiberContext(alg)
+    for k in range(alg.dim + 1):
+        one = SparseMatrix.identity(len(fib.mons(k)))
+        assert fib.exterior_power(k, dual=False) @ fib.exterior_power(k, dual=True) == one, k
+        if alg.inner_product_is_standard():
+            assert fib.exterior_power(k, dual=True) == one, k
+
+
+def test_gram_build_checks_the_budget():
+    # one combine per degree and power, checked every 64 columns: degrees 5
+    # and 6 of quaternionic-3-custom have 462 monomials each, so 8 checks
+    budget = _CountingBudget()
+    alg = _gram_algebra("quaternionic-3-custom")
+    fib = FiberContext(alg, budget)
+    assert [len(fib.mons(k)) for k in range(alg.dim + 1)][5:7] == [462, 462]
+    for dual in (True, False):
+        fib.exterior_power(4, dual)
+        before = budget.checks
+        fib.exterior_power(5, dual)
+        assert budget.checks - before == 8, dual
+    # delta_block(6, w) reads Lambda^5 G and Lambda^6 G*, of which only the last is new
+    before = budget.checks
+    fib.delta_block(6, 6)
+    assert budget.checks - before == 8
 
 
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
@@ -645,26 +740,21 @@ def test_project_names_the_oracle_weight_off_ker_delta(name, P):
     assert checked
 
 
-@pytest.mark.parametrize("name,P", [("quaternionic:2", 1), ("weighted-h3", 2)])
+@pytest.mark.parametrize("name,P", [("quaternionic:2", 1), ("weighted-h3", 2), ("weighted-h5", 1)])
 def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     alg = _algebra(name)
     pkg = RuminPackage(alg, P)
     fib = pkg.fiber
-    # the field matrices X_a, a factor of d, are Fraction-built caches; so are
-    # delta, lap and the Hodge data under a non-standard inner product, whose
-    # Gram blocks come from Fraction determinants.  With the standard one the
-    # fiber's coframe matrices, the other factors of d, and its harmonic
-    # bases, solvers and coordinate blocks are built in the window below.
+    # the field matrices X_a, a factor of d, are Fraction-built caches; so is
+    # the dual inner product G* under a non-standard inner product, whose
+    # Gram blocks are slices of the exterior powers of G* and G.  The fiber's
+    # coframe matrices, the other factors of d, those powers, and its
+    # harmonic bases, solvers and coordinate blocks are built in the window
+    # below.
     gram = not alg.inner_product_is_standard()
     pkg.group.field_matrices(P)
-    for k in range(alg.dim + 1):
-        if gram:
-            pkg.model_keys(k), pkg.delta_mat(k), pkg.lap_mat(k)
-            for w in fib.blocks(k):
-                fib.imdelta_solver(k, w), fib.kerdelta_solver(k, w)
-                fib.harmonic_coordinate_block(k, w)
-    # lap may have been built from d; d is built again below, from its cached pieces
-    pkg._d.clear()
+    if gram:
+        fib._gram_inverse()
     created = []
     new = Fraction.__new__
 
@@ -688,8 +778,8 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     monkeypatch.undo()
     assert created == []
     assert pkg.neumann_terms >= 1 and any(not pkg.D_mat(k).is_zero() for k in range(alg.dim))
-    if not gram:
-        assert fib._harmonic and fib._imdelta_solver and fib._harmonic_coordinates
+    assert fib._harmonic and fib._imdelta_solver and fib._harmonic_coordinates
+    assert bool(fib._powers) == gram
 
 
 # -- q -------------------------------------------------------------------------
@@ -1268,6 +1358,41 @@ def test_ker_pi_row_counts_the_kernel_against_the_model(h2):
         "identity": "ker_pi_equals_ker_q_ker_qd",
         "status": "fail",
         "counterexample": "degree 1: dim ker pi = n - trace(pi) = 12, model dimension = 8",
+    }
+
+
+def test_ker_pi_row_forms_q_d_iota_inv_where_q_d_q_is_not_q():
+    # a planted q keeps pi(2) idempotent with its trace, iota^-1(2) unchanged
+    # and in ker q(2), but q(3) d iota^-1(2) != 0, which only the ker_pi row's
+    # branch for q d q != q at degree 3 forms.  With a = a column of d q(2),
+    # b = q(2) a and phi a functional on V^3 that kills d lift(2) but not
+    # d iota^-1(2): q'(3) = q(3) + a phi and q'(2) = q(2) - b phi pi(3) d(2).
+    # Then pi'(2) = pi(2) + a phi (1 - pi(3)) d(2), q'(3) d lift(2) = q(3) d
+    # lift(2) and q'(3) d iota^-1(2) = a phi d iota^-1(2)
+    alg = builtin("heisenberg", 3)
+    pkg = RuminPackage(alg, 1).build()
+    k = 2
+    q, q_up, d = pkg.q_mat(k), pkg.q_mat(k + 1), pkg.d_mat(k)
+    iota = pkg.iota_inv(k)
+    dq = pkg.d_mat(k - 1) @ q
+    a = SparseMatrix(dq.nrows, 1, {0: dq.column(min(dq.cols))})
+    phis = ColumnEliminator((d @ pkg.lift(k)).transpose()).nullspace()
+    hits = phis.transpose() @ (d @ iota)
+    c = min(i for _, rows, _ in hits.cols.values() for i in rows)
+    j = min(j for j, (_, rows, _) in hits.cols.items() if c in rows)
+    phi = SparseMatrix(1, phis.nrows, {i: {0: v} for i, v in phis.column(c).items()})
+    pkg._q[k + 1] = q_up + a @ phi
+    pkg._q[k] = q - (q @ a) @ (phi @ pkg.pi_mat(k + 1) @ d)
+    pkg._iota_inv.clear()
+    assert pkg.iota_inv(k) == iota and (pkg.q_mat(k) @ iota).is_zero()
+    assert pkg.q_mat(k + 1) @ d @ pkg.q_mat(k + 1) != pkg.q_mat(k + 1)
+    rows = {r["identity"]: r for r in pkg.verify()}
+    assert rows["pi_idempotent"]["status"] == "ok"
+    assert rows["iota_inverse_right"]["status"] == "ok"
+    assert rows["ker_pi_equals_ker_q_ker_qd"] == {
+        "identity": "ker_pi_equals_ker_q_ker_qd",
+        "status": "fail",
+        "counterexample": _model_witness(pkg, k, j),
     }
 
 
