@@ -4,14 +4,13 @@ Monomials are strictly increasing tuples of dual-basis indices; the weight
 of a monomial is the sum of the layers of its factors, and the coboundary
 d0 connects only equal weights, so every rank computation is blocked by
 (degree, weight).  d0 blocks are built from integer structure constants
-over one common denominator.  The boundary delta is the metric adjoint of
-d0 taken block by block: with the standard orthonormal inner product it is
-the plain transpose of the d0 block.  A general layer-orthogonal inner
-product G gives the Gram matrix of degree k as the exterior power
+over one common denominator.  d0 and its metric adjoint delta are held
+once per degree, and each (degree, weight) block is a slice of them; delta
+is d0^T for the standard orthonormal inner product.  A layer-orthogonal
+inner product G gives the Gram matrix of degree k as the exterior power
 Lambda^k G* of the dual inner product G* = G^{-1}, and its inverse as
-Lambda^k G, since Lambda^k is multiplicative.  Both keep the weight, and
-both are built once per degree from the wedge matrices, with no
-determinant, and sliced into blocks.
+Lambda^k G, since Lambda^k is multiplicative.  Both keep the weight and
+are built once per degree from the wedge matrices, with no determinant.
 
 Ranks use Poincaré duality.  With n = dim and Q the homogeneous
 dimension, xi^I ^ xi^{I^c} = +-vol pairs block (k, w) with block
@@ -88,6 +87,8 @@ class FiberForm:
         return not self.terms
 
     def __eq__(self, other):
+        if not isinstance(other, FiberForm):
+            return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __add__(self, other):
@@ -196,6 +197,7 @@ class FiberContext:
         self._wedges = {}
         self._interiors = {}
         self._d0_matrix = {}
+        self._delta_matrix = {}
         self._coadjoint = {}
         self._homogeneous_dim = homogeneous_dimension(algebra)
         self._rank_cache = {}
@@ -268,9 +270,9 @@ class FiberContext:
         off is None when every constant has layer(a) + layer(b) = layer(k),
         and otherwise the StructureError message of the first that does not:
         d0 takes xi^k out of its weight block there.  `_d0_columns` raises
-        it, so every block fails on such an algebra, whichever side of a
-        dual pair `rank_d0_block` builds; the per-monomial d0 and
-        `d0_matrix` stay defined for the calculus checks.
+        it, as do `d0_block` and `delta_matrix`, so every block fails on such
+        an algebra, whichever side of a dual pair `rank_d0_block` builds; the
+        per-monomial d0 and `d0_matrix` stay defined for the calculus checks.
         """
         if self._pairs_by_target is None:
             alg = self.algebra
@@ -344,16 +346,13 @@ class FiberContext:
         return self._d0
 
     def delta_map(self):
-        """Full {monomial: {monomial: coeff}} table of delta, read off delta_block."""
+        """Full {monomial: {monomial: coeff}} table of delta, read off delta_matrix."""
         if self._delta is None:
             table = {}
             for k in range(1, self.algebra.dim + 1):
-                for w, src in self.blocks(k).items():
-                    dst = self.block(k - 1, w)
-                    for j, (den, rows, nums) in self.delta_block(k, w).cols.items():
-                        table[src[j]] = {
-                            dst[i]: Fraction(v, den) for i, v in sorted(zip(rows, nums))
-                        }
+                src, dst = self.mons(k), self.mons(k - 1)
+                for j, (den, rows, nums) in self.delta_matrix(k).cols.items():
+                    table[src[j]] = {dst[i]: Fraction(v, den) for i, v in sorted(zip(rows, nums))}
             self._delta = table
         return self._delta
 
@@ -416,17 +415,16 @@ class FiberContext:
         self._powers[key] = out
         return out
 
-    def _gram_block(self, k, w, dual=True):
-        """Block (k, w) of `exterior_power(k, dual)`: the Gram matrix of the
-        block if dual, and its inverse otherwise.  A layer-orthogonal inner
-        product keeps the weight, so the block holds all of each column."""
-        positions, where = self.block_positions(k)
-        cols = positions.get(w, ())
-        power = self.exterior_power(k, dual)
-        out = SparseMatrix(len(cols), len(cols))
+    def _block_slice(self, matrix, k, w, row_degree):
+        """Block w of a weight-keeping matrix from degree k to row_degree over
+        `mons` positions: block column j is column positions[w][j], row f is where[f][1]."""
+        cols = self.block_positions(k)[0].get(w, ())
+        rows, where = self.block_positions(row_degree)
+        out = SparseMatrix(len(rows.get(w, ())), len(cols))
         for j, f in enumerate(cols):
-            den, rows, nums = power.cols[f]
-            out.cols[j] = (den, tuple([where[i][1] for i in rows]), nums)
+            hit = matrix.cols.get(f)
+            if hit:
+                out.cols[j] = (hit[0], tuple([where[i][1] for i in hit[1]]), hit[2])
         return out
 
     def delta_of_monomial(self, mono):
@@ -481,6 +479,19 @@ class FiberContext:
             self._d0_matrix[k] = out
         return self._d0_matrix[k]
 
+    def delta_matrix(self, k):
+        """delta0 from degree k to k - 1, built once; callers must not change
+        it.  The one construction of delta0, the adjoint of d0_matrix(k - 1):
+        d0^T, or Lambda^{k-1} G d0^T Lambda^k G* for a non-standard inner
+        product.  Raises StructureError if the bracket leaves the grading."""
+        if k not in self._delta_matrix:
+            self._check_grading()
+            out = self.d0_matrix(k - 1).transpose()
+            if not self.algebra.inner_product_is_standard():
+                out = self.exterior_power(k - 1, False) @ (out @ self.exterior_power(k, True))
+            self._delta_matrix[k] = out
+        return self._delta_matrix[k]
+
     def coadjoint_matrix(self, a, k):
         """C_a on degree k, built once; callers must not change it.
 
@@ -510,13 +521,16 @@ class FiberContext:
 
     # -- positional blocks and ranks ----------------------------------------
 
+    def _check_grading(self):
+        off = self._target_pairs()[1]
+        if off is not None:
+            raise StructureError(off)
+
     def _d0_columns(self, k, w):
         """Column j of d0 from block (k, w) to block (k+1, w) as a {row: int}
         dict of numerators over `den`, empty for a closed monomial.  Raises
         StructureError if the bracket does not respect the grading."""
-        off = self._target_pairs()[1]
-        if off is not None:
-            raise StructureError(off)
+        self._check_grading()
         index = self.block_index(k + 1, w)
         # the bracket respects the grading, so d0 keeps the weight
         return [
@@ -525,27 +539,15 @@ class FiberContext:
         ]
 
     def d0_block(self, k, w):
-        """Matrix of d0 from block (k, w) to block (k+1, w), built from the
-        integer numerators, one normal-form pass per column.  Raises
-        StructureError if the bracket does not respect the grading."""
-        columns = self._d0_columns(k, w)
-        out = SparseMatrix(len(self.block(k + 1, w)), len(columns))
-        for j, col in enumerate(columns):
-            if col:
-                out.cols[j] = _normal(self.den, col)
-        return out
+        """Matrix of d0 from block (k, w) to block (k+1, w), a slice of
+        d0_matrix(k).  Raises StructureError if the bracket leaves the grading."""
+        self._check_grading()
+        return self._block_slice(self.d0_matrix(k), k, w, k + 1)
 
     def delta_block(self, k, w):
-        """Matrix of delta from block (k, w) to block (k-1, w): the adjoint of
-        d0_block(k-1, w), the plain transpose for the standard inner product
-        and Gram_{k-1}^{-1} d0^T Gram_k otherwise, two products of the
-        transpose with blocks of the cached exterior powers Lambda^{k-1} G
-        and Lambda^k G*.  This is the one construction of delta; it is
-        rebuilt on each call."""
-        dt = self.d0_block(k - 1, w).transpose()
-        if self.algebra.inner_product_is_standard():
-            return dt
-        return self._gram_block(k - 1, w, dual=False) @ (dt @ self._gram_block(k, w))
+        """Matrix of delta from block (k, w) to block (k-1, w), a slice of
+        delta_matrix(k): the adjoint of d0_block(k-1, w)."""
+        return self._block_slice(self.delta_matrix(k), k, w, k - 1)
 
     def rank_d0_block(self, k, w):
         """Rank of d0_block(k, w), cached once per Poincaré-dual pair.
@@ -640,7 +642,7 @@ class FiberContext:
             harm = self.harmonic_basis(k, w)
             ht = harm.transpose()
             if not self.algebra.inner_product_is_standard():
-                ht = ht @ self._gram_block(k, w)
+                ht = ht @ self._block_slice(self.exterior_power(k, dual=True), k, w, k)
             # H^T G H is the Gram matrix of the harmonic basis, so invertible
             elim = ColumnEliminator(ht @ harm, self.budget)
             out = SparseMatrix(harm.ncols, harm.nrows)

@@ -71,6 +71,8 @@ class PolyForm:
         return not self.terms
 
     def __eq__(self, other):
+        if not isinstance(other, PolyForm):
+            return NotImplemented
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __add__(self, other):

@@ -23,11 +23,11 @@ fiber position f with polynomial e is f * npoly + e, and in the model
 harmonic form h with e is h * npoly + e, a key read off poly_basis(P) and
 the fiber-sized mons(k) or `harmonic_forms(k)`, rows the shared
 `linalg.positions` ints.  Every matrix of that form is one `linalg.kron`:
-d comes from the group calculus (`GroupContext.d_matrix`), and delta =
-1 (x) delta0, the lift 1 (x) H and the harmonic projection 1 (x) X, H the
-fiber's harmonic basis and X its coordinate matrix, each assemble the
-fiber's (k, w) blocks into one degree-level matrix, every copy of a block
-column sharing its numerator tuple.
+d comes from the group calculus (`GroupContext.d_matrix`), delta = 1 (x)
+delta0 from the fiber's `delta_matrix`, and the lift 1 (x) H and the
+harmonic projection 1 (x) X (H the fiber's harmonic basis, X its
+coordinate matrix) each assemble the fiber's (k, w) blocks into one
+degree-level matrix, every copy of a column sharing its numerator tuple.
 Only L0^{-1} on im delta, L0 = 1 (x) (d0 delta0 + delta0 d0), goes column
 by column: it splits a column by (weight, polynomial) block and solves
 each piece with the weight's cached eliminator, so neither L0 nor N is
@@ -176,8 +176,8 @@ class RuminPackage:
         if k not in self._delta:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
-            src, dst = self.fiber.block_positions(k)[0], self.fiber.block_positions(k - 1)[0]
-            self._delta[k] = _share_tuples(self._kron(k, self.fiber.delta_block, src, dst))
+            delta0 = self.fiber.delta_matrix(k)
+            self._delta[k] = _share_tuples(kron(self.npoly, [(delta0, None)], self.budget))
         return self._delta[k]
 
     def lap_mat(self, k):

@@ -305,6 +305,20 @@ def test_bracket_off_the_grading_raises_structure_error(alg):
         for w in range(homogeneous_dimension(alg) + 1):
             with pytest.raises(StructureError):
                 ctx.rank_d0_block(k, w)
+            for block in (ctx.d0_block, ctx.delta_block):
+                with pytest.raises(StructureError, match="d0 left weight block"):
+                    block(k, w)
+    with pytest.raises(StructureError, match="d0 left weight block"):
+        ctx.delta_map()
+
+
+def test_fiber_forms_are_unequal_to_other_types():
+    alg = builtin("heisenberg", 2)
+    for form in (FiberForm(alg), FiberForm.monomial(alg, (0, 2))):
+        assert form == FiberForm(alg, form.terms)
+        for other in (0, None):
+            assert not form == other
+            assert form != other
 
 
 def test_cohomology_abelian_binomials():

@@ -18,6 +18,15 @@ from ruminbgg.linalg import SparseMatrix
 from conftest import assert_normal_form, operator_matrix, random_fraction
 
 
+def test_poly_forms_are_unequal_to_other_types():
+    alg = builtin("heisenberg", 2)
+    for form in (PolyForm(alg), PolyForm.from_monomial(alg, (1,) + (0,) * (alg.dim - 1), (0, 2))):
+        assert form == PolyForm(alg, form.terms)
+        for other in (0, None):
+            assert not form == other
+            assert form != other
+
+
 def random_polyform(rng, ctx, k, max_degree, nterms=3):
     polys = ctx.poly_basis(max_degree)
     monos = ctx.fiber.mons(k)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ruminbgg import rumin
+from ruminbgg import fiber, linalg, rumin
 from ruminbgg.algebra import algebra_from_json, algebra_to_json, builtin
 from ruminbgg.budget import Budget
 from ruminbgg.errors import BudgetExceededError, IdentityError, StructureError
@@ -20,6 +20,7 @@ from ruminbgg.groupcalc import PolyForm, format_term, term_weight
 from ruminbgg.linalg import (
     ColumnEliminator,
     SparseMatrix,
+    _normal,
     accumulate,
     axpy,
     positions,
@@ -399,7 +400,7 @@ def _image_block(fib, monos, out_k, w, image):
     return SparseMatrix(len(index), len(monos), cols)
 
 
-# _oracle_delta reads delta_map, which is read off delta_block; this pins
+# _oracle_delta reads delta_map, which is read off delta_matrix; this pins
 # delta_block against d0 on its own
 @pytest.mark.parametrize("name", sorted({name for name, _ in ORACLE_CASES}) + [RATIONAL["name"]])
 def test_delta_block_is_the_adjoint_of_the_d0_block(name):
@@ -423,8 +424,8 @@ def test_delta_block_is_the_adjoint_of_the_d0_block(name):
                 assert delta == want, (k, w)
             else:
                 # Gram_{k-1} delta = d0^T Gram_k: delta is the Gram adjoint of d0
-                lhs = fib._gram_block(k - 1, w) @ delta
-                assert lhs == fib.d0_block(k - 1, w).transpose() @ fib._gram_block(k, w), (k, w)
+                lhs = _gram_block(fib, k - 1, w) @ delta
+                assert lhs == fib.d0_block(k - 1, w).transpose() @ _gram_block(fib, k, w), (k, w)
 
 
 GRAM_ALGEBRAS = ["weighted-h3", "weighted-h5", "quaternionic-2-custom", "quaternionic-3-custom"]
@@ -434,6 +435,82 @@ def _gram_algebra(name):
     if name.endswith("-custom"):
         return algebra_from_json(custom_quaternionic(int(name.split("-")[1])))
     return _algebra(name)
+
+
+def _gram_block(fib, k, w, dual=True):
+    """Block (k, w) of exterior_power(k, dual), its stored columns read
+    monomial by monomial: the Gram matrix of the block if dual, and its
+    inverse otherwise.  A row outside the block is a KeyError, so the power
+    must keep the weight."""
+    power, index, monos = fib.exterior_power(k, dual), fib.mons_index(k), fib.block(k, w)
+    place = {index[m]: i for i, m in enumerate(monos)}
+    out = SparseMatrix(len(monos), len(monos))
+    for j, m in enumerate(monos):
+        den, rows, nums = power.cols[index[m]]
+        out.cols[j] = (den, tuple([place[f] for f in rows]), nums)
+    return out
+
+
+def _oracle_d0_block(fib, k, w):
+    """d0 from block (k, w) to block (k+1, w) built from the block's own
+    numerators, one normal-form pass per column."""
+    columns = fib._d0_columns(k, w)
+    out = SparseMatrix(len(fib.block(k + 1, w)), len(columns))
+    for j, col in enumerate(columns):
+        if col:
+            out.cols[j] = _normal(fib.den, col)
+    return out
+
+
+def _oracle_delta_block(fib, k, w):
+    """delta from block (k, w) to block (k-1, w) as the adjoint of the oracle
+    d0 block: its transpose, between two Gram blocks for a non-standard
+    inner product."""
+    dt = _oracle_d0_block(fib, k - 1, w).transpose()
+    if fib.algebra.inner_product_is_standard():
+        return dt
+    return _gram_block(fib, k - 1, w, dual=False) @ (dt @ _gram_block(fib, k, w))
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in ORACLE_CASES} | set(GRAM_ALGEBRAS)))
+def test_blocks_are_slices_of_the_degree_matrices(name):
+    alg = _gram_algebra(name)
+    fib = FiberContext(alg)
+    for k in range(alg.dim + 1):
+        for w in fib.blocks(k):
+            assert fib.d0_block(k, w) == _oracle_d0_block(fib, k, w), (k, w)
+            assert fib.delta_block(k, w) == _oracle_delta_block(fib, k, w), (k, w)
+
+
+@pytest.mark.parametrize("name", ["heisenberg:3", "quaternionic-3-custom"])
+def test_blocks_are_sliced_without_rebuilding(name, monkeypatch):
+    # once d0_matrix(k - 1), d0_matrix(k) and delta_matrix(k) are held, the
+    # blocks of degree k recompute no numerator and form no product
+    alg = _gram_algebra(name)
+    fib = FiberContext(alg)
+    for k in range(alg.dim + 1):
+        fib.d0_matrix(k - 1), fib.d0_matrix(k), fib.delta_matrix(k)
+    calls = {"_d0_numerators": 0, "combine": 0}
+
+    def counting(label, fn):
+        def wrapped(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(
+        FiberContext, "_d0_numerators", counting("_d0_numerators", FiberContext._d0_numerators)
+    )
+    for module in (linalg, fiber):
+        monkeypatch.setattr(module, "combine", counting("combine", module.combine))
+    for k in range(alg.dim + 1):
+        for w in fib.blocks(k):
+            fib.d0_block(k, w), fib.delta_block(k, w)
+    assert calls == {"_d0_numerators": 0, "combine": 0}
+    # the counters see a fresh context build its matrices
+    FiberContext(alg).delta_block(2, 2)
+    assert calls["_d0_numerators"] > 0
+    assert (calls["combine"] > 0) == (not alg.inner_product_is_standard())
 
 
 def _det(rows):
@@ -473,7 +550,7 @@ def test_gram_blocks_are_minor_determinants(name):
     gstar = fib._gram_inverse()
     for k in range(alg.dim + 1):
         for w, monos in fib.blocks(k).items():
-            gram = fib._gram_block(k, w)
+            gram = _gram_block(fib, k, w)
             assert_normal_form(gram)
             for j, mj in enumerate(monos):
                 minors = [_det([[gstar[a][b] for b in mj] for a in mi]) for mi in monos]
