@@ -483,12 +483,15 @@ class FiberContext:
         """delta0 from degree k to k - 1, built once; callers must not change
         it.  The one construction of delta0, the adjoint of d0_matrix(k - 1):
         d0^T, or Lambda^{k-1} G d0^T Lambda^k G* for a non-standard inner
-        product.  Raises StructureError if the bracket leaves the grading."""
+        product, each product checking the budget every 64 columns.  Raises
+        StructureError if the bracket leaves the grading."""
         if k not in self._delta_matrix:
             self._check_grading()
             out = self.d0_matrix(k - 1).transpose()
             if not self.algebra.inner_product_is_standard():
-                out = self.exterior_power(k - 1, False) @ (out @ self.exterior_power(k, True))
+                n, m = out.shape()
+                out = combine(n, m, [(1, out, self.exterior_power(k, True))], self.budget)
+                out = combine(n, m, [(1, self.exterior_power(k - 1, False), out)], self.budget)
             self._delta_matrix[k] = out
         return self._delta_matrix[k]
 

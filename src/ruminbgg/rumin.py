@@ -16,8 +16,9 @@ correction.  From the inverse:
 Each operator is a product of matrices over stored integer columns,
 immutable (den, rows, nums) tuples (see `linalg`).  Every product or sum
 of products (the Laplacian, the inverse's residuals, pi, iota^{-1}, D and
-the identity suite's residuals) is one call of `linalg.combine`, which
-checks the package budget every 64 columns.
+the identity suite's residuals) is formed by `linalg.combine`, whole or
+a slice of columns per call, which checks the package budget every 64
+columns.
 V^k = Poly_P (x) Lambda^k is addressed by Kronecker arithmetic alone:
 fiber position f with polynomial e is f * npoly + e, and in the model
 harmonic form h with e is h * npoly + e, a key read off poly_basis(P) and
@@ -37,14 +38,17 @@ operators and harmonic bases are written from and decoded into integer
 columns without Fractions as well.  Fractions remain where forms meet
 the matrices and in building those cached pieces.
 
-A package, built or loaded, holds d, delta, q, iota^{-1} and D per degree,
-but neither pi nor the Laplacian: each is a sum of products of the held
-matrices, and is formed where it is read.  The Laplacian is formed once
-per inverse; verify forms none.  Each held operator shares equal rows
-and nums tuples among its columns (`_share_tuples`).
-`pi_mat` forms a whole pi(k) per call, for a load's comparison and for
-callers outside the package; `write_json` forms none whole, but 64
-columns at a time, each slice dropped once it is written.
+A package, built or loaded, holds d, delta, q and D per degree, but
+neither pi, iota^{-1} nor the Laplacian: each is a sum of products of the
+held matrices, and is formed where it is read.  The Laplacian is formed
+once per inverse; verify forms none.  Each held operator shares equal
+rows and nums tuples among its columns (`_share_tuples`); at P = 0 delta
+is the fiber's delta0 itself.  `pi_mat` and `iota_inv_mat` form a whole
+pi(k) or iota^{-1}(k) per call, for a load's comparison and for callers
+outside the package.  The package forms neither whole, but 64 columns
+at a time through `combine` with keys, in ascending order: `write_json`
+writes each pi slice and drops it, and D and verify's two iota^{-1} rows
+read each iota^{-1} slice and keep only D's columns or the rows' verdicts.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
@@ -61,11 +65,11 @@ every pi row where a stored pi differed from dq + qd when it was read,
 then evaluates the other pi identities as residual sums of products of
 the sparse d and q, and ker pi through the trace of dq + qd, read off d
 and q (`linalg.trace_of_product`), and the iota^{-1} columns, never
-composing with pi.  It forms q d once per degree, for q d q and for the
-residual q lap - delta = (q d) delta + (q delta) d - delta, and q d
-iota^{-1} = (q - q d q) d lift only where q d q != q.  Where q d q = q it
-holds q itself, and of each projection of the iota^{-1} columns only the
-verdict, so it holds no product equal to a held matrix.
+composing with pi.  It forms q d once per degree, for q d q - q and for
+the residual q lap - delta = (q d) delta + (q delta) d - delta, and q d
+iota^{-1} = (q - q d q) d lift only where q d q != q.  It holds q d q - q,
+zero on a sound package, and of each slice of the iota^{-1} columns only
+verdicts, so it holds no product equal to a held matrix.
 """
 
 import io
@@ -111,7 +115,6 @@ class RuminPackage:
         self._pi_witness = {}
         self._harmonic_forms = {}
         self._D = {}
-        self._iota_inv = {}
         self._arrows = None
         self._built = False
 
@@ -177,7 +180,12 @@ class RuminPackage:
             if k < 0 or k > self.algebra.dim:
                 return SparseMatrix(0, 0)
             delta0 = self.fiber.delta_matrix(k)
-            self._delta[k] = _share_tuples(kron(self.npoly, [(delta0, None)], self.budget))
+            if self.npoly == 1:
+                # V^k is the fiber's degree k at P = 0, so delta is the
+                # fiber's delta0 itself, which _share_tuples must not change
+                self._delta[k] = delta0
+            else:
+                self._delta[k] = _share_tuples(kron(self.npoly, [(delta0, None)], self.budget))
         return self._delta[k]
 
     def lap_mat(self, k):
@@ -366,14 +374,24 @@ class RuminPackage:
             self.fiber.block_positions(k)[0],
         )
 
-    def project(self, k, matrix):
+    def _coordinates(self, k):
+        """1 (x) X: V^k -> model^k, X the fiber blocks' harmonic coordinate
+        matrices, built per call."""
+        return self._kron(
+            k, self.fiber.harmonic_coordinate_block, self.fiber.block_positions(k)[0],
+            self._harmonic_positions(k),
+        )
+
+    def project(self, k, matrix, coords=None):
         """Fiberwise classes of pointwise-ker-delta V^k columns in the model basis.
 
         Each column must lie in ker delta; otherwise projection_domain names
         the smallest such column's lowest weight where delta of it is nonzero.
         On ker delta 1 (x) X, X the fiber blocks' harmonic coordinate
-        matrices, rebuilt per call, gives the model coordinates as one
-        product.  Both products check the budget every 64 columns.
+        matrices, gives the model coordinates as one product.  coords, if
+        given, is that `_coordinates(k)`, so that a caller projecting slice
+        by slice builds it once; else it is built per call.  Both products
+        check the budget every 64 columns.
         """
         off = self._product(self.delta_mat(k), matrix).cols
         if off:
@@ -384,33 +402,46 @@ class RuminPackage:
                 witness=f"degree {k}, weight {w}",
                 detail="vector not a section of ker delta",
             )
-        coords = self._kron(
-            k, self.fiber.harmonic_coordinate_block, self.fiber.block_positions(k)[0],
-            self._harmonic_positions(k),
-        )
-        return self._product(coords, matrix)
+        return self._product(self._coordinates(k) if coords is None else coords, matrix)
+
+    def _iota_inv_slices(self, k):
+        """(keys, iota^{-1}(k) on those model columns) for 64 model column
+        keys at a time, in ascending order: lift - q(k + 1) (d(k) lift),
+        each slice formed by `combine` with keys and not held by this
+        generator once the next is asked for."""
+        lift = self.lift(k)
+        nrows, ncols = lift.shape()
+        for start in range(0, ncols, 64):
+            keys = range(start, min(start + 64, ncols))
+            terms = [(1, lift, None)]
+            if k < self.algebra.dim:
+                d_lift = combine(
+                    self.dim_v(k + 1), ncols, [(1, self.d_mat(k), lift)], self.budget, keys
+                )
+                terms.append((-1, self.q_mat(k + 1), d_lift))
+            yield keys, combine(nrows, ncols, terms, self.budget, keys)
 
     def iota_inv_mat(self, k):
-        """(1 - q d) lift: model^k -> V^k."""
-        lift = self.lift(k)
-        if k < self.algebra.dim:
-            d_lift = self._product(self.d_mat(k), lift)
-            lift = combine(
-                lift.nrows, lift.ncols, [(1, lift, None), (-1, self.q_mat(k + 1), d_lift)],
-                self.budget,
-            )
-        return lift
-
-    def iota_inv(self, k):
-        """iota_inv_mat(k), built once per package; D_mat and verify share it."""
-        if k not in self._iota_inv:
-            self._iota_inv[k] = _share_tuples(self.iota_inv_mat(k))
-        return self._iota_inv[k]
+        """(1 - q d) lift: model^k -> V^k, formed per call from the slices
+        of `_iota_inv_slices`, for callers outside the package: no package
+        holds iota^{-1}, and neither `build` nor `verify` calls this."""
+        out = SparseMatrix(self.dim_v(k), self.model_dim(k))
+        for _, part in self._iota_inv_slices(k):
+            out.cols.update(part.cols)
+        return out
 
     def D_mat(self, k):
+        """project(k + 1, d(k) iota^{-1}(k)), held once formed.  d, the
+        projection's domain check and 1 (x) X go over one slice of
+        `_iota_inv_slices` at a time, so neither iota^{-1}(k) nor d iota^{-1}(k)
+        is held whole; only D's columns are kept."""
         if k not in self._D:
-            d_iota = self._product(self.d_mat(k), self.iota_inv(k))
-            self._D[k] = _share_tuples(self.project(k + 1, d_iota))
+            coords = self._coordinates(k + 1)
+            out = SparseMatrix(self.model_dim(k + 1), self.model_dim(k))
+            for _, part in self._iota_inv_slices(k):
+                d_iota = self._product(self.d_mat(k), part)
+                out.cols.update(self.project(k + 1, d_iota, coords).cols)
+            self._D[k] = _share_tuples(out)
         return self._D[k]
 
     def arrows(self):
@@ -441,7 +472,7 @@ class RuminPackage:
     def E_basis(self, k):
         """Basis of E = ker q cap ker qd (= ker pi) on V^k: the iota^-1 columns,
         which span E when the ker_pi_equals_ker_q_ker_qd row holds."""
-        return self.iota_inv(k)
+        return self.iota_inv_mat(k)
 
     # -- full construction and the identity suite ------------------------------------
 
@@ -485,16 +516,18 @@ class RuminPackage:
         sparse q and d, and ker pi through the trace of F, read off d and
         q, and the iota^-1 columns, instead of composing with pi.  q(k)
         d(k - 1) is formed once per degree and dropped after its two uses:
-        q d q and the q_laplacian_is_delta residual (q d) delta + (q delta)
-        d - delta, the same matrix as q lap - delta by distributivity, of
-        which only the verdict is held; no Laplacian is formed.  Since
-        iota^-1 = (1 - q d) lift, q d iota^-1 = (q - q d q) d lift exactly,
-        so ker_pi forms d iota^-1 and q (d iota^-1) only where q d q != q.
-        Products and verdicts shared between rows are memoized for this
-        call only: q q, d d, q d q, which is the held q(k) itself where the
-        two are equal, and the verdicts of q_lap, pi_idempotent, ker_pi and
-        iota_inverse_right, whose projection of the iota^-1 columns no other
-        row reads and is dropped once checked.
+        q d q - q, one combine, and the q_laplacian_is_delta residual (q d)
+        delta + (q delta) d - delta, the same matrix as q lap - delta by
+        distributivity, of which only the verdict is held; no Laplacian is
+        formed.  The iota^-1(k) columns are formed once per degree, 64 at a
+        time (`_iota_inv_slices`), for iota_inverse_right and ker_pi: each
+        slice is projected and multiplied by q, and dropped.  Since iota^-1
+        = (1 - q d) lift, q d iota^-1 = (q - q d q) d lift exactly, so
+        ker_pi forms d iota^-1 and q (d iota^-1) of a slice only where
+        q d q != q.  Every witness is the smallest failing column, as on
+        the whole matrix.  Products and verdicts shared between rows are
+        memoized for this call only: q q, d d, q d q - q, and the verdicts
+        of q_lap, pi_idempotent, ker_pi and the iota^-1 pass.
         """
         rows = []
         dim = self.algebra.dim
@@ -528,25 +561,24 @@ class RuminPackage:
             return once(("qq", k), lambda: product(self.q_mat(k - 1), self.q_mat(k)))
 
         def q_d(k):
-            # (qdq(k), the smallest nonzero column of q(k) lap(k) - delta(k)
-            # or None); holding only a verdict keeps the residual off the peak
+            # (q d q - q, the smallest nonzero column of q(k) lap(k) - delta(k)
+            # or None).  q d q - q is one combine, zero on a sound package, so
+            # neither q d q nor a copy of q is held; holding only a verdict
+            # keeps the residual off the peak
             def run():
                 q = self.q_mat(k)
                 qd = product(q, self.d_mat(k - 1))
-                qdq = product(qd, q)
-                # on a sound package q d q = q: the held q, not an equal copy
-                if qdq == q:
-                    qdq = q
+                excess = combine(q.nrows, q.ncols, [(1, qd, q), (-1, q, None)], self.budget)
                 terms = [(1, qd, self.delta_mat(k))]
                 if k < dim:
                     terms.append((1, product(q, self.delta_mat(k + 1)), self.d_mat(k)))
                 terms.append((-1, self.delta_mat(k), None))
                 residual = combine(self.dim_v(k - 1), self.dim_v(k), terms, self.budget)
-                return qdq, min(residual.cols, default=None)
+                return excess, min(residual.cols, default=None)
 
             return once(("q_d", k), run)
 
-        def qdq(k):
+        def qdq_minus_q(k):
             return q_d(k)[0]
 
         def dd(k):
@@ -569,9 +601,9 @@ class RuminPackage:
                 pinned(k)
                 terms = []
                 if k > 0:
-                    terms.append((1, self.d_mat(k - 1), qdq(k) - self.q_mat(k)))
+                    terms.append((1, self.d_mat(k - 1), qdq_minus_q(k)))
                 if k < dim:
-                    terms.append((1, qdq(k + 1) - self.q_mat(k + 1), self.d_mat(k)))
+                    terms.append((1, qdq_minus_q(k + 1), self.d_mat(k)))
                 if 0 < k < dim:
                     terms.append((1, self.d_mat(k - 1), product(qq(k + 1), self.d_mat(k))))
                     terms.append((1, self.q_mat(k + 1), product(dd(k), self.q_mat(k))))
@@ -579,18 +611,35 @@ class RuminPackage:
 
             once(("idempotent", k), residual)
 
-        def iota_right(k):
-            # project of the iota^-1(k) columns is the identity; only the
-            # verdict is held, since no other row reads the projection
+        def iota_columns(k):
+            # one pass over the iota^-1(k) slices, shared by the two iota
+            # rows, of which only verdicts are held: raises iota_inverse_right's
+            # error unless project of every column is the identity's column,
+            # else gives the smallest column outside ker q cap ker qd, or None.
+            # Slices go in ascending order, so the first failing one holds
+            # the smallest failing column; a projection_domain error anywhere
+            # comes before a wrong projection, as for the whole matrix
             def run():
-                got = self.project(k, self.iota_inv(k))
-                wrong = got - SparseMatrix.identity(got.ncols)
-                if wrong.cols:
-                    raise IdentityError(
-                        "iota_inverse_right", witness=model_witness(k, min(wrong.cols))
-                    )
+                coords = self._coordinates(k)
+                q = self.q_mat(k)
+                # iota^-1 = (1 - q d) lift makes q d iota^-1 = (q - qdq) d lift
+                # at k + 1 exactly, zero where q d q = q
+                q_up = self.q_mat(k + 1) if k < dim and qdq_minus_q(k + 1).cols else None
+                wrong = outside = None
+                for keys, part in self._iota_inv_slices(k):
+                    got = self.project(k, part, coords).cols
+                    if wrong is None:
+                        wrong = next((j for j in keys if got.get(j) != (1, (j,), (1,))), None)
+                    if wrong is None and outside is None:
+                        cols = set(product(q, part).cols)
+                        if q_up is not None:
+                            cols |= set(product(q_up, product(self.d_mat(k), part)).cols)
+                        outside = min(cols, default=None)
+                if wrong is not None:
+                    raise IdentityError("iota_inverse_right", witness=model_witness(k, wrong))
+                return outside
 
-            once(("iota_right", k), run)
+            return once(("iota", k), run)
 
         def ker_pi(k):
             # ker q cap ker qd lies in ker pi because pi = F.  The model_dim(k)
@@ -602,17 +651,10 @@ class RuminPackage:
             def run():
                 pinned(k)
                 idempotent(k)
-                iota_right(k)
-                iota_inv = self.iota_inv(k)
-                wrong = set(product(self.q_mat(k), iota_inv).cols)
-                # iota^-1 = (1 - q d) lift makes q d iota^-1 = (q - qdq) d lift
-                # at k + 1 exactly, zero where q d q = q
-                if k < dim and qdq(k + 1) != self.q_mat(k + 1):
-                    d_iota = product(self.d_mat(k), iota_inv)
-                    wrong |= set(product(self.q_mat(k + 1), d_iota).cols)
-                if wrong:
+                outside = iota_columns(k)
+                if outside is not None:
                     raise IdentityError(
-                        "ker_pi_equals_ker_q_ker_qd", witness=model_witness(k, min(wrong))
+                        "ker_pi_equals_ker_q_ker_qd", witness=model_witness(k, outside)
                     )
                 trace = sum(
                     trace_of_product(self.d_mat(j - 1), self.q_mat(j))
@@ -634,7 +676,7 @@ class RuminPackage:
 
         def check_qdq():
             for k in range(1, dim + 1):
-                self._check_zero("q_d_q", k, qdq(k) - self.q_mat(k))
+                self._check_zero("q_d_q", k, qdq_minus_q(k))
 
         def check_pi_idempotent():
             pin_all()
@@ -656,7 +698,7 @@ class RuminPackage:
             # given pi = F, pi q = d (qq) + qdq
             pin_all()
             for k in range(1, dim + 1):
-                terms = [(1, qdq(k), None), (-1, self.q_mat(k), None)]
+                terms = [(1, qdq_minus_q(k), None)]
                 if k > 1:
                     terms.append((1, self.d_mat(k - 2), qq(k)))
                 self._check_sum("pi_q", k, self.dim_v(k - 1), terms)
@@ -665,7 +707,7 @@ class RuminPackage:
             # given pi = F, q pi = qdq + (qq) d
             pin_all()
             for k in range(1, dim + 1):
-                terms = [(1, qdq(k), None), (-1, self.q_mat(k), None)]
+                terms = [(1, qdq_minus_q(k), None)]
                 if k < dim:
                     terms.append((1, qq(k + 1), self.d_mat(k)))
                 self._check_sum("q_pi", k, self.dim_v(k - 1), terms)
@@ -690,7 +732,7 @@ class RuminPackage:
         def check_iota_right():
             # project . (1 - qd) . lift is the identity on the model
             for k in range(dim + 1):
-                iota_right(k)
+                iota_columns(k)
 
         def check_iota_left():
             # (1 - qd) lift project is the identity on E = ker pi, which the

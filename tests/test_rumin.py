@@ -258,7 +258,7 @@ def test_matrix_path_matches_per_column_oracle(name, P):
     assert pkg.neumann_terms == terms
     for k in range(alg.dim + 1):
         iota = _oracle_iota_columns(pkg, k)
-        assert pkg.iota_inv(k) == SparseMatrix(pkg.dim_v(k), len(iota), dict(enumerate(iota)))
+        assert pkg.iota_inv_mat(k) == SparseMatrix(pkg.dim_v(k), len(iota), dict(enumerate(iota)))
         if k < alg.dim:
             d = pkg.d_mat(k)
             cols = {j: _oracle_project(pkg, k + 1, d.apply(v)) for j, v in enumerate(iota)}
@@ -581,10 +581,23 @@ def test_gram_build_checks_the_budget():
         before = budget.checks
         fib.exterior_power(5, dual)
         assert budget.checks - before == 8, dual
-    # delta_block(6, w) reads Lambda^5 G and Lambda^6 G*, of which only the last is new
+    # delta_block(6, w) reads Lambda^5 G and Lambda^6 G*, of which only the
+    # last is new.  delta_matrix(6)'s two products add 8 checks for the 462
+    # columns of Lambda^6 G* and 6 for the 374 nonzero columns of d0^T Lambda^6 G*
     before = budget.checks
     fib.delta_block(6, 6)
-    assert budget.checks - before == 8
+    assert budget.checks - before == 8 + 8 + 6
+
+
+@pytest.mark.parametrize("name,P", [("heisenberg:3", 0), ("weighted-h3", 0), ("heisenberg:3", 1)])
+def test_delta_is_the_fibers_delta0_at_P_zero(name, P):
+    # at P = 0 V^k is the fiber's degree k, so the package holds the fiber's
+    # delta0 itself, not a copy; from P = 1 on it holds the kron copy
+    pkg = RuminPackage(_algebra(name), P)
+    for k in range(pkg.algebra.dim + 1):
+        delta0 = pkg.fiber.delta_matrix(k)
+        assert (pkg.delta_mat(k) is delta0) == (P == 0), k
+        assert pkg.delta_mat(k) == _oracle_delta(pkg, k), k
 
 
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
@@ -736,9 +749,10 @@ SHARED_TUPLE_CASES = [
 
 @pytest.mark.parametrize("name,P", SHARED_TUPLE_CASES)
 def test_stored_operators_share_equal_tuples(name, P):
-    # each stored d, delta, q, iota^-1 and D, built or loaded through either
-    # reader, holds one object per distinct rows tuple and per distinct nums
-    # tuple, and equals the operator formed with @ and + here
+    # each stored d, delta, q and D, built or loaded through either reader,
+    # holds one object per distinct rows tuple and per distinct nums tuple,
+    # and equals the operator formed with @ and + here, as does iota^-1,
+    # which no package holds
     pkg = RuminPackage(_algebra(name), P).build()
     text = io.StringIO()
     pkg.write_json(text)
@@ -753,10 +767,9 @@ def test_stored_operators_share_equal_tuples(name, P):
     for reader, package in packages.items():
         fib = package.fiber
         for k in range(dim + 1):
-            d, delta, q, iota = (
-                package.d_mat(k), package.delta_mat(k), package.q_mat(k), package.iota_inv(k)
-            )
-            held = {"d": d, "delta": delta, "q": q, "iota_inv": iota}
+            d, delta, q = package.d_mat(k), package.delta_mat(k), package.q_mat(k)
+            iota = package.iota_inv_mat(k)
+            held = {"d": d, "delta": delta, "q": q}
             if k < dim:
                 held["D"] = package.D_mat(k)
             for op, matrix in held.items():
@@ -800,7 +813,7 @@ def test_project_names_the_oracle_weight_off_ker_delta(name, P):
             continue
         highest = {off[max(off)]: Fraction(1)}
         every = {j: Fraction(1) for j in off.values()}
-        iota = pkg.iota_inv(k)
+        iota = pkg.iota_inv_mat(k)
         kept = {j: iota.column(j) for j in iota.cols}
         n = iota.ncols
         # the witness is the smallest failing column's lowest failing weight
@@ -849,7 +862,7 @@ def test_q_iota_D_create_no_fraction(monkeypatch, name, P):
     for k in range(alg.dim + 1):
         pkg.q_mat(k)
     for k in range(alg.dim + 1):
-        pkg.lift(k), pkg.iota_inv(k)
+        pkg.lift(k), pkg.iota_inv_mat(k)
     for k in range(alg.dim):
         pkg.D_mat(k)
     monkeypatch.undo()
@@ -1253,7 +1266,7 @@ def test_rows_agree_with_direct_forms_on_tampered_q(model, n):
             assert status["iota_inverse_left"] == "fail", seed
             continue
         for k in range(dim + 1):
-            iota_inv = pkg.iota_inv(k)
+            iota_inv = pkg.iota_inv_mat(k)
             for v in map(iota_inv.column, iota_inv.cols):
                 assert not pkg.q_mat(k).apply(v), seed
                 if k < dim:
@@ -1283,8 +1296,8 @@ def _spy_combine(monkeypatch, calls):
     """Record (terms, result) of every call of rumin's combine in calls."""
     combine = rumin.combine
 
-    def spy(nrows, ncols, terms, budget=None):
-        out = combine(nrows, ncols, terms, budget)
+    def spy(nrows, ncols, terms, budget=None, keys=None):
+        out = combine(nrows, ncols, terms, budget, keys)
         calls.append((terms, out))
         return out
 
@@ -1305,9 +1318,10 @@ def _q_lap_residuals(pkg, calls):
 
 @pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1), ("weighted-h3", 2)])
 def test_verify_holds_no_projection(monkeypatch, name, P):
-    # iota_inverse_right keeps its verdict, not project(iota^-1): when verify
-    # asks for the next projection, nothing but this wrapper refers to the
-    # previous one, and each degree is projected once
+    # iota_inverse_right keeps its verdict, not the projection of an iota^-1
+    # slice: when verify asks for the next slice's projection, nothing but
+    # this wrapper refers to the previous one, and each degree is projected
+    # once, a slice of 64 model columns at a time
     pkg = RuminPackage(_algebra(name), P).build()
     asked, last = [], []
     project = RuminPackage.project
@@ -1317,13 +1331,13 @@ def test_verify_holds_no_projection(monkeypatch, name, P):
         # outside an assert, whose rewriting would hold one more
         return sys.getrefcount(last[0]) - 2
 
-    def watched(self, k, matrix):
+    def watched(self, k, matrix, coords=None):
         if last:
             held = referrers()
             assert held == 0, f"project({asked[-1]}) still referred to"
             last.clear()
         asked.append(k)
-        last.append(project(self, k, matrix))
+        last.append(project(self, k, matrix, coords))
         return last[0]
 
     monkeypatch.setattr(RuminPackage, "project", watched)
@@ -1331,23 +1345,34 @@ def test_verify_holds_no_projection(monkeypatch, name, P):
     held = referrers()
     assert held == 0
     monkeypatch.undo()
-    assert sorted(asked) == list(range(pkg.algebra.dim + 1))
+    dim = pkg.algebra.dim
+    slices = [k for k in range(dim + 1) for _ in range(0, pkg.model_dim(k), 64)]
+    assert asked == slices and set(asked) == set(range(dim + 1))
 
 
 @pytest.mark.parametrize("name,P", ORACLE_CASES)
 def test_verify_forms_no_d_iota_inv_on_a_sound_package(monkeypatch, name, P):
     # q d q = q at every degree makes q d iota^-1 = (q - q d q) d lift zero,
-    # so the ker_pi row forms neither d iota^-1 nor q (d iota^-1)
+    # so the ker_pi row forms neither d iota^-1 nor q (d iota^-1) on any
+    # slice of the iota^-1 columns
     pkg = RuminPackage(_algebra(name), P).build()
+    slices_of = RuminPackage._iota_inv_slices
     for package in (pkg, RuminPackage.from_json(pkg.to_json())):
-        calls = []
+        calls, slices = [], []
+
+        def spied(self, k):
+            for keys, part in slices_of(self, k):
+                # held here, so that no id is reused while the calls are read
+                slices.append((k, part))
+                yield keys, part
+
         with monkeypatch.context() as m:
             _spy_combine(m, calls)
+            m.setattr(RuminPackage, "_iota_inv_slices", spied)
             suite_ok(package)
         assert calls
-        pairs = {
-            (id(package.d_mat(k)), id(package.iota_inv(k))) for k in range(package.algebra.dim)
-        }
+        assert {k for k, _ in slices} == set(range(package.algebra.dim + 1))
+        pairs = {(id(package.d_mat(k)), id(part)) for k, part in slices}
         assert not any((id(a), id(b)) in pairs for terms, _ in calls for _, a, b in terms)
 
 
@@ -1391,7 +1416,7 @@ def test_q_lap_and_ker_pi_rows_match_direct_forms_on_tampered_q(monkeypatch, nam
         assert rows[name] == {"identity": name, **_oracle_iota_rows(pkg)[name]}, k
         # the identity the ker_pi row's shortcut rests on, at degree k - 1
         lift = pkg.lift(k - 1)
-        assert q @ (d @ pkg.iota_inv(k - 1)) == (q - q @ d @ q) @ (d @ lift), k
+        assert q @ (d @ pkg.iota_inv_mat(k - 1)) == (q - q @ d @ q) @ (d @ lift), k
 
 
 def test_budget_out_in_the_shared_q_d_work_keeps_the_rows_before(monkeypatch, h2):
@@ -1427,7 +1452,6 @@ def test_ker_pi_row_counts_the_kernel_against_the_model(h2):
     pkg = RuminPackage(h2, 1).build()
     for k in range(h2.dim + 1):
         pkg._q[k] = SparseMatrix(pkg.dim_v(k - 1), pkg.dim_v(k))
-    pkg._iota_inv.clear()
     rows = {r["identity"]: r for r in pkg.verify()}
     assert rows["pi_idempotent"]["status"] == "ok"
     assert rows["iota_inverse_right"]["status"] == "ok"
@@ -1450,7 +1474,7 @@ def test_ker_pi_row_forms_q_d_iota_inv_where_q_d_q_is_not_q():
     pkg = RuminPackage(alg, 1).build()
     k = 2
     q, q_up, d = pkg.q_mat(k), pkg.q_mat(k + 1), pkg.d_mat(k)
-    iota = pkg.iota_inv(k)
+    iota = pkg.iota_inv_mat(k)
     dq = pkg.d_mat(k - 1) @ q
     a = SparseMatrix(dq.nrows, 1, {0: dq.column(min(dq.cols))})
     phis = ColumnEliminator((d @ pkg.lift(k)).transpose()).nullspace()
@@ -1460,8 +1484,7 @@ def test_ker_pi_row_forms_q_d_iota_inv_where_q_d_q_is_not_q():
     phi = SparseMatrix(1, phis.nrows, {i: {0: v} for i, v in phis.column(c).items()})
     pkg._q[k + 1] = q_up + a @ phi
     pkg._q[k] = q - (q @ a) @ (phi @ pkg.pi_mat(k + 1) @ d)
-    pkg._iota_inv.clear()
-    assert pkg.iota_inv(k) == iota and (pkg.q_mat(k) @ iota).is_zero()
+    assert pkg.iota_inv_mat(k) == iota and (pkg.q_mat(k) @ iota).is_zero()
     assert pkg.q_mat(k + 1) @ d @ pkg.q_mat(k + 1) != pkg.q_mat(k + 1)
     rows = {r["identity"]: r for r in pkg.verify()}
     assert rows["pi_idempotent"]["status"] == "ok"
@@ -1657,6 +1680,73 @@ def test_written_package_matches_dict_encoder(name, P):
     pkg.write_json(text)
     assert text.getvalue() == _dict_text(pkg)
     assert pkg.to_json() == _package_dict(pkg)
+
+
+@pytest.mark.parametrize("name,P", sorted(set(ORACLE_CASES) | set(PACKAGE_CASES)))
+def test_D_is_the_projection_of_d_iota_inv(name, P):
+    # D is formed a slice of 64 model columns at a time; the whole-matrix
+    # product must give the same D, also where model^k has more columns
+    # than one slice (quaternionic:2 at P = 2, quaternionic:3 at P = 0)
+    pkg = RuminPackage(_algebra(name), P).build()
+    for k in range(pkg.algebra.dim):
+        whole = pkg.project(k + 1, pkg.d_mat(k) @ pkg.iota_inv_mat(k))
+        assert pkg.D_mat(k) == whole, k
+
+
+def test_build_and_verify_hold_no_iota_inv(monkeypatch):
+    # D and the iota rows read the slices of iota^-1, never the whole matrix
+    def whole(self, k):
+        raise AssertionError(f"iota_inv_mat({k}) called")
+
+    monkeypatch.setattr(RuminPackage, "iota_inv_mat", whole)
+    pkg = RuminPackage(builtin("quaternionic", 2), 1).build()
+    suite_ok(pkg)
+    suite_ok(RuminPackage.from_json(pkg.to_json()))
+
+
+def test_iota_rows_name_the_whole_matrix_witness_past_the_first_slice():
+    # an entry planted in q(k + 1) after the load at position c changes only
+    # the iota^-1(k) columns from 64 on, which verify reaches in its second
+    # slice.  Planted at a row off ker delta it fails the projection's
+    # domain, and at a row in ker delta with harmonic coordinates the
+    # projection's identity.  With a second, harmonic entry that changes the
+    # first slice too, the domain failure of the second slice still comes
+    # first, as on the whole matrix.  Each iota row must name the witness
+    # the whole-matrix oracle names
+    alg = builtin("quaternionic", 2)
+    blob = RuminPackage(alg, 1).build().to_json()
+    k = 3
+    base = RuminPackage.from_json(blob)
+    assert base.model_dim(k) > 64
+    first = {}  # V^(k + 1) position -> the first model column j with it in d lift(j)
+    d_lift = base.d_mat(k) @ base.lift(k)
+    for j in sorted(d_lift.cols):
+        for c in d_lift.cols[j][1]:
+            first.setdefault(c, j)
+    c = min(c for c, j in first.items() if j >= 64)
+    delta, coords = base.delta_mat(k), base._coordinates(k)
+    off = min(delta.cols)
+    harmonic = min(i for i in coords.cols if i not in delta.cols)
+    iota = base.iota_inv_mat(k)
+    plants = [[(off, c)], [(harmonic, c)], [(harmonic, min(first)), (off, c)]]
+    domain = []
+    for plant in plants:
+        pkg = RuminPackage.from_json(blob)
+        q = pkg.q_mat(k + 1)
+        for i, at in plant:
+            col = q.column(at)
+            col[i] = col.get(i, 0) + 1
+            q.set_column(at, col)
+        tampered = pkg.iota_inv_mat(k)
+        changed = [j for j in range(iota.ncols) if tampered.column(j) != iota.column(j)]
+        assert changed and (min(changed) >= 64) == (len(plant) == 1), plant
+        rows = {r["identity"]: r for r in pkg.verify()}
+        for name, want in _oracle_iota_rows(pkg).items():
+            assert rows[name] == {"identity": name, **want}, (plant, name)
+        right = rows["iota_inverse_right"]
+        assert right["status"] == "fail", plant
+        domain.append(right["counterexample"].startswith(f"degree {k}, weight"))
+    assert domain == [True, False, True]
 
 
 def test_package_is_written_column_by_column():
