@@ -30,7 +30,9 @@ whole-degree matrices over `mons` positions, each built once: the wedge
 epsilon_a with xi^a, the interior product i_a = epsilon_a^T, d0 on a whole
 degree (defined also where the bracket does not respect the grading), and
 C_a = -sum_{b, c} c^c_{ab} epsilon_b i_c, minus the coadjoint action of a
-layer-1 frame vector.
+layer-1 frame vector.  The wedges are held once i_a or C_a asks for them;
+d and the Gram matrices read them once per degree through `wedges_once`,
+so a context that serves only those holds none.
 """
 
 import itertools
@@ -403,9 +405,7 @@ class FiberContext:
             for i, mono in enumerate(self.mons(k)):
                 shifted[mono[0]].cols[i] = lower.cols[index[mono[1:]]]
             L = lcm(*(v.denominator for row in a_mat for v in row))
-            # the cached wedges if d has built them; otherwise a copy held
-            # for this degree only, so that a package load holds none
-            wedges = self._wedges.get(k - 1) or self._build_wedges(k - 1)
+            wedges = self.wedges_once(k - 1)
             out = combine(n, n, [
                 (v.numerator * (L // v.denominator), wedges[a], shifted[b])
                 for a, row in enumerate(a_mat) for b, v in enumerate(row) if v
@@ -439,6 +439,12 @@ class FiberContext:
         if k not in self._wedges:
             self._wedges[k] = self._build_wedges(k)
         return self._wedges[k]
+
+    def wedges_once(self, k):
+        """`wedge_matrices(k)` if they are held; otherwise a copy for this
+        call only, so that a caller that reads them once per degree (d, the
+        Gram matrices) leaves none held.  Callers must not change them."""
+        return self._wedges.get(k) or self._build_wedges(k)
 
     def _build_wedges(self, k):
         """`wedge_matrices(k)` built afresh: xi^a moves past the p factors of

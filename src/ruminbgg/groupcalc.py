@@ -303,10 +303,11 @@ class GroupContext:
         """Matrix of d from the `spanning_basis(k, max_degree)` positions to
         those of degree k + 1, no columns outside 0 <= k <= dim:
         sum_a X_a (x) epsilon_a + 1 (x) d0 over the frame, one `kron` of
-        `field_matrices` and the fiber's coframe matrices.  The budget is
+        `field_matrices` and the fiber's coframe matrices, the wedges held
+        only if the fiber holds them already (`wedges_once`).  The budget is
         checked every 64 columns."""
         fields = self.field_matrices(max_degree)
-        wedges = self.fiber.wedge_matrices(k)
+        wedges = self.fiber.wedges_once(k)
         terms = [(wedges[a], x) for a, x in enumerate(fields)] + [(self.fiber.d0_matrix(k), None)]
         return kron(fields[0].ncols, terms, budget)
 
@@ -381,7 +382,12 @@ def parametrix_identity_check(algebra, max_poly_degree, budget=None):
         return memo[key]
 
     def d_mat(k):
-        return once(("d", k), lambda: ctx.d_matrix(k, max_poly_degree, budget))
+        def build():
+            # i_X and C_X read these wedges too, so d reads them held
+            ctx.fiber.wedge_matrices(k)
+            return ctx.d_matrix(k, max_poly_degree, budget)
+
+        return once(("d", k), build)
 
     def i_mat(f, k):
         return once(

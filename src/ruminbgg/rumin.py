@@ -43,21 +43,28 @@ neither pi, iota^{-1} nor the Laplacian: each is a sum of products of the
 held matrices, and is formed where it is read.  The Laplacian is formed
 once per inverse; verify forms none.  Each held operator shares equal
 rows and nums tuples among its columns (`_share_tuples`); at P = 0 delta
-is the fiber's delta0 itself.  `pi_mat` and `iota_inv_mat` form a whole
-pi(k) or iota^{-1}(k) per call, for a load's comparison and for callers
-outside the package.  The package forms neither whole, but 64 columns
-at a time through `combine` with keys, in ascending order: `write_json`
-writes each pi slice and drops it, and D and verify's two iota^{-1} rows
-read each iota^{-1} slice and keep only D's columns or the rows' verdicts.
+is the fiber's delta0 itself.  Its fiber holds no wedge matrices: d and
+the Gram matrices read a copy per degree (`FiberContext.wedges_once`).
+`pi_mat` and `iota_inv_mat` form a whole pi(k) or iota^{-1}(k) per call,
+for a load's comparison and for callers outside the package.  The
+package forms neither whole, but 64 columns at a time through `combine`
+with keys, in ascending order: `write_json` writes each pi slice and
+drops it, and D and verify's two iota^{-1} rows read each iota^{-1} slice
+and keep only D's columns or the rows' verdicts.
 
 The package format is what `write_json` streams: the indent=2, key-sorted
 JSON of the algebra, P, the harmonic bases and the q, pi, D entries.
-`read_json` reads that layout back one operator degree block at a time,
-and `from_json` decodes any parsed package.  Both check the stored
-harmonic bases against the canonical ones and every entry's shape, type
-and range, install the operator blocks in the file's order (`_sections`),
-parse each ratio string once per load and finish the same way: each
-stored pi(k) is compared once with dq + qd, when q is in, and dropped.
+`read_json` reads that layout back a piece of at most `_Chunks.SIZE`
+characters at a time, and `from_json` decodes any parsed package.  Both
+check the stored harmonic bases against the canonical ones and each
+block's shape, decode every operator block through one entry decoder
+(`_decode_entries`), which checks each entry's type and range and freezes
+each column into its stored form as soon as the next column starts,
+install the blocks in the file's order (`_sections`), parse each ratio
+string once per load and finish the same way: each stored pi(k) is
+compared once with dq + qd, when q is in, and dropped.  So `read_json`
+holds no block's text, parsed entries or ratio dicts whole: a load holds
+little more than the package.
 
 The construction asserts every operator identity exactly and names a
 witness basis element on failure.  The identity suite (`verify`) fails
@@ -74,6 +81,7 @@ verdicts, so it holds no product equal to a held matrix.
 
 import io
 import json
+from itertools import chain
 from math import comb
 
 from .algebra import algebra_from_json, algebra_to_json
@@ -892,7 +900,10 @@ class RuminPackage:
         stored_pi = {}
         for name, keys in pkg._sections():
             for key in keys:
-                pkg._install(data["operators"], name, int(key), ratios, stored_pi)
+                k = int(key)
+                shape = pkg._stored_shape(name, k)
+                matrix = _decode_matrix(data["operators"], name, k, shape, ratios)
+                pkg._install(name, k, matrix, stored_pi)
         pkg._finish_load(stored_pi)
         return pkg
 
@@ -905,16 +916,18 @@ class RuminPackage:
         as `from_json` checks it.  The operators section must then be the
         writer's skeleton: every degree block of D, pi and q in the file's
         order (`_sections`), each opened by a `      "k": {` line and closed
-        by a `      }` line, and nothing after the final brace.  Each block is
-        cut out of fixed-size chunks, parsed and decoded before the next is
-        read, so neither the file's text nor its parsed tree is ever held
-        whole.  Only after the final layout check does the load finish as
-        `from_json`'s does (`_finish_load`).  A deviation from the layout, or
-        text that does not parse (a ValueError that is not a StructureError:
-        invalid JSON or UTF-8), gives None, and the caller reads the file
-        whole.  A fault in the layout's content raises the StructureError
-        `from_json` raises for the same file, and a BudgetExceededError
-        propagates.
+        by a `      }` line, and nothing after the final brace; each block is
+        the writer's {"cols", "entries", "rows"} (`_read_block`).  A block's
+        entries are parsed a piece of at most `_Chunks.SIZE` characters at a
+        time, the budget checked before each, and decoded as they come by the
+        entry decoder `from_json` uses, so no block's text, parsed entries or
+        ratio dicts are ever held whole.  Only after the final layout check
+        does the load finish as `from_json`'s does (`_finish_load`).  A
+        deviation from the layout, or text that does not parse (a ValueError
+        that is not a StructureError: invalid JSON or UTF-8), gives None, and
+        the caller reads the file whole.  A fault in the layout's content
+        raises the StructureError `from_json` raises for the same file, and
+        a BudgetExceededError propagates.
         """
         text = _Chunks(fh)
         marker = ',\n  "operators": {\n'
@@ -935,17 +948,18 @@ class RuminPackage:
                 if not text.skip(f'    "{name}": {{\n'):
                     return None
                 for key in keys:
+                    k = int(key)
                     if not text.skip(f'      "{key}": '):
                         return None
-                    block = text.until("\n      }")
+                    block = _read_block(
+                        text, f"{name} at degree {k}", pkg._stored_shape(name, k), ratios, budget
+                    )
                     if block is None or not text.skip("\n" if key == keys[-1] else ",\n"):
                         return None
-                    if budget is not None:
-                        budget.check()
-                    tree = {name: {key: json.loads(block)}}
-                    del block
-                    pkg._install(tree, name, int(key), ratios, stored_pi)
-                    del tree
+                    matrix, fault = block
+                    if fault is not None:
+                        raise fault
+                    pkg._install(name, k, matrix, stored_pi)
                 if not text.skip("    }\n" if name == "q" else "    },\n"):
                     return None
             if not (text.skip("  }\n}\n") and text.at_end()):
@@ -1013,10 +1027,9 @@ class RuminPackage:
         counts = {"D": dim, "pi": dim + 1, "q": dim + 1}
         return [(name, sorted(map(str, range(count)))) for name, count in counts.items()]
 
-    def _install(self, ops, name, k, ratios, stored_pi):
-        """Decode the stored block ops[name][str(k)]: q and D into the package,
-        a pi(k) into stored_pi, for `_finish_load` to compare."""
-        matrix = _decode_matrix(ops, name, k, self._stored_shape(name, k), ratios)
+    def _install(self, name, k, matrix, stored_pi):
+        """Install the decoded stored block name at degree k: q and D into the
+        package, a pi(k) into stored_pi, for `_finish_load` to compare."""
         if name == "pi":
             stored_pi[k] = matrix
         else:
@@ -1093,38 +1106,164 @@ def _decode_matrix(ops, name, k, shape, ratios=None):
         entries = iter(blob["entries"])
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed stored {what}: {exc!r}") from exc
-    nrows, ncols = shape
+    fault = _shape_fault(what, declared, shape)
+    if fault is None:
+        matrix, fault = _decode_entries((entries,), what, shape, {} if ratios is None else ratios)
+    if fault is not None:
+        raise fault
+    return matrix
+
+
+def _shape_fault(what, declared, shape):
+    """The StructureError of a stored block whose declared (rows, cols) is not
+    shape, or None."""
     if any(type(n) is not int for n in declared) or declared != shape:
-        raise StructureError(
-            f"stored {what} has shape {declared[0]!r}x{declared[1]!r}, expected {nrows}x{ncols}"
+        return StructureError(
+            f"stored {what} has shape {declared[0]!r}x{declared[1]!r}, "
+            f"expected {shape[0]}x{shape[1]}"
         )
-    if ratios is None:
-        ratios = {}
-    ints = positions(max(shape))
+    return None
+
+
+def _decode_entries(pieces, what, shape, ratios):
+    """(matrix, None) of the stored block what from its [i, j, "p/q"] entries,
+    or (None, the StructureError of its first faulty entry).
+
+    pieces is an iterable of entry iterables, read in order: a parsed entry
+    list whole, or a streamed block piece by piece.  Each entry is checked as
+    it comes; each column is frozen into its stored (den, rows, nums) as soon
+    as an entry of another column follows, and thawed if one of its own comes
+    later, so the matrix is the same whatever the column order.  After a fault
+    the remaining pieces are still drawn, so a streamed block is read to its
+    end.  ratios memoizes `ratio_from_str` by string across one load.
+    """
+    nrows, ncols = shape
     cols = {}
-    for entry in entries:
-        try:
-            i, j, c = entry
-            # only a str is looked up: any other entry keeps ratio_from_str's error
-            value = ratios.get(c) if type(c) is str else None
-            if value is None:
-                value = ratios[c] = ratio_from_str(c)
-        except (TypeError, ValueError) as exc:
-            raise StructureError(f"malformed entry {entry!r} in stored {what}: {exc}") from exc
-        if not (type(i) is int and type(j) is int and 0 <= i < nrows and 0 <= j < ncols):
-            raise StructureError(
-                f"entry ({i!r}, {j!r}) lies outside the {nrows}x{ncols} stored {what}"
-            )
-        col = cols.setdefault(ints[j], {})
-        if i in col:
-            raise StructureError(f"entry ({i}, {j}) appears twice in stored {what}")
-        col[ints[i]] = value
+    zeros = {}  # the zero entries' rows of each frozen column that had any
+    ints = None
+    j, col = None, None  # the column being gathered
+    pieces = iter(pieces)
+    try:
+        # chain drops each piece before it asks for the next
+        for entry in chain.from_iterable(pieces):
+            try:
+                i, jj, c = entry
+                # only a str is looked up: any other entry keeps ratio_from_str's error
+                value = ratios.get(c) if type(c) is str else None
+                if value is None:
+                    value = ratios[c] = ratio_from_str(c)
+            except (TypeError, ValueError) as exc:
+                raise StructureError(f"malformed entry {entry!r} in stored {what}: {exc}") from exc
+            if not (type(i) is int and type(jj) is int and 0 <= i < nrows and 0 <= jj < ncols):
+                raise StructureError(
+                    f"entry ({i!r}, {jj!r}) lies outside the {nrows}x{ncols} stored {what}"
+                )
+            if jj != j:
+                if col is not None:
+                    _freeze(cols, zeros, ints[j], col)
+                if ints is None:
+                    # asked only once an entry lies inside the shape
+                    ints = positions(max(shape))
+                j = jj
+                col = _thaw(cols.get(j), zeros.pop(j, ()))
+            if i in col:
+                raise StructureError(f"entry ({i}, {j}) appears twice in stored {what}")
+            col[ints[i]] = value
+        if col is not None:
+            _freeze(cols, zeros, ints[j], col)
+    except StructureError as fault:
+        for _ in pieces:
+            pass
+        return None, fault
     out = SparseMatrix(nrows, ncols)
-    for j, column in cols.items():
-        col = column_from_ratios(column)
-        if col:
-            out.cols[j] = col
-    return out
+    out.cols = cols
+    return out, None
+
+
+def _freeze(cols, zeros, j, column):
+    """Store the {row: (p, q)} column as cols[j], the shared int j, in its
+    stored form, and the rows of its zero entries in zeros[j] if it has any."""
+    frozen = column_from_ratios(column)
+    if frozen is None or len(frozen[1]) < len(column):
+        zeros[j] = [i for i, (p, _) in column.items() if not p]
+    if frozen is not None:
+        cols[j] = frozen
+
+
+def _thaw(frozen, zero_rows):
+    """The {row: (p, q)} column of a stored column or None, and its zero rows."""
+    column = {} if frozen is None else {i: (v, frozen[0]) for i, v in zip(*frozen[1:])}
+    for i in zero_rows:
+        column[i] = (0, 1)
+    return column
+
+
+def _read_block(text, what, shape, ratios, budget):
+    """(matrix, fault) of the stored block what, read from text just past its
+    key in the writer's layout, through `_decode_entries`; None off that layout.
+
+    The block is the object {"cols", "entries", "rows"}, in that order, as
+    json.dumps(indent=2) lays it out at depth 3.  Its entries are parsed a
+    piece at a time (`_entry_pieces`) and decoded as they come.  Every piece
+    is parsed even after a fault, and "rows" comes last, so a wrong declared
+    shape is found only then; it is the fault returned, as `_decode_matrix`
+    checks the shape first.  An entry is decoded only if the declared cols is
+    the shape's.
+    """
+    if not text.skip('{\n        "cols": '):
+        return None
+    head = text.until(',\n        "entries": ')
+    if head is None:
+        return None
+    declared_cols = json.loads(head[: -len(',\n        "entries": ')])
+    del head
+    if text.skip("[]"):
+        pieces = ()
+    elif text.skip("["):
+        pieces = _entry_pieces(text, budget)
+    else:
+        return None
+    if type(declared_cols) is int and declared_cols == shape[1]:
+        matrix, fault = _decode_entries(pieces, what, shape, ratios)
+    else:
+        matrix, fault = None, None
+        for _ in pieces:
+            pass
+    if not text.skip(',\n        "rows": '):
+        return None
+    tail = text.until("\n      }")
+    if tail is None:
+        return None
+    declared = (json.loads(tail[: -len("\n      }")]), declared_cols)
+    return matrix, _shape_fault(what, declared, shape) or fault
+
+
+def _entry_pieces(text, budget):
+    """The entries of a stored block, read from text just past the "[" of its
+    entry list in the writer's layout, as parsed lists of whole entries.
+
+    Each list is parsed from one `_Chunks.piece`, at most `_Chunks.SIZE`
+    characters unless a single entry is longer, and the budget is checked
+    before each parse.  A piece cuts only at a comma before an entry's line,
+    so a cut inside an entry leaves brackets open and fails to parse; a piece
+    that is not a non-empty list fails too.  So the pieces that parse join to
+    the list the whole text parses to, and anything else is a ValueError.
+    """
+    last = False
+    while not last:
+        got = text.piece(",\n          [", "\n        ]")
+        if got is None:
+            raise ValueError("unterminated entry list")
+        piece, last = got
+        del got
+        if budget is not None:
+            budget.check()
+        entries = json.loads("[" + piece + "]")
+        del piece
+        if not entries:
+            raise ValueError("empty piece of an entry list")
+        yield entries
+        del entries
 
 
 class _Chunks:
@@ -1173,6 +1312,37 @@ class _Chunks:
         parts.append(buf[:end])
         self.rest = buf[end:]
         return "".join(parts)
+
+    def piece(self, sep, end):
+        """Consume the unread text up to the next end marker, a piece at a time.
+
+        (text, True), the end marker consumed, if that marker starts within
+        SIZE characters; else (text, False) up to the last sep that starts
+        within them past the first character, the sep's first character
+        consumed.  If neither does, the reach doubles until one does.  None
+        if neither follows.
+        """
+        buf, self.rest = self.rest, ""
+        size = self.SIZE
+        while True:
+            reach = size + max(len(sep), len(end))
+            while len(buf) < reach:
+                chunk = self.fh.read(self.SIZE)
+                if not chunk:
+                    break
+                buf += chunk
+            at = buf.find(end, 0, size + len(end))
+            if at >= 0:
+                self.rest = buf[at + len(end):]
+                return buf[:at], True
+            cut = buf.rfind(sep, 1, size + len(sep))
+            if cut >= 0:
+                self.rest = buf[cut + 1:]
+                return buf[:cut], False
+            if len(buf) < reach:
+                self.rest = buf
+                return None
+            size *= 2
 
     def at_end(self):
         """Whether no text is left."""

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +19,7 @@ from ruminbgg.budget import Budget
 from ruminbgg.cli import main
 from ruminbgg.errors import BudgetExceededError
 from ruminbgg.groupcalc import GroupContext
-from ruminbgg.rumin import RuminPackage
+from ruminbgg.rumin import RuminPackage, _Chunks
 
 from conftest import CLI_ENV, SUITE_ROWS
 from test_rumin import CUSTOM_INNER_PRODUCT, custom_quaternionic
@@ -386,14 +387,21 @@ def written_layout(pkg):
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_PACKAGES))
-def test_rumin_verify_malformed_package_exit2(case, h2_package, tmp_path, capsys):
+def test_rumin_verify_malformed_package_exit2(case, h2_package, tmp_path, monkeypatch,
+                                              capsys):
     pkg = copy.deepcopy(h2_package)
     mutate, message = MALFORMED_PACKAGES[case]
     mutate(pkg)
     pkg_path = tmp_path / "pkg.json"
     errors = []
-    # compact, then the writer's layout, which the streamed reader reads first
-    for text in (json.dumps(pkg), written_layout(pkg)):
+    # compact, then the writer's layout, which the streamed reader reads first,
+    # then that layout again in 128-character pieces, so that a faulty entry
+    # lies past a piece edge, with the whole-file decoder unusable
+    for text, size in ((json.dumps(pkg), None), (written_layout(pkg), None),
+                       (written_layout(pkg), 128)):
+        if size is not None:
+            monkeypatch.setattr(_Chunks, "SIZE", size)
+            _refuse_json_load(monkeypatch)
         pkg_path.write_text(text)
         assert main(["rumin", "verify", str(pkg_path)]) == 2
         captured = capsys.readouterr()
@@ -401,8 +409,62 @@ def test_rumin_verify_malformed_package_exit2(case, h2_package, tmp_path, capsys
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         errors.append(captured.err)
-    assert errors[0] == errors[1]
-    assert errors[0] == f"error: {message}\n"
+    assert errors == [f"error: {message}\n"] * 3
+
+
+def _block_text(text, op, k):
+    """The text of the degree-k block of op in the writer's layout, from its
+    opening brace to its closing one."""
+    start = text.index(f'\n      "{k}": {{\n', text.index(f'\n    "{op}": {{\n'))
+    return text[text.index("{", start): text.index("\n      }", start) + len("\n      }")]
+
+
+def test_block_faults_past_a_piece_edge_keep_the_whole_file_order(h2_package, tmp_path,
+                                                                 monkeypatch, capsys):
+    # "rows" follows "entries" in the writer's layout, so the streamed reader
+    # meets a block's entries before its shape; a wrong shape is still the
+    # fault reported, as the whole-file decoder checks the shape first
+    size = 128
+    pi2 = h2_package["operators"]["pi"]["2"]
+    cases = {
+        "entry past the edge": (
+            lambda blob: blob["entries"][-1].__setitem__(2, "1/0"),
+            "malformed entry [{i}, {j}, '1/0'] in stored pi at degree 2: "
+            "zero denominator in '1/0'"),
+        "duplicate past the edge": (
+            lambda blob: blob["entries"].append(list(blob["entries"][0])),
+            "entry ({i0}, {j0}) appears twice in stored pi at degree 2"),
+        "shape and entry past the edge": (
+            lambda blob: (blob["entries"][-1].__setitem__(2, "1/0"),
+                          blob.__setitem__("rows", blob["rows"] + 1)),
+            "stored pi at degree 2 has shape 13x12, expected 12x12"),
+        "shape and outside entry past the edge": (
+            lambda blob: (blob["entries"].append([10**6, 0, "1"]),
+                          blob.__setitem__("cols", True)),
+            "stored pi at degree 2 has shape 12xTrue, expected 12x12"),
+    }
+    path = tmp_path / "pkg.json"
+    for case, (mutate, message) in cases.items():
+        pkg = copy.deepcopy(h2_package)
+        blob = pkg["operators"]["pi"]["2"]
+        mutate(blob)
+        (i0, j0, _), (i, j, _) = pi2["entries"][0], pi2["entries"][-1]
+        message = message.format(i=i, j=j, i0=i0, j0=j0)
+        text = written_layout(pkg)
+        block = _block_text(text, "pi", 2)
+        assert block.index('"1/0"' if "1/0" in block else '"rows"') > 2 * size, case
+        errors = []
+        for layout, piece in ((json.dumps(pkg), None), (text, size)):
+            if piece is not None:
+                monkeypatch.setattr(_Chunks, "SIZE", piece)
+                _refuse_json_load(monkeypatch)
+            path.write_text(layout)
+            assert main(["rumin", "verify", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        monkeypatch.undo()
+        assert errors == [f"error: {message}\n"] * 2, case
 
 
 def test_first_fault_in_file_order_is_reported_in_both_layouts(h2_package, tmp_path, capsys):
@@ -497,11 +559,56 @@ def test_rumin_verify_streams_the_written_package(written_package, tmp_path, mon
     report = json.loads(out)["report"]
     assert [r["identity"] for r in report] == SUITE_ROWS
     assert all(r["status"] == "ok" for r in report)
-    # one parse of the head, then one per degree block of q, pi (0..dim) and D
-    # (0..dim-1), and none of them sees more than one block's text
+    # one parse of the head, then per degree block of q, pi (0..dim) and D
+    # (0..dim-1) its declared cols, its entries a piece at a time and its
+    # declared rows: no parse after the head sees more than one piece, and
+    # none sees a block's keys
     dim = builtin("quaternionic", 2).dim
-    assert [t.count('"entries"') for t in parsed] == [0] + [1] * (3 * dim + 2)
+    blocks = 3 * dim + 2
+    assert parsed[0].count('"entries"') == 0 and '"harmonic"' in parsed[0]
+    rest = parsed[1:]
+    assert not any('"' + key + '"' in t for t in rest for key in ("cols", "entries", "rows"))
+    assert max(map(len, rest)) <= _Chunks.SIZE + 2
+    pieces = [t for t in rest if t.startswith("[")]
+    texts = [_block_text(written_package, op, k)
+             for op, n in (("D", dim), ("pi", dim + 1), ("q", dim + 1)) for k in range(n)]
+    assert len(texts) == blocks and len(rest) == len(pieces) + 2 * blocks
+    # the largest blocks are longer than a piece, so some block is cut
+    assert max(map(len, texts)) > _Chunks.SIZE
+    assert len(pieces) > sum('"entries": []' not in t for t in texts)
     assert sum(map(len, parsed)) < len(written_package)
+
+
+def test_streamed_load_holds_no_copy_of_a_block(written_package, tmp_path, monkeypatch):
+    # each block is decoded a piece at a time, so the load's traced peak
+    # before the pi comparison exceeds what it holds then, every block in, by
+    # less than the text of the largest block.  That block is about two
+    # default pieces long, so the pieces here are 4096 characters, to let
+    # the bound tell one piece from a whole block
+    dim = builtin("quaternionic", 2).dim
+    largest = max(len(_block_text(written_package, op, k))
+                  for op, n in (("D", dim), ("pi", dim + 1), ("q", dim + 1)) for k in range(n))
+    monkeypatch.setattr(_Chunks, "SIZE", 4096)
+    assert largest > 16 * _Chunks.SIZE
+    path = tmp_path / "pkg.json"
+    path.write_text(written_package)
+    seen = []
+    finish_load = RuminPackage._finish_load
+
+    def watched(pkg, stored_pi):
+        seen.append(tracemalloc.get_traced_memory())
+        return finish_load(pkg, stored_pi)
+
+    monkeypatch.setattr(RuminPackage, "_finish_load", watched)
+    with open(path) as fh:
+        tracemalloc.start()
+        try:
+            pkg = RuminPackage.read_json(fh)
+        finally:
+            tracemalloc.stop()
+    assert pkg is not None and len(seen) == 1
+    held, peak = seen[0]
+    assert peak - held < largest, (peak, held, largest)
 
 
 def test_rumin_verify_truncated_or_trailing_text_exit2(written_package, tmp_path, capsys):

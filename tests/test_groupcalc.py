@@ -170,6 +170,34 @@ def test_parametrix_report_heisenberg2(h2):
     assert "parametrix" in names and "d_squared" in names
 
 
+def test_calculus_verify_reuses_the_held_wedges(monkeypatch):
+    # d_matrix builds its own copy of a degree's wedge matrices unless the
+    # fiber holds them; calculus verify holds them before it asks for d, and
+    # d, interior_matrices and coadjoint_matrix read the held ones, so each
+    # degree's are built once
+    alg = builtin("quaternionic", 2)
+    built = []
+    build = FiberContext._build_wedges
+
+    def counted(fib, k):
+        built.append(k)
+        return build(fib, k)
+
+    monkeypatch.setattr(FiberContext, "_build_wedges", counted)
+    report = parametrix_identity_check(alg, 1)
+    assert all(row["status"] == "ok" for row in report)
+    assert sorted(built) == list(range(-1, alg.dim + 2))
+    fib = FiberContext(alg)
+    ctx = GroupContext(alg, fib)
+    fresh = GroupContext(alg).d_matrix(2, 1)
+    built.clear()
+    held = fib.wedge_matrices(2)
+    fib.interior_matrices(3)
+    fib.coadjoint_matrix(0, 3)
+    assert ctx.d_matrix(2, 1) == fresh
+    assert built == [2] and fib._wedges == {2: held}
+
+
 def test_parametrix_abelian_is_flat_laplacian():
     # dA + Ad = sum of plain second derivatives on forms
     alg = builtin("abelian", 2)

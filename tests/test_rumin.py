@@ -796,6 +796,30 @@ def test_stored_operators_share_equal_tuples(name, P):
     assert repeated > 0
 
 
+@pytest.mark.parametrize("name,P", [("quaternionic:2", 1), ("quaternionic:3", 0),
+                                    ("quaternionic-2-custom", 1)])
+def test_packages_hold_no_wedge_matrices(name, P):
+    # d and the Gram matrices read the fiber's wedge matrices once per degree
+    # and hold them only if the fiber already does, so neither a built
+    # package nor a loaded and verified one holds any, and the bytes written
+    # are those of a package whose fiber held them
+    alg = _gram_algebra(name) if name.endswith("-custom") else _algebra(name)
+    pkg = RuminPackage(alg, P).build()
+    assert pkg.fiber._wedges == {}
+    text = io.StringIO()
+    pkg.write_json(text)
+    loaded = _read(text.getvalue())
+    suite_ok(loaded)
+    assert loaded.fiber._wedges == {}
+    held = RuminPackage(alg, P)
+    for k in range(alg.dim):
+        held.fiber.wedge_matrices(k)
+    again = io.StringIO()
+    held.write_json(again)
+    assert again.getvalue() == text.getvalue()
+    assert sorted(held.fiber._wedges) == list(range(alg.dim))
+
+
 @pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1), ("weighted-h3", 2)])
 def test_project_names_the_oracle_weight_off_ker_delta(name, P):
     alg = _algebra(name)
@@ -1857,15 +1881,16 @@ def test_either_reader_drops_every_stored_pi(monkeypatch, name, P):
     RuminPackage(_algebra(name), P).write_json(text)
     text = text.getvalue()
     decoded = []
-    decode = rumin._decode_matrix
+    decode = rumin._decode_entries
 
-    def recorded(ops, op, k, shape, ratios=None):
-        matrix = decode(ops, op, k, shape, ratios)
-        if op == "pi":
+    def recorded(pieces, what, shape, ratios):
+        matrix, fault = decode(pieces, what, shape, ratios)
+        if what.startswith("pi "):
             decoded.append(matrix)
-        return matrix
+        return matrix, fault
 
-    monkeypatch.setattr(rumin, "_decode_matrix", recorded)
+    # both readers decode every block through the one entry decoder
+    monkeypatch.setattr(rumin, "_decode_entries", recorded)
     for reader in (RuminPackage.from_json, _read):
         decoded.clear()
         pkg = reader(text)
@@ -1876,6 +1901,56 @@ def test_either_reader_drops_every_stored_pi(monkeypatch, name, P):
         assert referrers == [0] * len(decoded), reader
         assert pkg._pi_witness == {}, reader
         _assert_holds_no_pi(pkg)
+
+
+def _shuffled_entries(text, seed):
+    """The package text with each operator block's entries in a random order
+    and an explicit zero entry added to every block that has one to spare,
+    in the writer's layout."""
+    data = json.loads(text)
+    rng = random.Random(seed)
+    for blocks in data["operators"].values():
+        for blob in blocks.values():
+            entries = blob["entries"]
+            taken = {(i, j) for i, j, _ in entries}
+            free = [(i, j) for j in range(blob["cols"]) for i in range(blob["rows"])
+                    if (i, j) not in taken]
+            if entries and free:
+                entries.append([*rng.choice(free), "0/5"])
+            rng.shuffle(entries)
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("size", [64, 4096])
+@pytest.mark.parametrize("name,P", [("heisenberg:2", 2), ("quaternionic:2", 1)])
+def test_entries_in_any_column_order_load_the_same_matrices(monkeypatch, name, P, size):
+    # the decoder freezes a column when an entry of another column follows
+    # and thaws it if one of its own comes later, so any order of the entries,
+    # explicit zeros among them, loads the matrices of the writer's order
+    text = io.StringIO()
+    RuminPackage(_algebra(name), P).write_json(text)
+    want = RuminPackage.from_json(text.getvalue())
+    shuffled = _shuffled_entries(text.getvalue(), seed=size)
+    assert shuffled != text.getvalue()
+    monkeypatch.setattr(_Chunks, "SIZE", size)
+    _assert_same_operators(_read(shuffled), want)
+    _assert_same_operators(RuminPackage.from_json(shuffled), want)
+
+
+def test_a_thawed_column_still_finds_a_repeated_entry():
+    # a column left and then returned to keeps every entry it had, a zero
+    # one included, so a repeat in the later run is still found
+    for first, again in (("0", "5"), ("1/3", "0"), ("2", "2")):
+        blob = {"rows": 3, "cols": 3,
+                "entries": [[1, 1, first], [0, 1, "7"], [2, 2, "1"], [1, 1, again]]}
+        with pytest.raises(StructureError, match=r"entry \(1, 1\) appears twice"):
+            _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 3))
+    blob = {"rows": 3, "cols": 3,
+            "entries": [[1, 1, "1/2"], [2, 2, "1"], [0, 1, "0"], [2, 1, "1/3"], [0, 0, "0"]]}
+    got = _decode_matrix({"m": {"0": blob}}, "m", 0, (3, 3))
+    assert got == _fraction_decode(blob, 3, 3)
+    assert_normal_form(got)
+    assert got.cols[1] == (6, (1, 2), (3, 2))
 
 
 @pytest.mark.parametrize("size", [1, 7, 100])
@@ -1924,7 +1999,7 @@ def _drop_block(text, op, k):
     return text[: text.rindex(",", 0, at)] + text[end:]
 
 
-def test_streamed_read_gives_up_off_the_writers_layout(h2):
+def test_streamed_read_gives_up_off_the_writers_layout(h2, monkeypatch):
     pkg = RuminPackage(h2, 1)
     buf = io.StringIO()
     pkg.write_json(buf)
@@ -1946,13 +2021,20 @@ def test_streamed_read_gives_up_off_the_writers_layout(h2):
             {"operators": data["operators"], **data}, indent=2
         ) + "\n",
         "not utf-8 inside a block": text.replace('"entries"', '"entries\udcff"', 1),
+        # the entry list [, [0, 0, "1"], ...] does not parse; in 16-character
+        # pieces its first piece is the empty list, and the rest parse
+        "comma before the first entry": text.replace(
+            '"entries": [\n          [', '"entries": [\n,\n          [', 1),
     }
-    for case, bad in deviations.items():
-        assert bad != text, case
-        got = RuminPackage.read_json(
-            io.TextIOWrapper(io.BytesIO(bad.encode("utf-8", "surrogateescape")), "utf-8")
-        )
-        assert got is None, case
+    for size in (_Chunks.SIZE, 16):
+        monkeypatch.setattr(_Chunks, "SIZE", size)
+        for case, bad in deviations.items():
+            assert bad != text, case
+            got = RuminPackage.read_json(
+                io.TextIOWrapper(io.BytesIO(bad.encode("utf-8", "surrogateescape")), "utf-8")
+            )
+            assert got is None, (case, size)
+    monkeypatch.undo()
     # a fault in the layout's content is the reader's to report, not a deviation
     faults = {
         "malformed entry": text.replace('"1/2"', '"1/0"', 1),
